@@ -29,18 +29,17 @@ from .io import (
     save_vocabulary,
 )
 from .mu import fit, initialize_factorization, mu_step_joint_bothnorm, mu_step_joint_wnorm, mu_step_sparse
-from .objectives import gap_elbo, kl_divergence, lda_elbo, plsa_log_likelihood, sparse_objective
+from .objectives import kl_divergence, sparse_objective
 from .reference import plsa_step_reference
 from .types import (
     ConstraintMode,
     Factorization,
     FitConfig,
-    METHOD_MODES,
-    MU_METHODS,
+    METHOD_SPECS,
+    METHODS,
     Priors,
     TermDocMatrix,
     VariationalState,
-    VI_METHODS,
 )
 from .vi import dp_vi_step, fit_vi, gap_vi_step, initialize_variational
 
@@ -79,7 +78,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a factorization or topic model")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True, choices=list(MU_METHODS) + list(VI_METHODS))
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--topics", type=int, required=True)
     p.add_argument("--alpha", default=None, help="Dirichlet concentration: one float or K comma-separated")
     p.add_argument("--rate-a", default=None, help="Gamma rate: one float or K comma-separated")
@@ -138,8 +137,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.method == "sparse" and args.lambda_sparsity is None:
-        raise UsageError("--lambda is required for --method sparse")
+    spec = METHOD_SPECS[args.method]
+    if spec.uses_lambda and args.lambda_sparsity is None:
+        raise UsageError(f"--lambda is required for --method {args.method}")
     X = load_matrix_market(args.input)
     config = FitConfig(
         n_topics=args.topics,
@@ -150,37 +150,24 @@ def _cmd_fit(args) -> int:
         lambda_sparsity=args.lambda_sparsity or 0.0,
         n_threads=args.threads,
     )
-    if args.method in MU_METHODS:
+    if not spec.variational:
         factorization, trace = fit(X, config)
-        model = ModelFile(
-            method=args.method,
-            n_terms=X.n_terms,
-            n_docs=X.n_docs,
-            n_topics=config.n_topics,
-            constraint_mode=factorization.constraint_mode.tag,
-            W=factorization.W,
-            H=factorization.H,
-            lambda_sparsity=config.lambda_sparsity,
-            final_objective=trace.objectives[-1],
-        )
+        fields = dict(W=factorization.W, H=factorization.H, lambda_sparsity=config.lambda_sparsity)
     else:
         alpha = _parse_vector(args.alpha, config.n_topics, "alpha", 1.0)
-        rate_a = _parse_vector(args.rate_a, config.n_topics, "rate-a", 1.0) if args.method == "gap" else None
+        rate_a = _parse_vector(args.rate_a, config.n_topics, "rate-a", 1.0) if spec.uses_rates else None
         priors = Priors(alpha, rate_a)
         W, state, trace = fit_vi(X, config, priors)
-        model = ModelFile(
-            method=args.method,
-            n_terms=X.n_terms,
-            n_docs=X.n_docs,
-            n_topics=config.n_topics,
-            constraint_mode=METHOD_MODES[args.method].tag,
-            W=W,
-            beta=state.beta,
-            b_rate=state.b_rate,
-            alpha=priors.alpha,
-            rate_a=priors.rate_a,
-            final_objective=trace.objectives[-1],
-        )
+        fields = dict(W=W, beta=state.beta, b_rate=state.b_rate, alpha=priors.alpha, rate_a=priors.rate_a)
+    model = ModelFile(
+        method=args.method,
+        n_terms=X.n_terms,
+        n_docs=X.n_docs,
+        n_topics=config.n_topics,
+        constraint_mode=spec.mode.tag,
+        final_objective=trace.objectives[-1],
+        **fields,
+    )
     save_model(args.output, model)
     if args.trace:
         save_trace_csv(args.trace, trace)
@@ -210,19 +197,16 @@ def _cmd_eval(args) -> int:
             f"matrix is {X.n_terms} x {X.n_docs} but the model was fit on "
             f"{model.n_terms} x {model.n_docs}"
         )
-    if model.method in MU_METHODS:
-        print(f"kl_divergence {_fmt(kl_divergence(X, model.W, model.H))}")
-        if model.method == "plsa":
-            print(f"plsa_log_likelihood {_fmt(plsa_log_likelihood(X, model.W, model.H))}")
-        if model.method == "sparse":
-            print(f"penalized_objective {_fmt(sparse_objective(X, model.W, model.H, model.lambda_sparsity))}")
-    else:
+    spec = METHOD_SPECS[model.method]
+    if spec.variational:
         priors = Priors(model.alpha, model.rate_a)
         state = VariationalState(model.beta, model.b_rate)
-        if model.method == "lda":
-            print(f"elbo {_fmt(lda_elbo(X, model.W, priors, state))}")
-        else:
-            print(f"elbo {_fmt(gap_elbo(X, model.W, priors, state))}")
+        print(f"elbo {_fmt(spec.function(spec.objective)(X, model.W, priors, state))}")
+        return 0
+    print(f"kl_divergence {_fmt(kl_divergence(X, model.W, model.H))}")
+    penalty = spec.penalty(model.lambda_sparsity)
+    for label, name in spec.eval_lines:
+        print(f"{label} {_fmt(spec.function(name)(X, model.W, model.H, **penalty))}")
     return 0
 
 

@@ -16,20 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, NumericalError
-from .mu import (
-    mu_step_alternating,
-    mu_step_joint_bothnorm,
-    mu_step_joint_wnorm,
-    mu_step_sparse,
-)
 from .types import (
-    Factorization,
+    METHOD_SPECS,
     Priors,
     TermDocMatrix,
     VariationalState,
     normalize_columns,
 )
-from .vi import dp_vi_step, gap_vi_step
 
 
 @dataclass(frozen=True)
@@ -177,26 +170,15 @@ def fixed_point_residual(
     ``model`` is a :class:`Factorization` for the multiplicative methods
     and a ``(W, VariationalState)`` pair for ``lda`` / ``gap``.
     """
-    if method in ("mu", "mu-joint", "plsa", "sparse"):
-        f: Factorization = model
-        if method == "mu":
-            out = mu_step_alternating(X, f, epsilon_floor=epsilon_floor)
-        elif method == "mu-joint":
-            out = mu_step_joint_wnorm(X, f, epsilon_floor=epsilon_floor)
-        elif method == "plsa":
-            out = mu_step_joint_bothnorm(X, f, epsilon_floor=epsilon_floor)
-        else:
-            out = mu_step_sparse(X, f, lambda_sparsity, epsilon_floor=epsilon_floor)
-        g = out.factorization
-        return float(max(np.abs(g.W - f.W).max(), np.abs(g.H - f.H).max()))
-    if method in ("lda", "gap"):
+    spec = METHOD_SPECS.get(method)
+    if spec is None:
+        raise ValueError(f"unknown method {method!r}")
+    step = spec.function(spec.stepper)
+    if spec.variational:
         if priors is None:
             raise ValueError("variational residuals require priors")
-        W, state = model
-        W = np.asarray(W, dtype=float)
-        if method == "lda":
-            W_new, state_new, _ = dp_vi_step(X, W, priors, state, epsilon_floor=epsilon_floor)
-        else:
-            W_new, state_new, _ = gap_vi_step(X, W, priors, state, epsilon_floor=epsilon_floor)
+        W, state = np.asarray(model[0], dtype=float), model[1]
+        W_new, state_new, _ = step(X, W, priors, state, epsilon_floor=epsilon_floor)
         return float(max(np.abs(W_new - W).max(), np.abs(state_new.beta - state.beta).max()))
-    raise ValueError(f"unknown method {method!r}")
+    g = step(X, model, epsilon_floor=epsilon_floor, **spec.penalty(lambda_sparsity)).factorization
+    return float(max(np.abs(g.W - model.W).max(), np.abs(g.H - model.H).max()))

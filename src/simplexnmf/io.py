@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .types import ConstraintMode, FitTrace, TermDocMatrix
+from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -30,9 +30,9 @@ _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 def load_matrix_market(path) -> TermDocMatrix:
     """Parse a 1-indexed coordinate-format matrix file.
 
-    Zero-valued entries are dropped; negative values, duplicate
-    coordinates, out-of-range indices, and malformed headers raise
-    ``DataError`` with the offending line number.
+    Zero-valued entries are dropped; negative or non-finite values,
+    duplicate coordinates, out-of-range indices, and malformed headers
+    raise ``DataError`` with the offending line number.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or " ".join(lines[0].split()).lower() != _MM_HEADER:
@@ -61,8 +61,9 @@ def load_matrix_market(path) -> TermDocMatrix:
             v, d, value = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise DataError(f"malformed entry at line {line_no}") from exc
-        if value < 0:
-            raise DataError(f"negative count at line {line_no}")
+        if not 0.0 <= value < math.inf:
+            kind = "negative" if value < 0 else "non-finite"
+            raise DataError(f"{kind} count at line {line_no}")
         if not (1 <= v <= n_terms) or not (1 <= d <= n_docs):
             raise DataError(f"index overflow at line {line_no}: ({v}, {d}) outside {n_terms} x {n_docs}")
         entries.append((v - 1, d - 1, value))
@@ -194,30 +195,45 @@ class ModelFile:
     format_version: int = FORMAT_VERSION
 
     def validate(self) -> None:
+        """Raise ``DataError`` unless the model matches its method's registry record:
+        the method's constraint mode, its fields with their shapes, finite
+        non-negative factors and finite positive variational parameters."""
         if self.format_version != FORMAT_VERSION:
             raise DataError(f"unsupported format_version: {self.format_version}")
-        if self.method not in ("mu", "mu-joint", "plsa", "sparse", "lda", "gap"):
+        spec = METHOD_SPECS.get(self.method)
+        if spec is None:
             raise DataError(f"unknown method {self.method!r}")
-        ConstraintMode.from_tag(self.constraint_mode)
+        if ConstraintMode.from_tag(self.constraint_mode) != spec.mode:
+            raise DataError(
+                f"schema violation at constraint_mode: method {self.method!r} uses "
+                f"{spec.mode.tag!r}, got {self.constraint_mode!r}"
+            )
         _check_matrix("W", self.W, self.n_terms, self.n_topics)
-        if self.method in ("mu", "mu-joint", "plsa", "sparse"):
-            if self.H is None:
-                raise DataError(f"schema violation at H: required for method {self.method!r}")
-            _check_matrix("H", self.H, self.n_topics, self.n_docs)
-        else:
-            if self.beta is None:
-                raise DataError(f"schema violation at beta: required for method {self.method!r}")
-            _check_matrix("beta", self.beta, self.n_topics, self.n_docs)
-            if self.alpha is None or len(self.alpha) != self.n_topics:
-                raise DataError("schema violation at alpha: expected one value per topic")
-            if self.method == "gap":
-                if self.b_rate is None:
-                    raise DataError("schema violation at b_rate: required for method 'gap'")
-                _check_matrix("b_rate", self.b_rate, self.n_topics, self.n_docs)
-                if self.rate_a is None or len(self.rate_a) != self.n_topics:
-                    raise DataError("schema violation at rate_a: expected one value per topic")
-        if self.lambda_sparsity < 0:
-            raise DataError("schema violation at lambda_sparsity: must be non-negative")
+        _check_values("W", self.W)
+        for name in spec.model_fields:
+            value = getattr(self, name)
+            if value is None:
+                raise DataError(f"schema violation at {name}: required for method {self.method!r}")
+            if name in _PER_TOPIC_FIELDS:
+                if np.shape(value) != (self.n_topics,):
+                    raise DataError(f"schema violation at {name}: expected one value per topic")
+            else:
+                _check_matrix(name, value, self.n_topics, self.n_docs)
+            _check_values(name, value)
+        if not 0 <= self.lambda_sparsity < math.inf:
+            raise DataError("schema violation at lambda_sparsity: must be non-negative and finite")
+
+
+# model fields that hold one value per topic; the other fields are matrices
+_PER_TOPIC_FIELDS = ("alpha", "rate_a")
+
+
+def _check_values(name: str, value) -> None:
+    M = np.asarray(value, dtype=float)
+    positive = name not in ("W", "H")  # the variational parameters
+    if not np.all(np.isfinite(M) & ((M > 0) if positive else (M >= 0))):
+        sign = "strictly positive" if positive else "non-negative"
+        raise DataError(f"schema violation at {name}: values must be finite and {sign}")
 
 
 def _check_matrix(name: str, M, n_rows: int, n_cols: int) -> None:
@@ -227,7 +243,7 @@ def _check_matrix(name: str, M, n_rows: int, n_cols: int) -> None:
     if M.shape[0] != n_rows:
         raise DataError(f"dimension mismatch: {name} has {M.shape[0]} rows, expected {n_rows}")
     if M.shape[1] != n_cols:
-        label = "K" if name == "W" else ("D" if name in ("H", "beta", "b_rate") else "columns")
+        label = "K" if name == "W" else "D"
         raise DataError(f"dimension mismatch: {name} has {M.shape[1]} columns, {label}={n_cols}")
 
 
@@ -278,7 +294,10 @@ def _scalar(value) -> str:
 
 
 def save_model(path, model: ModelFile) -> None:
-    """Write the model as canonical JSON (fixed key order, 17-digit floats)."""
+    """Write the model as canonical JSON (fixed key order, 17-digit floats).
+
+    Besides ``W`` the file holds the fields the method's registry record names.
+    """
     model.validate()
     doc: dict = {
         "format_version": model.format_version,
@@ -291,14 +310,8 @@ def save_model(path, model: ModelFile) -> None:
         "final_objective": float(model.final_objective),
         "W": np.asarray(model.W, dtype=float).tolist(),
     }
-    for name in ("H", "beta", "b_rate"):
-        value = getattr(model, name)
-        if value is not None:
-            doc[name] = np.asarray(value, dtype=float).tolist()
-    for name in ("alpha", "rate_a"):
-        value = getattr(model, name)
-        if value is not None:
-            doc[name] = np.asarray(value, dtype=float).reshape(-1).tolist()
+    for name in METHOD_SPECS[model.method].model_fields:
+        doc[name] = np.asarray(getattr(model, name), dtype=float).tolist()
     if model.trace is not None:
         doc["trace"] = {
             "objectives": list(model.trace.objectives),
@@ -348,11 +361,11 @@ def load_model(path) -> ModelFile:
         n_topics=doc["n_topics"],
         constraint_mode=doc["constraint_mode"],
         W=_matrix_from(doc, "W"),
-        H=_matrix_from(doc, "H") if "H" in doc else None,
-        beta=_matrix_from(doc, "beta") if "beta" in doc else None,
-        b_rate=_matrix_from(doc, "b_rate") if "b_rate" in doc else None,
-        alpha=_vector_from(doc, "alpha") if "alpha" in doc else None,
-        rate_a=_vector_from(doc, "rate_a") if "rate_a" in doc else None,
+        **{
+            name: (_vector_from if name in _PER_TOPIC_FIELDS else _matrix_from)(doc, name)
+            for name in ("H", "beta", "b_rate", "alpha", "rate_a")
+            if name in doc
+        },
         lambda_sparsity=float(doc.get("lambda_sparsity", 0.0)),
         final_objective=float(doc.get("final_objective", 0.0)),
         trace=trace,

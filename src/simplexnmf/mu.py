@@ -1,11 +1,19 @@
-"""Multiplicative-update solvers for KL-divergence factorization.
+"""Multiplicative-update solvers for KL-divergence factorization, and the fit driver.
 
-Four steppers share one skeleton: evaluate the reconstruction at the
-nonzeros of ``X``, form count/reconstruction ratios, and rescale the
-factors.  The alternating stepper recomputes the reconstruction after its
-``W`` update (two evaluations per iteration); the constrained steppers
-update both factors from the same reconstruction and renormalize via the
-constraint, so they need only one.  ``StepOutcome.recon_evals`` counts
+Every method but ``mu`` is one update, :func:`joint_step`: one
+reconstruction ``(WH)`` at the nonzeros of ``X`` serves both factors, ``W``
+is renormalized columnwise, and the methods differ only in the map
+``h_map`` applied to the raw ``H``-side update:
+
+    mu-joint    floor
+    sparse      divide by ``1 + lambda``, then floor
+    plsa        floor, then normalize every document column
+    lda, gap    ``alpha_k + (.)``, with the expected-log weights ``h~``
+                in place of ``H`` (see :mod:`simplexnmf.vi`)
+
+The alternating stepper (``mu``) has a body of its own: it recomputes the
+reconstruction after its ``W`` update, two evaluations per iteration
+against one for the joint methods.  ``StepOutcome.recon_evals`` counts
 exactly these update-path evaluations; the objective value returned with
 each step is monitoring on top and is not counted.
 
@@ -15,27 +23,33 @@ updates cannot revive an exact zero, so the floor keeps topics alive
 without disturbing healthy entries; because it is relative to the column
 maximum it also commutes with the columnwise rescalings that relate the
 constrained solvers to each other.
+
+:func:`descend` is the one iteration loop: :func:`fit` runs it on the
+objective and :func:`simplexnmf.vi.fit_vi` on the negated bound.  Which
+stepper, constraint mode and objective a method uses is read from its
+record in ``types.METHOD_SPECS``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DeadTopicError, InfiniteDivergenceError, MonotonicityError
-from .objectives import kl_divergence, sparse_objective
+from .errors import DeadTopicError, MonotonicityError, NumericalError
+from .objectives import _checked_reconstruction, kl_divergence, sparse_objective
 from .types import (
     ConstraintMode,
     Factorization,
     FitConfig,
     FitTrace,
-    METHOD_MODES,
+    METHOD_SPECS,
     MU_METHODS,
     TermDocMatrix,
     normalize_columns,
-    reconstruct_nonzeros,
     term_topic_sums,
     topic_doc_sums,
 )
@@ -54,24 +68,42 @@ class StepOutcome:
     recon_evals: int
 
 
-def _checked_ratio(X: TermDocMatrix, W, H) -> np.ndarray:
-    recon = reconstruct_nonzeros(X, W, H)
-    bad = recon <= 0.0
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise InfiniteDivergenceError(int(X.rows[e]), int(X.cols[e]))
-    return X.vals / recon
-
-
 def _floor_columns(M: np.ndarray, epsilon_floor: float) -> np.ndarray:
     if M.size == 0:
         return M
     return np.maximum(M, epsilon_floor * M.max(axis=0, keepdims=True))
 
 
+def _normalized(raw: np.ndarray, epsilon_floor: float, detail: str) -> np.ndarray:
+    sums = raw.sum(axis=0)
+    if np.any(sums == 0):
+        raise DeadTopicError(int(np.argmax(sums == 0)), detail)
+    return normalize_columns(_floor_columns(raw, epsilon_floor))[0]
+
+
 def _require_mode(f: Factorization, mode: ConstraintMode, who: str) -> None:
     if f.constraint_mode != mode:
         raise ValueError(f"{who} requires constraint mode {mode.tag!r}, got {f.constraint_mode.tag!r}")
+
+
+def joint_step(
+    X: TermDocMatrix,
+    W: np.ndarray,
+    H: np.ndarray,
+    h_map,
+    epsilon_floor: float,
+    n_threads: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joint update of every method but ``mu``; returns ``(W', H')``.
+
+    With ``r = x / (WH)`` from one checked reconstruction at the nonzeros,
+    ``W' = normalize_k(floor(W * sum_d r_vd h_kd))`` (``DeadTopicError``
+    when a topic's numerators all vanish) and ``H' = h_map(H * sum_v r_vd
+    w_vk)`` with the pre-update ``W``.
+    """
+    ratio = X.vals / _checked_reconstruction(X, W, H)
+    W_new = _normalized(W * term_topic_sums(X, ratio, H, n_threads), epsilon_floor, "all update numerators vanished")
+    return W_new, h_map(H * topic_doc_sums(X, ratio, W, n_threads))
 
 
 def mu_step_alternating(
@@ -94,14 +126,14 @@ def mu_step_alternating(
     _require_mode(f, ConstraintMode.UNCONSTRAINED, "mu_step_alternating")
     W, H = f.W, f.H
 
-    ratio = _checked_ratio(X, W, H)
+    ratio = X.vals / _checked_reconstruction(X, W, H)
     h_doc_sums = H.sum(axis=1)
     if np.any(h_doc_sums == 0):
         raise DeadTopicError(int(np.argmax(h_doc_sums == 0)), "zero row sum in H")
     W_new = W * term_topic_sums(X, ratio, H, n_threads) / h_doc_sums[None, :]
     W_new = _floor_columns(W_new, epsilon_floor)
 
-    ratio = _checked_ratio(X, W_new, H)
+    ratio = X.vals / _checked_reconstruction(X, W_new, H)
     w_col_sums = W_new.sum(axis=0)
     if np.any(w_col_sums == 0):
         raise DeadTopicError(int(np.argmax(w_col_sums == 0)), "zero column sum in W")
@@ -110,15 +142,6 @@ def mu_step_alternating(
 
     updated = Factorization(W_new, H_new, ConstraintMode.UNCONSTRAINED)
     return StepOutcome(updated, kl_divergence(X, W_new, H_new), 2)
-
-
-def _joint_w_update(X, f, ratio, epsilon_floor, n_threads) -> np.ndarray:
-    raw = f.W * term_topic_sums(X, ratio, f.H, n_threads)
-    sums = raw.sum(axis=0)
-    if np.any(sums == 0):
-        raise DeadTopicError(int(np.argmax(sums == 0)), "all update numerators vanished")
-    W_new, _ = normalize_columns(_floor_columns(raw, epsilon_floor))
-    return W_new
 
 
 def mu_step_joint_wnorm(
@@ -140,11 +163,9 @@ def mu_step_joint_wnorm(
     one, which is what makes the joint move exact.
     """
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_joint_wnorm")
-    ratio = _checked_ratio(X, f.W, f.H)
-    W_new = _joint_w_update(X, f, ratio, epsilon_floor, n_threads)
-    H_new = _floor_columns(f.H * topic_doc_sums(X, ratio, f.W, n_threads), epsilon_floor)
-    updated = Factorization(W_new, H_new, ConstraintMode.W_SIMPLEX)
-    return StepOutcome(updated, kl_divergence(X, W_new, H_new), 1)
+    h_map = partial(_floor_columns, epsilon_floor=epsilon_floor)
+    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, n_threads)
+    return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), kl_divergence(X, W, H), 1)
 
 
 def mu_step_joint_bothnorm(
@@ -161,15 +182,9 @@ def mu_step_joint_bothnorm(
     update of the word/document mixture model.
     """
     _require_mode(f, ConstraintMode.BOTH_SIMPLEX, "mu_step_joint_bothnorm")
-    ratio = _checked_ratio(X, f.W, f.H)
-    W_new = _joint_w_update(X, f, ratio, epsilon_floor, n_threads)
-    raw = f.H * topic_doc_sums(X, ratio, f.W, n_threads)
-    sums = raw.sum(axis=0)
-    if np.any(sums == 0):
-        raise DeadTopicError(int(np.argmax(sums == 0)), "document column collapsed")
-    H_new, _ = normalize_columns(_floor_columns(raw, epsilon_floor))
-    updated = Factorization(W_new, H_new, ConstraintMode.BOTH_SIMPLEX)
-    return StepOutcome(updated, kl_divergence(X, W_new, H_new), 1)
+    h_map = partial(_normalized, epsilon_floor=epsilon_floor, detail="document column collapsed")
+    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, n_threads)
+    return StepOutcome(Factorization(W, H, ConstraintMode.BOTH_SIMPLEX), kl_divergence(X, W, H), 1)
 
 
 def mu_step_sparse(
@@ -189,16 +204,47 @@ def mu_step_sparse(
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_sparse")
     if lambda_sparsity < 0:
         raise ValueError("lambda_sparsity must be non-negative")
-    ratio = _checked_ratio(X, f.W, f.H)
-    W_new = _joint_w_update(X, f, ratio, epsilon_floor, n_threads)
-    H_new = f.H * topic_doc_sums(X, ratio, f.W, n_threads) / (1.0 + lambda_sparsity)
-    H_new = _floor_columns(H_new, epsilon_floor)
-    updated = Factorization(W_new, H_new, ConstraintMode.W_SIMPLEX)
-    return StepOutcome(updated, sparse_objective(X, W_new, H_new, lambda_sparsity), 1)
+
+    W, H = joint_step(
+        X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor, n_threads
+    )
+    objective = sparse_objective(X, W, H, lambda_sparsity)
+    return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), objective, 1)
 
 
 # ---------------------------------------------------------------------------
 # Driver
+
+
+def descend(step, state, initial: float, config: FitConfig, sign: int):
+    """The iteration loop of every fit: ``state, value, recon_evals = step(state)``.
+
+    Works on ``f = sign * value``: +1 minimizes an objective, -1 maximizes
+    a bound (negation is exact, so both take the same decisions).  Stops
+    when ``|f_n - f_{n-1}| / max(1, |f_{n-1}|) < config.rel_tolerance`` or
+    after ``config.max_iters`` steps; returns the final state and the trace.
+    A rise of ``f`` by more than ``DESCENT_SLACK`` relative raises
+    ``MonotonicityError``, a non-finite value (``initial`` too) ``NumericalError``.
+    """
+    if not math.isfinite(initial):
+        raise NumericalError(f"non-finite initial objective {initial!r}")
+    previous = sign * initial
+    trace = FitTrace()
+    for iteration in range(1, config.max_iters + 1):
+        started = time.perf_counter()
+        state, value, recon_evals = step(state)
+        trace.append(value, recon_evals, time.perf_counter() - started)
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite objective {value!r} after {iteration} iterations")
+        current = sign * value
+        scale = max(1.0, abs(previous))
+        if current > previous + DESCENT_SLACK * scale:
+            moved = "objective rose" if sign > 0 else "bound fell"
+            raise MonotonicityError(f"no progress: {moved} from {sign * previous!r} to {value!r}")
+        if abs(current - previous) / scale < config.rel_tolerance:
+            break
+        previous = current
+    return state, trace
 
 
 def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorization:
@@ -208,42 +254,16 @@ def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorizati
     Gamma(1, 1), scaled per document so that ``sum_k h_kd`` matches the
     document total (or one, when ``H`` is constrained to the simplex).
     """
-    if config.method not in MU_METHODS:
+    spec = METHOD_SPECS[config.method]
+    if spec.variational:
         raise ValueError(f"initialize_factorization handles methods {MU_METHODS}")
-    mode = METHOD_MODES[config.method]
     rng = np.random.default_rng(config.seed)
     W = rng.dirichlet(np.ones(X.n_terms), size=config.n_topics).T
     H = rng.gamma(1.0, 1.0, size=(config.n_topics, X.n_docs))
     H = H / H.sum(axis=0, keepdims=True)
-    if mode != ConstraintMode.BOTH_SIMPLEX:
+    if spec.mode != ConstraintMode.BOTH_SIMPLEX:
         H = H * X.col_sums[None, :]
-    return Factorization(W, H, mode)
-
-
-def _dispatch(config: FitConfig):
-    if config.method == "mu":
-        return lambda X, f: mu_step_alternating(
-            X, f, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
-    if config.method == "mu-joint":
-        return lambda X, f: mu_step_joint_wnorm(
-            X, f, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
-    if config.method == "plsa":
-        return lambda X, f: mu_step_joint_bothnorm(
-            X, f, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
-    if config.method == "sparse":
-        return lambda X, f: mu_step_sparse(
-            X, f, config.lambda_sparsity, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
-    raise ValueError(f"fit handles methods {MU_METHODS}; use fit_vi for {config.method!r}")
-
-
-def _objective(X: TermDocMatrix, f: Factorization, config: FitConfig) -> float:
-    if config.method == "sparse":
-        return sparse_objective(X, f.W, f.H, config.lambda_sparsity)
-    return kl_divergence(X, f.W, f.H)
+    return Factorization(W, H, spec.mode)
 
 
 def fit(
@@ -251,40 +271,26 @@ def fit(
     config: FitConfig,
     init: Factorization | None = None,
 ) -> tuple[Factorization, FitTrace]:
-    """Run the configured stepper until the objective stalls or ``max_iters``.
+    """Minimize the method's objective with its stepper under :func:`descend`.
 
-    Stops when the relative objective change ``|f_n - f_{n-1}| /
-    max(1, |f_{n-1}|)`` drops below ``config.rel_tolerance``.  A rise of
-    more than ``DESCENT_SLACK`` relative is a broken invariant and raises
-    ``MonotonicityError``.  The run is fully determined by ``(seed,
-    config, init)``.
+    The stepper rejects an ``init`` in another constraint mode.  The run
+    is fully determined by ``(seed, config, init)``.
 
     Returns the final factorization together with the per-iteration trace.
     """
-    step = _dispatch(config)
+    spec = METHOD_SPECS[config.method]
+    if spec.variational:
+        raise ValueError(f"fit handles methods {MU_METHODS}; use fit_vi for {config.method!r}")
     f = init if init is not None else initialize_factorization(X, config)
-    expected_mode = METHOD_MODES[config.method]
-    if f.constraint_mode != expected_mode:
-        raise ValueError(
-            f"method {config.method!r} expects constraint mode {expected_mode.tag!r}, "
-            f"got {f.constraint_mode.tag!r}"
-        )
     if f.n_topics != config.n_topics:
         raise ValueError(f"init has {f.n_topics} topics, config expects {config.n_topics}")
 
-    previous = _objective(X, f, config)
-    trace = FitTrace()
-    for _ in range(config.max_iters):
-        started = time.perf_counter()
-        outcome = step(X, f)
-        trace.append(outcome.objective, outcome.recon_evals, time.perf_counter() - started)
-        f = outcome.factorization
-        scale = max(1.0, abs(previous))
-        if outcome.objective > previous + DESCENT_SLACK * scale:
-            raise MonotonicityError(
-                f"no progress: objective rose from {previous!r} to {outcome.objective!r}"
-            )
-        if abs(outcome.objective - previous) / scale < config.rel_tolerance:
-            break
-        previous = outcome.objective
-    return f, trace
+    stepper = spec.function(spec.stepper)
+    penalty = spec.penalty(config.lambda_sparsity)
+
+    def step(current: Factorization):
+        out = stepper(X, current, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads, **penalty)
+        return out.factorization, out.objective, out.recon_evals
+
+    initial = spec.function(spec.objective)(X, f.W, f.H, **penalty)
+    return descend(step, f, initial, config, +1)

@@ -11,6 +11,7 @@ solvers meaningful on sparse data.
 
 from __future__ import annotations
 
+import importlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -60,10 +61,10 @@ class TermDocMatrix:
     """Sparse non-negative term-document count matrix.
 
     Entries are stored once per ``(term, doc)`` pair, document-major, with
-    explicit zeros dropped.  Per-document totals (the column sums
-    ``lambda_d``) are cached at construction; ``doc_ptr`` delimits the
-    entry range of each document.  Counts are kept as reals: nothing in
-    the solvers requires integer data.
+    explicit zeros dropped; counts must be finite and non-negative.
+    Per-document totals (the column sums ``lambda_d``) are cached at
+    construction; ``doc_ptr`` delimits the entry range of each document.
+    Counts are kept as reals: nothing in the solvers requires integer data.
     """
 
     n_terms: int
@@ -80,20 +81,17 @@ class TermDocMatrix:
         if n_terms <= 0 or n_docs <= 0:
             raise DataError("matrix dimensions must be positive")
         triples = list(entries)
-        if triples:
-            rows = np.array([t[0] for t in triples], dtype=np.int64)
-            cols = np.array([t[1] for t in triples], dtype=np.int64)
-            vals = np.array([t[2] for t in triples], dtype=float)
-        else:
-            rows = np.zeros(0, dtype=np.int64)
-            cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0, dtype=float)
+        rows = np.array([t[0] for t in triples], dtype=np.int64)
+        cols = np.array([t[1] for t in triples], dtype=np.int64)
+        vals = np.array([t[2] for t in triples], dtype=float)
         if rows.size:
             if rows.min() < 0 or rows.max() >= n_terms or cols.min() < 0 or cols.max() >= n_docs:
                 raise DataError("entry index out of range")
-            if np.any(vals < 0):
-                bad = int(np.argmax(vals < 0))
-                raise DataError(f"negative count at entry ({rows[bad]}, {cols[bad]})")
+            bad = ~(np.isfinite(vals) & (vals >= 0))
+            if bad.any():
+                e = int(np.argmax(bad))
+                kind = "negative" if vals[e] < 0 else "non-finite"
+                raise DataError(f"{kind} count at entry ({rows[e]}, {cols[e]})")
             keys = cols * n_terms + rows
             if np.unique(keys).size != keys.size:
                 order = np.argsort(keys, kind="stable")
@@ -150,8 +148,9 @@ class Factorization:
     """A ``(W, H)`` pair with its declared column constraints.
 
     ``W`` is terms x topics, ``H`` topics x documents.  Construction
-    validates non-negativity and, depending on the mode, that the columns
-    of ``W`` (and of ``H``) sum to one within ``SIMPLEX_TOL``.
+    validates that both are finite and non-negative and, depending on the
+    mode, that the columns of ``W`` (and of ``H``) sum to one within
+    ``SIMPLEX_TOL``.
     """
 
     W: np.ndarray
@@ -163,8 +162,8 @@ class Factorization:
         H = np.array(self.H, dtype=float)
         if W.ndim != 2 or H.ndim != 2 or W.shape[1] != H.shape[0]:
             raise ValueError(f"inconsistent factor shapes {W.shape} x {H.shape}")
-        if np.any(W < 0) or np.any(H < 0):
-            raise ValueError("factor matrices must be non-negative")
+        if not (np.all(np.isfinite(W) & (W >= 0)) and np.all(np.isfinite(H) & (H >= 0))):
+            raise ValueError("factor matrices must be finite and non-negative")
         mode = ConstraintMode(self.constraint_mode)
         if mode >= ConstraintMode.W_SIMPLEX:
             _check_simplex(W, "W")
@@ -204,13 +203,13 @@ class Priors:
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float).reshape(-1)
-        if alpha.size == 0 or np.any(alpha <= 0):
-            raise ValueError("alpha must be strictly positive")
+        if alpha.size == 0 or not np.all((alpha > 0) & np.isfinite(alpha)):
+            raise ValueError("alpha must be strictly positive and finite")
         object.__setattr__(self, "alpha", _readonly(alpha))
         if self.rate_a is not None:
             rate = np.array(self.rate_a, dtype=float).reshape(-1)
-            if rate.shape != alpha.shape or np.any(rate <= 0):
-                raise ValueError("rate_a must be strictly positive and match alpha in length")
+            if rate.shape != alpha.shape or not np.all((rate > 0) & np.isfinite(rate)):
+                raise ValueError("rate_a must be strictly positive, finite and match alpha in length")
             object.__setattr__(self, "rate_a", _readonly(rate))
 
     @property
@@ -233,13 +232,13 @@ class VariationalState:
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
-        if beta.ndim != 2 or np.any(beta <= 0):
-            raise ValueError("beta must be a strictly positive 2-d array")
+        if beta.ndim != 2 or not np.all((beta > 0) & np.isfinite(beta)):
+            raise ValueError("beta must be a strictly positive, finite 2-d array")
         object.__setattr__(self, "beta", _readonly(beta))
         if self.b_rate is not None:
             b = np.array(self.b_rate, dtype=float)
-            if b.shape != beta.shape or np.any(b <= 0):
-                raise ValueError("b_rate must be strictly positive with the same shape as beta")
+            if b.shape != beta.shape or not np.all((b > 0) & np.isfinite(b)):
+                raise ValueError("b_rate must be strictly positive, finite and the same shape as beta")
             object.__setattr__(self, "b_rate", _readonly(b))
 
     @property
@@ -251,18 +250,64 @@ class VariationalState:
         return self.beta.shape[1]
 
 
-METHODS = ("mu", "mu-joint", "plsa", "sparse", "lda", "gap")
-MU_METHODS = ("mu", "mu-joint", "plsa", "sparse")
-VI_METHODS = ("lda", "gap")
+@dataclass(frozen=True)
+class MethodSpec:
+    """Everything that differs between the fitting methods.
 
-METHOD_MODES = {
-    "mu": ConstraintMode.UNCONSTRAINED,
-    "mu-joint": ConstraintMode.W_SIMPLEX,
-    "sparse": ConstraintMode.W_SIMPLEX,
-    "plsa": ConstraintMode.BOTH_SIMPLEX,
-    "lda": ConstraintMode.W_SIMPLEX,
-    "gap": ConstraintMode.W_SIMPLEX,
+    Functions are ``"module.function"`` names, looked up by :meth:`function`
+    when called so that a rebound module attribute (a test double, a
+    tracer) is the one that runs.  Multiplicative steppers take ``(X, f)``
+    and objectives ``(X, W, H)``, variational ones ``(X, W, priors,
+    state)``; with ``uses_lambda`` they and the ``eval_lines`` (``(label,
+    function)`` printed after the KL divergence) also take
+    ``lambda_sparsity``.  ``uses_rates`` methods need Gamma rates, and
+    ``model_fields`` are the model-file fields besides ``W``.
+    """
+
+    mode: ConstraintMode
+    variational: bool
+    stepper: str
+    objective: str
+    model_fields: tuple[str, ...]
+    eval_lines: tuple[tuple[str, str], ...] = ()
+    uses_lambda: bool = False
+    uses_rates: bool = False
+
+    @staticmethod
+    def function(name: str):
+        """Resolve a ``"module.function"`` name inside this package."""
+        module, _, attr = name.partition(".")
+        return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+
+    def penalty(self, lambda_sparsity: float) -> dict:
+        """Keyword arguments that pass the l1 weight to the method's functions."""
+        return {"lambda_sparsity": lambda_sparsity} if self.uses_lambda else {}
+
+
+_KL = "objectives.kl_divergence"
+
+METHOD_SPECS = {
+    "mu": MethodSpec(ConstraintMode.UNCONSTRAINED, False, "mu.mu_step_alternating", _KL, ("H",)),
+    "mu-joint": MethodSpec(ConstraintMode.W_SIMPLEX, False, "mu.mu_step_joint_wnorm", _KL, ("H",)),
+    "plsa": MethodSpec(
+        ConstraintMode.BOTH_SIMPLEX, False, "mu.mu_step_joint_bothnorm", _KL, ("H",),
+        eval_lines=(("plsa_log_likelihood", "objectives.plsa_log_likelihood"),),
+    ),
+    "sparse": MethodSpec(
+        ConstraintMode.W_SIMPLEX, False, "mu.mu_step_sparse", "objectives.sparse_objective", ("H",),
+        eval_lines=(("penalized_objective", "objectives.sparse_objective"),), uses_lambda=True,
+    ),
+    "lda": MethodSpec(ConstraintMode.W_SIMPLEX, True, "vi.dp_vi_step", "objectives.lda_elbo", ("beta", "alpha")),
+    "gap": MethodSpec(
+        ConstraintMode.W_SIMPLEX, True, "vi.gap_vi_step", "objectives.gap_elbo",
+        ("beta", "b_rate", "alpha", "rate_a"), uses_rates=True,
+    ),
 }
+
+METHODS = tuple(METHOD_SPECS)
+MU_METHODS = tuple(name for name, spec in METHOD_SPECS.items() if not spec.variational)
+VI_METHODS = tuple(name for name, spec in METHOD_SPECS.items() if spec.variational)
+METHOD_MODES = {name: spec.mode for name, spec in METHOD_SPECS.items()}
 
 
 @dataclass(frozen=True)
@@ -281,7 +326,7 @@ class FitConfig:
     def __post_init__(self):
         if self.n_topics < 1:
             raise ValueError("n_topics must be at least 1")
-        if self.method not in METHODS:
+        if self.method not in METHOD_SPECS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

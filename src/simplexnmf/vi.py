@@ -8,55 +8,32 @@ the ``W`` update and the shape update
     w_vk     <- normalize_k( w_vk * sum_d x_vd h~_kd / (W h~)_vd ),
     beta_kd  <- alpha_k + h~_kd * sum_v x_vd w_vk / (W h~)_vd,
 
-and the per-iteration reconstruction count is 1.  The Gamma variant keeps
-its rate parameters pinned at ``b = 1 + a``, which is the stationary value
-of the bound in ``b``; with a uniform rate vector its iterates coincide
-with the Dirichlet ones because the two ``h~`` differ only by a
-per-document constant that cancels everywhere.
+which is :func:`simplexnmf.mu.joint_step` with ``h~`` for ``H`` and
+``alpha_k + (.)`` as the map on the ``H`` side, so the per-iteration
+reconstruction count is 1.  The Gamma variant keeps its rate parameters
+pinned at ``b = 1 + a``, which is the stationary value of the bound in
+``b``; with a uniform rate vector its iterates coincide with the
+Dirichlet ones because the two ``h~`` differ only by a per-document
+constant that cancels everywhere.
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 
-from .errors import DeadTopicError, InfiniteDivergenceError, MonotonicityError
-from .objectives import (
-    expected_log_h_dirichlet,
-    expected_log_h_gamma,
-    gap_elbo,
-    lda_elbo,
-)
+from .mu import descend, joint_step
+from .objectives import expected_log_h_dirichlet, expected_log_h_gamma
 from .types import (
     FitConfig,
     FitTrace,
+    METHOD_SPECS,
     Priors,
     TermDocMatrix,
     VariationalState,
     VI_METHODS,
-    normalize_columns,
-    reconstruct_nonzeros,
-    term_topic_sums,
-    topic_doc_sums,
 )
-from .mu import DESCENT_SLACK, _floor_columns
-
-
-def _vi_core(X, W, h_tilde, alpha, epsilon_floor, n_threads):
-    recon = reconstruct_nonzeros(X, W, h_tilde)
-    bad = recon <= 0.0
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise InfiniteDivergenceError(int(X.rows[e]), int(X.cols[e]))
-    ratio = X.vals / recon
-    raw = W * term_topic_sums(X, ratio, h_tilde, n_threads)
-    sums = raw.sum(axis=0)
-    if np.any(sums == 0):
-        raise DeadTopicError(int(np.argmax(sums == 0)), "all update numerators vanished")
-    W_new, _ = normalize_columns(_floor_columns(raw, epsilon_floor))
-    beta_new = alpha[:, None] + h_tilde * topic_doc_sums(X, ratio, W, n_threads)
-    return W_new, beta_new
 
 
 def dp_vi_step(
@@ -70,8 +47,9 @@ def dp_vi_step(
 ) -> tuple[np.ndarray, VariationalState, int]:
     """One update of the Dirichlet-weight model; returns ``(W', state', recon_evals)``."""
     h_tilde = expected_log_h_dirichlet(state.beta)
-    W_new, beta_new = _vi_core(X, np.asarray(W, dtype=float), h_tilde, priors.alpha, epsilon_floor, n_threads)
-    return W_new, VariationalState(beta_new), 1
+    h_map = partial(np.add, priors.alpha[:, None])
+    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, n_threads)
+    return W, VariationalState(beta), 1
 
 
 def gap_vi_step(
@@ -87,12 +65,22 @@ def gap_vi_step(
     if state.b_rate is None:
         raise ValueError("gap_vi_step requires a state with b_rate (fixed at 1 + rate_a)")
     h_tilde = expected_log_h_gamma(state.beta, state.b_rate)
-    W_new, beta_new = _vi_core(X, np.asarray(W, dtype=float), h_tilde, priors.alpha, epsilon_floor, n_threads)
-    return W_new, VariationalState(beta_new, state.b_rate), 1
+    h_map = partial(np.add, priors.alpha[:, None])
+    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, n_threads)
+    return W, VariationalState(beta, state.b_rate), 1
 
 
 # ---------------------------------------------------------------------------
 # Driver
+
+
+def _pinned_rates(method: str, priors: Priors, shape) -> np.ndarray | None:
+    """The Gamma rates ``b = 1 + rate_a`` for a method that has them, else ``None``."""
+    if not METHOD_SPECS[method].uses_rates:
+        return None
+    if priors.rate_a is None:
+        raise ValueError(f"the {method} method requires priors with rate_a")
+    return np.broadcast_to((1.0 + priors.rate_a)[:, None], shape).copy()
 
 
 def initialize_variational(
@@ -107,7 +95,7 @@ def initialize_variational(
     topics at random instead of evenly.  The Gamma method also pins
     ``b = 1 + rate_a``.
     """
-    if config.method not in VI_METHODS:
+    if not METHOD_SPECS[config.method].variational:
         raise ValueError(f"initialize_variational handles methods {VI_METHODS}")
     K = config.n_topics
     if priors.n_topics != K:
@@ -120,12 +108,7 @@ def initialize_variational(
     else:
         split = np.full((K, X.n_docs), 1.0 / K)
     beta = priors.alpha[:, None] + X.col_sums[None, :] * split
-    b_rate = None
-    if config.method == "gap":
-        if priors.rate_a is None:
-            raise ValueError("the gap method requires priors with rate_a")
-        b_rate = np.broadcast_to((1.0 + priors.rate_a)[:, None], beta.shape).copy()
-    return W, VariationalState(beta, b_rate)
+    return W, VariationalState(beta, _pinned_rates(config.method, priors, beta.shape))
 
 
 def fit_vi(
@@ -139,51 +122,36 @@ def fit_vi(
 
     The bound is evaluated after every iteration and recorded in the
     trace; it must not decrease by more than ``DESCENT_SLACK`` relative,
-    otherwise ``MonotonicityError`` is raised.  Convergence is the same
-    relative-change rule as the multiplicative driver.
+    otherwise ``MonotonicityError`` is raised, and a non-finite bound
+    raises ``NumericalError``.  Convergence is the same relative-change
+    rule as the multiplicative driver; both run :func:`descend`.
 
     Returns ``(W, state, trace)``.
     """
-    if config.method not in VI_METHODS:
+    spec = METHOD_SPECS[config.method]
+    if not spec.variational:
         raise ValueError(f"fit_vi handles methods {VI_METHODS}; use fit for {config.method!r}")
     if w_init is None or beta_init is None:
         W_default, state_default = initialize_variational(X, config, priors)
-        W = W_default if w_init is None else np.array(w_init, dtype=float)
-        beta = state_default.beta if beta_init is None else np.array(beta_init, dtype=float)
-    else:
-        W = np.array(w_init, dtype=float)
-        beta = np.array(beta_init, dtype=float)
+        w_init = W_default if w_init is None else w_init
+        beta_init = state_default.beta if beta_init is None else beta_init
+    W = np.array(w_init, dtype=float)
+    beta = np.array(beta_init, dtype=float)
     if W.shape != (X.n_terms, config.n_topics):
         raise ValueError(f"w_init has shape {W.shape}, expected {(X.n_terms, config.n_topics)}")
     if beta.shape != (config.n_topics, X.n_docs):
         raise ValueError(f"beta_init has shape {beta.shape}, expected {(config.n_topics, X.n_docs)}")
-    if config.method == "gap":
-        if priors.rate_a is None:
-            raise ValueError("the gap method requires priors with rate_a")
-        b_rate = np.broadcast_to((1.0 + priors.rate_a)[:, None], beta.shape).copy()
-        state = VariationalState(beta, b_rate)
-        step = lambda X, W, s: gap_vi_step(
-            X, W, priors, s, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
-        bound = lambda W, s: gap_elbo(X, W, priors, s)
-    else:
-        state = VariationalState(beta)
-        step = lambda X, W, s: dp_vi_step(
-            X, W, priors, s, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
-        bound = lambda W, s: lda_elbo(X, W, priors, s)
+    state = VariationalState(beta, _pinned_rates(config.method, priors, beta.shape))
 
-    previous = bound(W, state)
-    trace = FitTrace()
-    for _ in range(config.max_iters):
-        started = time.perf_counter()
-        W, state, evals = step(X, W, state)
-        value = bound(W, state)
-        trace.append(value, evals, time.perf_counter() - started)
-        scale = max(1.0, abs(previous))
-        if value < previous - DESCENT_SLACK * scale:
-            raise MonotonicityError(f"no progress: bound fell from {previous!r} to {value!r}")
-        if abs(value - previous) / scale < config.rel_tolerance:
-            break
-        previous = value
+    stepper = spec.function(spec.stepper)
+    bound = spec.function(spec.objective)
+
+    def step(current):
+        W, state = current
+        W, state, recon_evals = stepper(
+            X, W, priors, state, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
+        )
+        return (W, state), bound(X, W, priors, state), recon_evals
+
+    (W, state), trace = descend(step, (W, state), bound(X, W, priors, state), config, -1)
     return W, state, trace

@@ -162,3 +162,15 @@ def test_gap_fit_records_rates(tmp_path, matrix_file):
     model = snf.load_model(model_path)
     assert np.array_equal(model.alpha, [0.5, 1.5])
     assert np.array_equal(np.asarray(model.b_rate), np.full((2, 12), 2.0))
+
+
+def test_non_finite_objective_is_numerical_failure(tmp_path, matrix_file, monkeypatch, capsys):
+    from simplexnmf import mu
+
+    monkeypatch.setattr(mu, "mu_step_joint_wnorm", lambda X, f, **kwargs: mu.StepOutcome(f, float("nan"), 1))
+    rc = main([
+        "fit", "--input", str(matrix_file), "--method", "mu-joint", "--topics", "2",
+        "--output", str(tmp_path / "m.json"),
+    ])
+    assert rc == 3
+    assert "non-finite objective" in capsys.readouterr().err

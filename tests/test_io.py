@@ -217,3 +217,84 @@ class TestModelFiles:
         assert lines[0] == "iter,objective,recon_evals,millis"
         assert lines[1].startswith("1,2,2,")
         assert len(lines) == 3
+
+
+class TestNonFiniteAndInconsistentInput:
+    @pytest.mark.parametrize(
+        "value, kind", [("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "negative")]
+    )
+    def test_matrix_market_counts(self, tmp_path, value, kind):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 1.0\n2 1 {value}\n"
+        )
+        with pytest.raises(DataError, match=f"{kind} count at line 4"):
+            snf.load_matrix_market(path)
+
+    def test_constraint_mode_must_match_method(self, tmp_path):
+        model = _mu_model()
+        model.method = "plsa"
+        model.constraint_mode = "unconstrained"
+        with pytest.raises(DataError, match="schema violation at constraint_mode"):
+            model.validate()
+
+    @pytest.mark.parametrize("field, bad", [("W", "NaN"), ("H", "-1.0")])
+    def test_load_rejects_bad_factor_values(self, tmp_path, field, bad):
+        path = tmp_path / "m.json"
+        snf.save_model(path, _mu_model())
+        path.write_text(_with_first_entry(path.read_text(), field, bad))
+        with pytest.raises(DataError, match=f"schema violation at {field}"):
+            snf.load_model(path)
+
+    @pytest.mark.parametrize("field", ["beta", "b_rate", "alpha", "rate_a"])
+    def test_variational_parameters_must_be_positive(self, field):
+        model = _gap_model()
+        value = np.array(getattr(model, field), dtype=float)
+        value.flat[0] = 0.0
+        setattr(model, field, value)
+        with pytest.raises(DataError, match=f"schema violation at {field}"):
+            model.validate()
+        value.flat[0] = np.inf
+        with pytest.raises(DataError, match=f"schema violation at {field}"):
+            model.validate()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text.replace('"constraint_mode": "w-simplex"', '"constraint_mode": "unconstrained"'),
+            lambda text: _with_first_entry(text, "W", "NaN"),
+            lambda text: _with_first_entry(text, "H", "-1.0"),
+        ],
+    )
+    def test_eval_of_a_bad_model_is_a_data_error(self, tmp_path, capsys, corrupt):
+        from simplexnmf.cli import main
+
+        matrix = tmp_path / "m.mtx"
+        snf.save_matrix_market(matrix, random_count_matrix(4, n_terms=4, n_docs=3))
+        path = tmp_path / "model.json"
+        snf.save_model(path, _mu_model())
+        path.write_text(corrupt(path.read_text()))
+        assert main(["eval", "--model", str(path), "--input", str(matrix)]) == 2
+        assert "schema violation" in capsys.readouterr().err
+
+
+def _with_first_entry(text, field, value):
+    """A saved model's text with the first entry of matrix ``field`` replaced."""
+    row = text.index("[", text.index(f'"{field}": [') + len(f'"{field}": ['))
+    return text[: row + 1] + value + text[text.index(",", row):]
+
+
+def _gap_model():
+    rng = np.random.default_rng(1)
+    return ModelFile(
+        method="gap",
+        n_terms=4,
+        n_docs=3,
+        n_topics=2,
+        constraint_mode="w-simplex",
+        W=rng.dirichlet(np.ones(4), size=2).T,
+        beta=rng.uniform(1.0, 3.0, size=(2, 3)),
+        b_rate=np.full((2, 3), 1.5),
+        alpha=np.array([0.5, 0.5]),
+        rate_a=np.array([0.5, 0.5]),
+    )

@@ -5,7 +5,9 @@ import pytest
 
 import simplexnmf as snf
 from simplexnmf import mu
+from simplexnmf import objectives
 from simplexnmf.errors import DeadTopicError, MonotonicityError
+from simplexnmf.errors import NumericalError
 
 from helpers import planted_matrix, random_count_matrix, shared_inits
 
@@ -241,3 +243,36 @@ class TestFit:
         )
         _, trace = snf.fit(X, config)
         assert trace.objectives[-1] <= 1e-6 * X.total
+
+
+class TestDescend:
+    def test_non_finite_objective_is_an_error(self, monkeypatch):
+        X = random_count_matrix(16, n_terms=10, n_docs=6)
+
+        def nan_step(X_, f, **kwargs):
+            return mu.StepOutcome(f, float("nan"), 1)
+
+        monkeypatch.setattr(mu, "mu_step_joint_wnorm", nan_step)
+        config = snf.FitConfig(n_topics=3, method="mu-joint", max_iters=5, seed=3)
+        with pytest.raises(NumericalError, match="non-finite objective nan after 1 iterations"):
+            mu.fit(X, config)
+
+    def test_non_finite_initial_objective_is_an_error(self, monkeypatch):
+        X = random_count_matrix(17, n_terms=10, n_docs=6)
+        monkeypatch.setattr(objectives, "kl_divergence", lambda X_, W, H: float("inf"))
+        config = snf.FitConfig(n_topics=3, method="plsa", max_iters=5, seed=3)
+        with pytest.raises(NumericalError, match="non-finite initial objective inf"):
+            mu.fit(X, config)
+
+    def test_sign_selects_the_direction(self):
+        config = snf.FitConfig(n_topics=1, max_iters=3, rel_tolerance=1e-12)
+
+        def rising(state):
+            return state + 1, float(state + 1), 1
+
+        state, trace = mu.descend(rising, 0, 0.0, config, -1)
+        assert state == 3 and trace.objectives == [1.0, 2.0, 3.0] and trace.recon_evals == [1, 1, 1]
+        with pytest.raises(MonotonicityError, match="objective rose from 0.0 to 1.0"):
+            mu.descend(rising, 0, 0.0, config, +1)
+        with pytest.raises(MonotonicityError, match="bound fell from 0.0 to -1.0"):
+            mu.descend(lambda s: (s, -1.0, 1), 0, 0.0, config, -1)

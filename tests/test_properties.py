@@ -1,0 +1,120 @@
+"""Property tests of the shared joint update over random shapes.
+
+Each property runs a few matched steps with the floor disabled (as the
+``compare`` command does) on a random count matrix of 1 to 6 terms,
+documents and topics, and checks one of the paper's identities at the
+1e-12 tolerance of the acceptance suite.  Every document has at least one
+nonzero; single-entry documents, single terms, single documents and a
+single topic all occur.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import simplexnmf as snf
+
+NO_FLOOR = 0.0
+MATCH_TOL = 1e-12
+STEPS = 3
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def problems(draw):
+    """A count matrix with no empty document, a topic count and an init seed."""
+    n_terms = draw(st.integers(1, 6))
+    n_docs = draw(st.integers(1, 6))
+    counts = draw(
+        st.lists(st.integers(0, 5), min_size=n_terms * n_docs, max_size=n_terms * n_docs)
+    )
+    dense = np.array(counts, dtype=float).reshape(n_terms, n_docs)
+    for d in range(n_docs):
+        if not dense[:, d].any():
+            dense[draw(st.integers(0, n_terms - 1)), d] = float(draw(st.integers(1, 5)))
+    return snf.TermDocMatrix.from_dense(dense), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+def _both_simplex_start(X, n_topics, seed):
+    config = snf.FitConfig(n_topics=n_topics, method="plsa", seed=seed)
+    return snf.initialize_factorization(X, config)
+
+
+def _w_simplex(X, f):
+    return snf.Factorization(f.W, X.col_sums[None, :] * f.H, snf.ConstraintMode.W_SIMPLEX)
+
+
+@SETTINGS
+@given(problems())
+def test_joint_bothnorm_matches_dense_reference(problem):
+    X, n_topics, seed = problem
+    dense = X.to_dense()
+    current = _both_simplex_start(X, n_topics, seed)
+    W_ref, H_ref = current.W.copy(), current.H.copy()
+    for _ in range(STEPS):
+        current = snf.mu_step_joint_bothnorm(X, current, epsilon_floor=NO_FLOOR).factorization
+        W_ref, H_ref = snf.plsa_step_reference(dense, W_ref, H_ref)
+        assert np.abs(current.W - W_ref).max() <= MATCH_TOL
+        assert np.abs(current.H - H_ref).max() <= MATCH_TOL
+
+
+@SETTINGS
+@given(problems(), st.floats(0.05, 5.0))
+def test_dirichlet_step_matches_dense_reference(problem, alpha):
+    X, n_topics, seed = problem
+    dense = X.to_dense()
+    priors = snf.Priors(np.full(n_topics, alpha))
+    config = snf.FitConfig(n_topics=n_topics, method="lda", seed=seed)
+    W, state = snf.initialize_variational(X, config, priors, perturb=True)
+    W_ref, beta_ref = W.copy(), state.beta.copy()
+    for _ in range(STEPS):
+        W, state, _ = snf.dp_vi_step(X, W, priors, state, epsilon_floor=NO_FLOOR)
+        W_ref, beta_ref = snf.lda_vi_step_reference(dense, W_ref, priors.alpha, beta_ref)
+        assert np.abs(W - W_ref).max() <= MATCH_TOL
+        assert np.abs(state.beta - beta_ref).max() <= MATCH_TOL
+
+
+@SETTINGS
+@given(problems())
+def test_w_normalized_iterates_are_document_scaled_both_normalized(problem):
+    X, n_topics, seed = problem
+    both = _both_simplex_start(X, n_topics, seed)
+    wnorm = _w_simplex(X, both)
+    for _ in range(STEPS):
+        both = snf.mu_step_joint_bothnorm(X, both, epsilon_floor=NO_FLOOR).factorization
+        wnorm = snf.mu_step_joint_wnorm(X, wnorm, epsilon_floor=NO_FLOOR).factorization
+        assert np.abs(wnorm.W - both.W).max() <= MATCH_TOL
+        assert np.abs(wnorm.H / X.col_sums[None, :] - both.H).max() <= MATCH_TOL
+
+
+@SETTINGS
+@given(problems(), st.floats(0.01, 10.0))
+def test_sparse_iterates_are_plain_ones_scaled_by_one_plus_lambda(problem, lam):
+    X, n_topics, seed = problem
+    plain = penalized = _w_simplex(X, _both_simplex_start(X, n_topics, seed))
+    for _ in range(STEPS):
+        plain = snf.mu_step_joint_wnorm(X, plain, epsilon_floor=NO_FLOOR).factorization
+        penalized = snf.mu_step_sparse(X, penalized, lam, epsilon_floor=NO_FLOOR).factorization
+        assert np.abs(plain.W - penalized.W).max() <= MATCH_TOL
+        deviation = np.abs(penalized.H * (1.0 + lam) - plain.H) / X.col_sums[None, :]
+        assert deviation.max() <= MATCH_TOL
+        offset = snf.sparse_objective(X, penalized.W, penalized.H, lam) - snf.kl_divergence(X, plain.W, plain.H)
+        expected = np.log1p(lam) * X.total
+        assert abs(offset - expected) <= 1e-10 * max(1.0, abs(expected))
+
+
+@SETTINGS
+@given(problems(), st.floats(0.05, 5.0), st.floats(0.05, 5.0))
+def test_gamma_step_matches_dirichlet_step_for_uniform_rates(problem, alpha, rate):
+    X, n_topics, seed = problem
+    priors_lda = snf.Priors(np.full(n_topics, alpha))
+    priors_gap = snf.Priors(np.full(n_topics, alpha), np.full(n_topics, rate))
+    config = snf.FitConfig(n_topics=n_topics, method="lda", seed=seed)
+    W_lda, state_lda = snf.initialize_variational(X, config, priors_lda, perturb=True)
+    W_gap = W_lda.copy()
+    state_gap = snf.map_gap_lda_state(state_lda, priors_gap, "to_gap")
+    for _ in range(STEPS):
+        W_lda, state_lda, _ = snf.dp_vi_step(X, W_lda, priors_lda, state_lda, epsilon_floor=NO_FLOOR)
+        W_gap, state_gap, _ = snf.gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=NO_FLOOR)
+        assert np.abs(W_lda - W_gap).max() <= MATCH_TOL
+        assert np.abs(state_lda.beta - state_gap.beta).max() <= MATCH_TOL

@@ -209,3 +209,26 @@ class TestSparseEvaluator:
         b1 = snf.types.topic_doc_sums(X, weights, W, n_threads=1)
         b4 = snf.types.topic_doc_sums(X, weights, W, n_threads=4)
         assert np.array_equal(b1, b4)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_from_entries(self, value):
+        with pytest.raises(DataError, match=r"non-finite count at entry \(1, 0\)"):
+            snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1.0), (1, 0, value)])
+
+    def test_factorization(self):
+        with pytest.raises(ValueError, match="finite"):
+            snf.Factorization(np.array([[np.nan]]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            snf.Factorization(np.array([[1.0]]), np.array([[np.inf]]))
+
+    def test_variational_state_and_priors(self):
+        with pytest.raises(ValueError, match="beta"):
+            snf.VariationalState(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError, match="b_rate"):
+            snf.VariationalState(np.ones((1, 2)), np.array([[1.0, np.inf]]))
+        with pytest.raises(ValueError, match="alpha"):
+            snf.Priors(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="rate_a"):
+            snf.Priors(np.array([1.0, 1.0]), np.array([np.inf, 1.0]))

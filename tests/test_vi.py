@@ -210,3 +210,14 @@ class TestFitVi:
         assert np.array_equal(W1, W2)
         assert np.array_equal(s1.beta, s2.beta)
         assert t1.objectives == t2.objectives
+
+
+def test_non_finite_bound_is_an_error(monkeypatch):
+    from simplexnmf import objectives
+    from simplexnmf.errors import NumericalError
+
+    X = random_count_matrix(13, n_terms=8, n_docs=5)
+    monkeypatch.setattr(objectives, "lda_elbo", lambda X_, W, priors, state: float("nan"))
+    config = snf.FitConfig(n_topics=2, method="lda", max_iters=5, seed=1)
+    with pytest.raises(NumericalError, match="non-finite initial objective nan"):
+        snf.fit_vi(X, config, snf.Priors(np.full(2, 0.9)))
