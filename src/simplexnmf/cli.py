@@ -86,7 +86,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_fit)
@@ -148,7 +147,6 @@ def _cmd_fit(args) -> int:
         rel_tolerance=args.tol,
         seed=args.seed,
         lambda_sparsity=args.lambda_sparsity or 0.0,
-        n_threads=args.threads,
     )
     if not spec.variational:
         factorization, trace = fit(X, config)

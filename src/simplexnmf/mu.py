@@ -92,7 +92,6 @@ def joint_step(
     H: np.ndarray,
     h_map,
     epsilon_floor: float,
-    n_threads: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint update of every method but ``mu``; returns ``(W', H')``.
 
@@ -102,8 +101,8 @@ def joint_step(
     w_vk)`` with the pre-update ``W``.
     """
     ratio = X.vals / _checked_reconstruction(X, W, H)
-    W_new = _normalized(W * term_topic_sums(X, ratio, H, n_threads), epsilon_floor, "all update numerators vanished")
-    return W_new, h_map(H * topic_doc_sums(X, ratio, W, n_threads))
+    W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, "all update numerators vanished")
+    return W_new, h_map(H * topic_doc_sums(X, ratio, W))
 
 
 def mu_step_alternating(
@@ -111,7 +110,6 @@ def mu_step_alternating(
     f: Factorization,
     *,
     epsilon_floor: float = 1e-12,
-    n_threads: int = 1,
 ) -> StepOutcome:
     """One alternating update on an unconstrained factorization.
 
@@ -130,14 +128,14 @@ def mu_step_alternating(
     h_doc_sums = H.sum(axis=1)
     if np.any(h_doc_sums == 0):
         raise DeadTopicError(int(np.argmax(h_doc_sums == 0)), "zero row sum in H")
-    W_new = W * term_topic_sums(X, ratio, H, n_threads) / h_doc_sums[None, :]
+    W_new = W * term_topic_sums(X, ratio, H) / h_doc_sums[None, :]
     W_new = _floor_columns(W_new, epsilon_floor)
 
     ratio = X.vals / _checked_reconstruction(X, W_new, H)
     w_col_sums = W_new.sum(axis=0)
     if np.any(w_col_sums == 0):
         raise DeadTopicError(int(np.argmax(w_col_sums == 0)), "zero column sum in W")
-    H_new = H * topic_doc_sums(X, ratio, W_new, n_threads) / w_col_sums[:, None]
+    H_new = H * topic_doc_sums(X, ratio, W_new) / w_col_sums[:, None]
     H_new = _floor_columns(H_new, epsilon_floor)
 
     updated = Factorization(W_new, H_new, ConstraintMode.UNCONSTRAINED)
@@ -149,7 +147,6 @@ def mu_step_joint_wnorm(
     f: Factorization,
     *,
     epsilon_floor: float = 1e-12,
-    n_threads: int = 1,
 ) -> StepOutcome:
     """One joint update with the columns of ``W`` on the simplex.
 
@@ -164,7 +161,7 @@ def mu_step_joint_wnorm(
     """
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_joint_wnorm")
     h_map = partial(_floor_columns, epsilon_floor=epsilon_floor)
-    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, n_threads)
+    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor)
     return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), kl_divergence(X, W, H), 1)
 
 
@@ -173,7 +170,6 @@ def mu_step_joint_bothnorm(
     f: Factorization,
     *,
     epsilon_floor: float = 1e-12,
-    n_threads: int = 1,
 ) -> StepOutcome:
     """One joint update with both factors columnwise on the simplex.
 
@@ -183,7 +179,7 @@ def mu_step_joint_bothnorm(
     """
     _require_mode(f, ConstraintMode.BOTH_SIMPLEX, "mu_step_joint_bothnorm")
     h_map = partial(_normalized, epsilon_floor=epsilon_floor, detail="document column collapsed")
-    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, n_threads)
+    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor)
     return StepOutcome(Factorization(W, H, ConstraintMode.BOTH_SIMPLEX), kl_divergence(X, W, H), 1)
 
 
@@ -193,7 +189,6 @@ def mu_step_sparse(
     lambda_sparsity: float,
     *,
     epsilon_floor: float = 1e-12,
-    n_threads: int = 1,
 ) -> StepOutcome:
     """One joint update for the l1-penalized objective with ``W`` on the simplex.
 
@@ -202,11 +197,11 @@ def mu_step_sparse(
     penalty ``lambda * ||H||_1``.
     """
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_sparse")
-    if lambda_sparsity < 0:
-        raise ValueError("lambda_sparsity must be non-negative")
+    if not 0 <= lambda_sparsity < np.inf:
+        raise ValueError("lambda_sparsity must be non-negative and finite")
 
     W, H = joint_step(
-        X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor, n_threads
+        X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor
     )
     objective = sparse_objective(X, W, H, lambda_sparsity)
     return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), objective, 1)
@@ -289,7 +284,7 @@ def fit(
     penalty = spec.penalty(config.lambda_sparsity)
 
     def step(current: Factorization):
-        out = stepper(X, current, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads, **penalty)
+        out = stepper(X, current, epsilon_floor=config.epsilon_floor, **penalty)
         return out.factorization, out.objective, out.recon_evals
 
     initial = spec.function(spec.objective)(X, f.W, f.H, **penalty)

@@ -12,7 +12,6 @@ solvers meaningful on sparse data.
 from __future__ import annotations
 
 import importlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -21,10 +20,6 @@ import numpy as np
 from .errors import DataError, DegenerateColumnError
 
 SIMPLEX_TOL = 1e-12
-
-# Accumulations over documents run in fixed-size shards that are reduced in
-# shard order, so results are bit-identical for any worker count.
-_SHARD_DOCS = 1024
 
 
 class ConstraintMode(IntEnum):
@@ -101,8 +96,7 @@ class TermDocMatrix:
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
             order = np.lexsort((rows, cols))
             rows, cols, vals = rows[order], cols[order], vals[order]
-        col_sums = np.zeros(n_docs, dtype=float)
-        np.add.at(col_sums, cols, vals)
+        col_sums = np.bincount(cols, vals, minlength=n_docs)
         doc_ptr = np.searchsorted(cols, np.arange(n_docs + 1))
         return cls(
             int(n_terms),
@@ -138,9 +132,7 @@ class TermDocMatrix:
 
     def recompute_column_sums(self) -> np.ndarray:
         """Per-document totals re-accumulated in storage order (matches the cache exactly)."""
-        sums = np.zeros(self.n_docs, dtype=float)
-        np.add.at(sums, self.cols, self.vals)
-        return sums
+        return np.bincount(self.cols, self.vals, minlength=self.n_docs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +313,6 @@ class FitConfig:
     seed: int = 0
     lambda_sparsity: float = 0.0
     epsilon_floor: float = 1e-12
-    n_threads: int = 1
 
     def __post_init__(self):
         if self.n_topics < 1:
@@ -332,14 +323,12 @@ class FitConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.rel_tolerance > 0:
             raise ValueError("rel_tolerance must be positive")
-        if self.lambda_sparsity < 0:
-            raise ValueError("lambda_sparsity must be non-negative")
+        if not 0 <= self.lambda_sparsity < np.inf:
+            raise ValueError("lambda_sparsity must be non-negative and finite")
         if not 0 < self.epsilon_floor < 1:
             raise ValueError("epsilon_floor must lie in (0, 1)")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be at least 1")
 
 
 @dataclass
@@ -410,57 +399,17 @@ def reconstruction_total(W, H) -> float:
     return float(reconstruction_column_sums(W, H).sum())
 
 
-def _doc_shards(X: TermDocMatrix):
-    for start in range(0, X.n_docs, _SHARD_DOCS):
-        stop = min(start + _SHARD_DOCS, X.n_docs)
-        yield start, stop, int(X.doc_ptr[start]), int(X.doc_ptr[stop])
-
-
-def term_topic_sums(X: TermDocMatrix, entry_weights: np.ndarray, H, n_threads: int = 1) -> np.ndarray:
+def term_topic_sums(X: TermDocMatrix, entry_weights: np.ndarray, H) -> np.ndarray:
     """Accumulate ``sum_d weight_vd h_kd`` into a terms x topics array.
 
-    ``entry_weights`` is aligned with the stored entries of ``X``.  Shards
-    are reduced in a fixed order regardless of ``n_threads``.
+    ``entry_weights`` is aligned with the stored entries of ``X``; every
+    sum is taken in storage order, so the result is deterministic.
     """
     H = np.asarray(H, dtype=float)
-    n_topics = H.shape[0]
-
-    def one(span):
-        _, _, e0, e1 = span
-        part = np.zeros((X.n_terms, n_topics))
-        np.add.at(part, X.rows[e0:e1], entry_weights[e0:e1, None] * H[:, X.cols[e0:e1]].T)
-        return part
-
-    spans = list(_doc_shards(X))
-    if n_threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(one, spans))
-    else:
-        parts = [one(span) for span in spans]
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
-    return total
+    return np.stack([np.bincount(X.rows, entry_weights * h[X.cols], minlength=X.n_terms) for h in H], axis=1)
 
 
-def topic_doc_sums(X: TermDocMatrix, entry_weights: np.ndarray, W, n_threads: int = 1) -> np.ndarray:
-    """Accumulate ``sum_v weight_vd w_vk`` into a topics x documents array.
-
-    Documents are independent, so shards write disjoint column blocks.
-    """
+def topic_doc_sums(X: TermDocMatrix, entry_weights: np.ndarray, W) -> np.ndarray:
+    """Accumulate ``sum_v weight_vd w_vk`` into a topics x documents array."""
     W = np.asarray(W, dtype=float)
-    out = np.zeros((W.shape[1], X.n_docs))
-    out_t = out.T
-
-    def one(span):
-        _, _, e0, e1 = span
-        np.add.at(out_t, X.cols[e0:e1], entry_weights[e0:e1, None] * W[X.rows[e0:e1], :])
-
-    spans = list(_doc_shards(X))
-    if n_threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(one, spans))
-    else:
-        for span in spans:
-            one(span)
-    return out
+    return np.stack([np.bincount(X.cols, entry_weights * w[X.rows], minlength=X.n_docs) for w in W.T])

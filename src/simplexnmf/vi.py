@@ -43,12 +43,11 @@ def dp_vi_step(
     state: VariationalState,
     *,
     epsilon_floor: float = 1e-12,
-    n_threads: int = 1,
 ) -> tuple[np.ndarray, VariationalState, int]:
     """One update of the Dirichlet-weight model; returns ``(W', state', recon_evals)``."""
     h_tilde = expected_log_h_dirichlet(state.beta)
     h_map = partial(np.add, priors.alpha[:, None])
-    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, n_threads)
+    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor)
     return W, VariationalState(beta), 1
 
 
@@ -59,14 +58,13 @@ def gap_vi_step(
     state: VariationalState,
     *,
     epsilon_floor: float = 1e-12,
-    n_threads: int = 1,
 ) -> tuple[np.ndarray, VariationalState, int]:
     """One update of the Gamma-weight model; the rates ``b`` stay fixed."""
     if state.b_rate is None:
         raise ValueError("gap_vi_step requires a state with b_rate (fixed at 1 + rate_a)")
     h_tilde = expected_log_h_gamma(state.beta, state.b_rate)
     h_map = partial(np.add, priors.alpha[:, None])
-    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, n_threads)
+    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor)
     return W, VariationalState(beta, state.b_rate), 1
 
 
@@ -148,9 +146,7 @@ def fit_vi(
 
     def step(current):
         W, state = current
-        W, state, recon_evals = stepper(
-            X, W, priors, state, epsilon_floor=config.epsilon_floor, n_threads=config.n_threads
-        )
+        W, state, recon_evals = stepper(X, W, priors, state, epsilon_floor=config.epsilon_floor)
         return (W, state), bound(X, W, priors, state), recon_evals
 
     (W, state), trace = descend(step, (W, state), bound(X, W, priors, state), config, -1)

@@ -150,6 +150,13 @@ class TestSparse:
         out = snf.mu_step_sparse(X, f, 1.0)
         assert np.allclose(out.factorization.H, [[2.0, 3.0]], rtol=1e-13)
 
+    @pytest.mark.parametrize("lam", [-0.5, np.nan, np.inf])
+    def test_invalid_lambda_rejected(self, lam):
+        X = random_count_matrix(8, n_terms=10, n_docs=6)
+        _, f = shared_inits(X, 8, n_topics=3)
+        with pytest.raises(ValueError, match="lambda_sparsity"):
+            snf.mu_step_sparse(X, f, lam)
+
     def test_iterate_scaling_identity(self):
         # every iterate of the penalized run is the plain iterate over 1 + lambda
         X = random_count_matrix(9, n_terms=12, n_docs=8)

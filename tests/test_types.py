@@ -153,6 +153,9 @@ class TestConfigAndState:
             snf.FitConfig(n_topics=2, rel_tolerance=0.0)
         with pytest.raises(ValueError):
             snf.FitConfig(n_topics=2, lambda_sparsity=-0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda_sparsity"):
+                snf.FitConfig(n_topics=2, method="sparse", lambda_sparsity=bad)
         with pytest.raises(ValueError):
             snf.FitConfig(n_topics=2, method="nope")
         with pytest.raises(ValueError):
@@ -195,20 +198,30 @@ class TestSparseEvaluator:
         Wn, _ = snf.normalize_columns(W)
         assert np.allclose(snf.reconstruction_column_sums(Wn, H), H.sum(axis=0), rtol=1e-12)
 
-    def test_accumulators_thread_invariant(self):
-        # > 2 shards so threading actually matters; reduction order is fixed
+    @pytest.mark.parametrize("n_topics", [1, 3])
+    def test_accumulators_match_dense(self, n_topics):
+        # more documents than one old 1024-document shard; document 1 has no entries
         rng = np.random.default_rng(4)
-        dense = (rng.random((4, 2500)) < 0.3) * rng.poisson(2.0, size=(4, 2500))
-        X = snf.TermDocMatrix.from_dense(dense.astype(float))
-        W = rng.gamma(1.0, 1.0, size=(4, 3))
-        H = rng.gamma(1.0, 1.0, size=(3, 2500))
+        n_terms, n_docs = 5, 2500
+        dense = (rng.random((n_terms, n_docs)) < 0.3) * rng.poisson(2.0, size=(n_terms, n_docs)).astype(float)
+        dense[:, 1] = 0.0
+        rows, cols = np.nonzero(dense)
+        X = snf.TermDocMatrix.from_entries(n_terms, n_docs, zip(rows, cols, dense[rows, cols]))
+        assert X.doc_ptr[1] == X.doc_ptr[2]
+        W = rng.gamma(1.0, 1.0, size=(n_terms, n_topics))
+        H = rng.gamma(1.0, 1.0, size=(n_topics, n_docs))
         weights = rng.gamma(1.0, 1.0, size=X.nnz)
-        a1 = snf.types.term_topic_sums(X, weights, H, n_threads=1)
-        a4 = snf.types.term_topic_sums(X, weights, H, n_threads=4)
-        assert np.array_equal(a1, a4)
-        b1 = snf.types.topic_doc_sums(X, weights, W, n_threads=1)
-        b4 = snf.types.topic_doc_sums(X, weights, W, n_threads=4)
-        assert np.array_equal(b1, b4)
+        weighted = np.zeros((n_terms, n_docs))
+        weighted[X.rows, X.cols] = weights
+        a = snf.types.term_topic_sums(X, weights, H)
+        assert a.shape == (n_terms, n_topics)
+        assert np.allclose(a, weighted @ H.T, rtol=1e-12, atol=0)
+        assert np.array_equal(a, snf.types.term_topic_sums(X, weights, H))
+        b = snf.types.topic_doc_sums(X, weights, W)
+        assert b.shape == (n_topics, n_docs)
+        assert np.allclose(b, W.T @ weighted, rtol=1e-12, atol=0)
+        assert np.array_equal(b, snf.types.topic_doc_sums(X, weights, W))
+        assert not b[:, 1].any()
 
 
 class TestNonFiniteRejected:
