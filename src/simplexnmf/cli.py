@@ -227,6 +227,8 @@ def _shared_inits(X: TermDocMatrix, seed: int):
 
 
 def _cmd_compare(args) -> int:
+    if args.iters < 1:
+        raise UsageError(f"--iters must be at least 1, got {args.iters}")
     X = load_matrix_market(args.input)
     tol = args.tol
     if args.pair == "alg4-alg5":

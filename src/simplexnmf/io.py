@@ -1,9 +1,11 @@
 """Corpus ingestion, matrix interchange, and model persistence.
 
 Matrices travel as 1-indexed MatrixMarket coordinate files, models as JSON
-with every float printed to 17 significant digits so that save/load round
-trips are value-exact and files are byte-deterministic.  The tokenizer is
-deliberately naive: lowercase, split on runs of non-alphanumerics.
+from ``json.dumps``, one key and one matrix row per line, with shortest
+round-trip floats and all-whole arrays as integers, so save/load round trips
+are value-exact and files byte-deterministic; loading checks every field's
+type.  The tokenizer is deliberately naive: lowercase, split on runs of
+non-alphanumerics.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -253,154 +256,128 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(value, parts: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            parts.append(f"{pad}  {json.dumps(key)}: ")
-            _emit(item, parts, indent + 1)
-            parts.append(",\n" if i + 1 < len(value) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in value)
-        if flat:
-            parts.append("[" + ", ".join(_scalar(v) for v in value) + "]")
-        else:
-            parts.append("[\n")
-            for i, item in enumerate(value):
-                parts.append(pad + "  ")
-                _emit(item, parts, indent + 1)
-                parts.append(",\n" if i + 1 < len(value) else "\n")
-            parts.append(pad + "]")
-    else:
-        parts.append(_scalar(value))
-
-
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
+def _json_array(values) -> list:
+    """``values`` as nested lists; all-whole arrays as integers, which print without ``.0``."""
+    a = np.asarray(values, dtype=float)
+    if np.all((a == np.trunc(a)) & (np.abs(a) < 2.0**53)):
+        return a.astype(np.int64).tolist()
+    return a.tolist()
 
 
 def save_model(path, model: ModelFile) -> None:
-    """Write the model as canonical JSON (fixed key order, 17-digit floats).
+    """Write the model as canonical JSON: fixed key order, one top-level key
+    and one matrix row per line, shortest round-trip floats.
 
     Besides ``W`` the file holds the fields the method's registry record names.
     """
     model.validate()
     doc: dict = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "method": model.method,
-        "n_terms": model.n_terms,
-        "n_docs": model.n_docs,
-        "n_topics": model.n_topics,
+        "n_terms": int(model.n_terms),
+        "n_docs": int(model.n_docs),
+        "n_topics": int(model.n_topics),
         "constraint_mode": model.constraint_mode,
         "lambda_sparsity": float(model.lambda_sparsity),
         "final_objective": float(model.final_objective),
-        "W": np.asarray(model.W, dtype=float).tolist(),
+        "W": _json_array(model.W),
     }
     for name in METHOD_SPECS[model.method].model_fields:
-        doc[name] = np.asarray(getattr(model, name), dtype=float).tolist()
+        doc[name] = _json_array(getattr(model, name))
     if model.trace is not None:
         doc["trace"] = {
-            "objectives": list(model.trace.objectives),
-            "recon_evals": list(model.trace.recon_evals),
-            "millis": [s * 1000.0 for s in model.trace.seconds],
+            "objectives": _json_array(model.trace.objectives),
+            "recon_evals": _json_array(model.trace.recon_evals),
+            "millis": _json_array(np.asarray(model.trace.seconds, dtype=float) * 1000.0),
         }
-    parts: list[str] = []
-    _emit(doc, parts, 0)
-    Path(path).write_text("".join(parts) + "\n", encoding="utf-8")
+    lines = []
+    try:
+        for key, value in doc.items():
+            if isinstance(value, list) and value and isinstance(value[0], list):
+                value = "[\n" + ",\n".join("    " + json.dumps(row, allow_nan=False) for row in value) + "\n  ]"
+            else:
+                value = json.dumps(value, allow_nan=False)
+            lines.append(f"  {json.dumps(key)}: {value}")
+    except ValueError as exc:
+        raise DataError(f"non-finite value cannot be serialized at {key}: {exc}") from exc
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 def load_model(path) -> ModelFile:
     """Read and validate a model file; schema errors name the offending field."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("schema violation at top level: expected an object")
-    version = doc.get("format_version")
+    version = _field(doc, "format_version", "integer", None)
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported format_version: {version}")
-    for key, kind in (
-        ("method", str),
-        ("n_terms", int),
-        ("n_docs", int),
-        ("n_topics", int),
-        ("constraint_mode", str),
-        ("W", list),
-    ):
-        if not isinstance(doc.get(key), kind):
-            raise DataError(f"schema violation at {key}: expected {kind.__name__}")
-    trace = None
-    if "trace" in doc:
-        raw = doc["trace"]
-        if not isinstance(raw, dict):
-            raise DataError("schema violation at trace: expected an object")
-        trace = FitTrace(
-            objectives=[float(v) for v in raw.get("objectives", [])],
-            recon_evals=[int(v) for v in raw.get("recon_evals", [])],
-            seconds=[float(v) / 1000.0 for v in raw.get("millis", [])],
-        )
+    trace = _field(doc, "trace", "object", None)
     model = ModelFile(
-        method=doc["method"],
-        n_terms=doc["n_terms"],
-        n_docs=doc["n_docs"],
-        n_topics=doc["n_topics"],
-        constraint_mode=doc["constraint_mode"],
-        W=_matrix_from(doc, "W"),
+        method=_field(doc, "method", "string"),
+        n_terms=_field(doc, "n_terms", "integer"),
+        n_docs=_field(doc, "n_docs", "integer"),
+        n_topics=_field(doc, "n_topics", "integer"),
+        constraint_mode=_field(doc, "constraint_mode", "string"),
+        W=_field(doc, "W", "matrix"),
         **{
-            name: (_vector_from if name in _PER_TOPIC_FIELDS else _matrix_from)(doc, name)
+            name: _field(doc, name, "numbers" if name in _PER_TOPIC_FIELDS else "matrix", None)
             for name in ("H", "beta", "b_rate", "alpha", "rate_a")
-            if name in doc
         },
-        lambda_sparsity=float(doc.get("lambda_sparsity", 0.0)),
-        final_objective=float(doc.get("final_objective", 0.0)),
-        trace=trace,
+        lambda_sparsity=_field(doc, "lambda_sparsity", "number", 0.0),
+        final_objective=_field(doc, "final_objective", "number", 0.0),
+        trace=None if trace is None else FitTrace(
+            objectives=_field(trace, "objectives", "numbers", np.empty(0), "trace.").tolist(),
+            recon_evals=_field(trace, "recon_evals", "integers", [], "trace."),
+            seconds=(_field(trace, "millis", "numbers", np.empty(0), "trace.") / 1000.0).tolist(),
+        ),
         format_version=version,
     )
     model.validate()
     return model
 
 
-def _matrix_from(doc: dict, name: str) -> np.ndarray:
-    raw = doc[name]
-    if not isinstance(raw, list) or not raw:
-        raise DataError(f"schema violation at {name}: expected a non-empty list of rows")
-    width = None
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise DataError(f"schema violation at {name}[{i}]: expected a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(f"schema violation at {name}[{i}]: ragged row of length {len(row)}")
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise DataError(f"schema violation at {name}[{i}][{j}]: expected a number")
-    return np.asarray(raw, dtype=float)
+_REQUIRED = object()
+_NUMBER = {int, float}  # the types json.loads gives numbers; bool is not among them
+
+_KINDS = {  # kind: (what a schema error says is expected, check of the value json.loads gave)
+    "string": ("a string", lambda v: type(v) is str),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "integers": ("a list of integers", lambda v: type(v) is list and set(map(type, v)) <= {int}),
+    "number": ("a finite number", lambda v: type(v) in _NUMBER),
+    "numbers": ("a list of finite numbers", lambda v: type(v) is list and set(map(type, v)) <= _NUMBER),
+    "matrix": (
+        "a non-empty list of equal-length rows of finite numbers",
+        lambda v: type(v) is list and set(map(type, v)) == {list} and len(set(map(len, v))) == 1
+        and set(map(type, chain.from_iterable(v))) <= _NUMBER,
+    ),
+    "object": ("an object", lambda v: type(v) is dict),
+}
 
 
-def _vector_from(doc: dict, name: str) -> np.ndarray:
-    raw = doc[name]
-    if not isinstance(raw, list):
-        raise DataError(f"schema violation at {name}: expected a list")
-    for j, v in enumerate(raw):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise DataError(f"schema violation at {name}[{j}]: expected a number")
-    return np.asarray(raw, dtype=float)
+def _field(doc: dict, name: str, kind: str, default=_REQUIRED, prefix: str = ""):
+    """``doc[name]`` checked to be of ``kind`` (a key of ``_KINDS``), or ``default`` if absent.
+
+    A number comes back as a ``float``, lists of numbers and matrices as
+    float arrays; entry types are checked in one pass over the whole list.
+    """
+    if name not in doc and default is not _REQUIRED:
+        return default
+    expected, check = _KINDS[kind]
+    value = doc.get(name)
+    ok = check(value)
+    if ok and kind in ("number", "numbers", "matrix"):
+        try:
+            value = float(value) if kind == "number" else np.asarray(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        else:
+            ok = bool(np.all(np.isfinite(value)))
+    if not ok:
+        raise DataError(f"schema violation at {prefix}{name}: expected {expected}")
+    return value
 
 
 def save_trace_csv(path, trace: FitTrace) -> None:

@@ -159,6 +159,15 @@ def test_compare_failure_exit_code(matrix_file, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_compare_without_iterations_is_usage_error(matrix_file, capsys, iters):
+    rc = main(["compare", "--input", str(matrix_file), "--pair", "plsa-ref", "--iters", iters])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "usage error: --iters must be at least 1" in captured.err
+    assert "max deviation" not in captured.out
+
 def test_gap_fit_records_rates(tmp_path, matrix_file):
     model_path = tmp_path / "gap.json"
     assert main([

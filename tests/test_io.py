@@ -1,5 +1,8 @@
 """Matrix interchange, corpus ingestion, and model persistence."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,47 @@ class TestModelFiles:
         with pytest.raises(DataError, match="schema violation at H"):
             snf.save_model(tmp_path / "m.json", model)
 
+    @pytest.mark.parametrize("objective, final", [(float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))])
+    def test_save_rejects_non_finite_scalars(self, tmp_path, objective, final):
+        model = _mu_model()
+        model.trace = snf.FitTrace([2.0, objective], [1, 1], [0.001, 0.002])
+        model.final_objective = final
+        with pytest.raises(DataError, match="non-finite value cannot be serialized"):
+            snf.save_model(tmp_path / "m.json", model)
+
+    def test_seventeen_digit_text_loads_to_the_same_arrays(self, tmp_path):
+        model = _gap_model()
+        model.trace = snf.FitTrace([-3.0, 1 / 3], [1, 1], [0.001, 0.0123])
+        path = tmp_path / "m.json"
+        snf.save_model(path, model)
+        # every number as the 17-significant-digit text of format_version 1's first writer
+        old = re.sub(r"-?\d[\d.e+-]*", lambda m: format(float(m[0]), ".17g"), path.read_text())
+        assert "0.33333333333333331" in old
+        path.write_text(old)
+        again = snf.load_model(path)
+        for name in ("W", "beta", "b_rate", "alpha", "rate_a"):
+            assert np.array_equal(getattr(again, name), getattr(model, name))
+        assert again.trace.objectives == model.trace.objectives
+        assert again.trace.seconds == model.trace.seconds
+
+    def test_save_load_save_is_exact_and_byte_identical(self, tmp_path):
+        model = _gap_model()
+        extremes = [5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
+        model.beta.flat[: len(extremes)] = extremes
+        model.b_rate = np.full((2, 3), 2.0)
+        model.final_objective = 1 / 3
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        snf.save_model(first, model)
+        again = snf.load_model(first)
+        snf.save_model(second, again)
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(again.beta, model.beta)
+        assert np.array_equal(again.b_rate, model.b_rate)
+        assert again.final_objective == 1 / 3
+        text = first.read_text()
+        assert '"b_rate": [\n    [2, 2, 2],\n    [2, 2, 2]\n  ],' in text
+        assert "[5e-324, 1.7976931348623157e+308, 0.1]" in text
+
     def test_trace_csv_columns(self, tmp_path):
         trace = snf.FitTrace([2.0, 1.0], [2, 2], [0.01, 0.02])
         path = tmp_path / "t.csv"
@@ -277,6 +321,44 @@ class TestNonFiniteAndInconsistentInput:
         assert main(["eval", "--model", str(path), "--input", str(matrix)]) == 2
         assert "schema violation" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("trace", {"objectives": 5}, "trace.objectives"),
+            ("trace", {"objectives": [None]}, "trace.objectives"),
+            ("trace", {"objectives": ["abc"]}, "trace.objectives"),
+            ("trace", {"recon_evals": [1.5, 1]}, "trace.recon_evals"),
+            ("trace", {"millis": "12"}, "trace.millis"),
+            ("lambda_sparsity", None, "lambda_sparsity"),
+            ("lambda_sparsity", "x", "lambda_sparsity"),
+            pytest.param("lambda_sparsity", 10**400, "lambda_sparsity", id="lambda_sparsity-beyond-float"),
+            ("final_objective", [1], "final_objective"),
+            ("final_objective", float("nan"), "final_objective"),
+            ("n_terms", True, "n_terms"),
+        ],
+    )
+    def test_eval_of_a_malformed_field_is_a_data_error(self, tmp_path, capsys, key, value, field):
+        from simplexnmf.cli import main
+
+        matrix = tmp_path / "m.mtx"
+        snf.save_matrix_market(matrix, random_count_matrix(4, n_terms=4, n_docs=3))
+        path = tmp_path / "model.json"
+        snf.save_model(path, _mu_model())
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
+        assert main(["eval", "--model", str(path), "--input", str(matrix)]) == 2
+        err = capsys.readouterr().err
+        assert f"schema violation at {field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "nested-100000-deep"])
+    def test_unreadable_model_text_is_a_data_error(self, tmp_path, data):
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="invalid JSON"):
+            snf.load_model(path)
 
 def _with_first_entry(text, field, value):
     """A saved model's text with the first entry of matrix ``field`` replaced."""
