@@ -139,6 +139,13 @@ def _cmd_fit(args) -> int:
     spec = METHOD_SPECS[args.method]
     if spec.uses_lambda and args.lambda_sparsity is None:
         raise UsageError(f"--lambda is required for --method {args.method}")
+    for flag, value, applies in (
+        ("--lambda", args.lambda_sparsity, spec.uses_lambda),
+        ("--alpha", args.alpha, spec.variational),
+        ("--rate-a", args.rate_a, spec.uses_rates),
+    ):
+        if value is not None and not applies:
+            raise UsageError(f"{flag} does not apply to --method {args.method}")
     X = load_matrix_market(args.input)
     config = FitConfig(
         n_topics=args.topics,

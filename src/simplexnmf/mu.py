@@ -13,9 +13,17 @@ is renormalized columnwise, and the methods differ only in the map
 
 The alternating stepper (``mu``) has a body of its own: it recomputes the
 reconstruction after its ``W`` update, two evaluations per iteration
-against one for the joint methods.  ``StepOutcome.recon_evals`` counts
-exactly these update-path evaluations; the objective value returned with
-each step is monitoring on top and is not counted.
+against one for the joint methods.
+
+A step takes the reconstruction at its input state as ``recon`` (computed
+when it is ``None``) and returns, in ``StepOutcome.recon``, the checked
+reconstruction at its output state, from which it also computed the
+objective it reports.  The drivers pass that array into the next step, so
+one reconstruction per state serves both the monitoring and the next
+update: a fit of ``n`` iterations computes ``sum(trace.recon_evals) + 1``
+reconstructions (``n + 1`` for a joint method, ``2n + 1`` for ``mu``), the
+``+ 1`` being the initial state's.  ``StepOutcome.recon_evals`` is the
+number a step computes when it is given ``recon``.
 
 After every multiplicative update, entries are floored at
 ``epsilon_floor * (column max)`` before any normalization.  Multiplicative
@@ -34,13 +42,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import DeadTopicError, MonotonicityError, NumericalError
-from .objectives import _checked_reconstruction, kl_divergence, sparse_objective
+from .objectives import _checked_reconstruction, kl_divergence_at, sparse_objective_at
 from .types import (
     ConstraintMode,
     Factorization,
@@ -61,11 +69,14 @@ DESCENT_SLACK = 1e-9
 @dataclass(frozen=True)
 class StepOutcome:
     """One solver step: the updated factors, the objective after the step,
-    and the number of update-path reconstruction evaluations (1 or 2)."""
+    the number of reconstructions the step computes when it is given the
+    one at its input (1 or 2, the one at its output included), and that
+    output reconstruction, which the objective was computed from."""
 
     factorization: Factorization
     objective: float
     recon_evals: int
+    recon: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _floor_columns(M: np.ndarray, epsilon_floor: float) -> np.ndarray:
@@ -92,17 +103,24 @@ def joint_step(
     H: np.ndarray,
     h_map,
     epsilon_floor: float,
+    recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint update of every method but ``mu``; returns ``(W', H')``.
 
-    With ``r = x / (WH)`` from one checked reconstruction at the nonzeros,
-    ``W' = normalize_k(floor(W * sum_d r_vd h_kd))`` (``DeadTopicError``
-    when a topic's numerators all vanish) and ``H' = h_map(H * sum_v r_vd
-    w_vk)`` with the pre-update ``W``.
+    With ``r = x / (WH)`` from one checked reconstruction at the nonzeros
+    (``recon``, computed when ``None``), ``W' = normalize_k(floor(W *
+    sum_d r_vd h_kd))`` (``DeadTopicError`` when a topic's numerators all
+    vanish) and ``H' = h_map(H * sum_v r_vd w_vk)`` with the pre-update ``W``.
     """
-    ratio = X.vals / _checked_reconstruction(X, W, H)
+    ratio = X.vals / (_checked_reconstruction(X, W, H) if recon is None else recon)
     W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, "all update numerators vanished")
     return W_new, h_map(H * topic_doc_sums(X, ratio, W))
+
+
+def _outcome(X: TermDocMatrix, W, H, mode: ConstraintMode, recon_evals: int, objective_at=kl_divergence_at):
+    """The step's result at ``(W, H)``: its objective from the checked reconstruction it also returns."""
+    recon = _checked_reconstruction(X, W, H)
+    return StepOutcome(Factorization(W, H, mode), objective_at(X, W, H, recon), recon_evals, recon)
 
 
 def mu_step_alternating(
@@ -110,6 +128,7 @@ def mu_step_alternating(
     f: Factorization,
     *,
     epsilon_floor: float = 1e-12,
+    recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One alternating update on an unconstrained factorization.
 
@@ -124,7 +143,7 @@ def mu_step_alternating(
     _require_mode(f, ConstraintMode.UNCONSTRAINED, "mu_step_alternating")
     W, H = f.W, f.H
 
-    ratio = X.vals / _checked_reconstruction(X, W, H)
+    ratio = X.vals / (_checked_reconstruction(X, W, H) if recon is None else recon)
     h_doc_sums = H.sum(axis=1)
     if np.any(h_doc_sums == 0):
         raise DeadTopicError(int(np.argmax(h_doc_sums == 0)), "zero row sum in H")
@@ -138,8 +157,7 @@ def mu_step_alternating(
     H_new = H * topic_doc_sums(X, ratio, W_new) / w_col_sums[:, None]
     H_new = _floor_columns(H_new, epsilon_floor)
 
-    updated = Factorization(W_new, H_new, ConstraintMode.UNCONSTRAINED)
-    return StepOutcome(updated, kl_divergence(X, W_new, H_new), 2)
+    return _outcome(X, W_new, H_new, ConstraintMode.UNCONSTRAINED, 2)
 
 
 def mu_step_joint_wnorm(
@@ -147,6 +165,7 @@ def mu_step_joint_wnorm(
     f: Factorization,
     *,
     epsilon_floor: float = 1e-12,
+    recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One joint update with the columns of ``W`` on the simplex.
 
@@ -161,8 +180,8 @@ def mu_step_joint_wnorm(
     """
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_joint_wnorm")
     h_map = partial(_floor_columns, epsilon_floor=epsilon_floor)
-    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor)
-    return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), kl_divergence(X, W, H), 1)
+    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, recon)
+    return _outcome(X, W, H, ConstraintMode.W_SIMPLEX, 1)
 
 
 def mu_step_joint_bothnorm(
@@ -170,6 +189,7 @@ def mu_step_joint_bothnorm(
     f: Factorization,
     *,
     epsilon_floor: float = 1e-12,
+    recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One joint update with both factors columnwise on the simplex.
 
@@ -179,8 +199,8 @@ def mu_step_joint_bothnorm(
     """
     _require_mode(f, ConstraintMode.BOTH_SIMPLEX, "mu_step_joint_bothnorm")
     h_map = partial(_normalized, epsilon_floor=epsilon_floor, detail="document column collapsed")
-    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor)
-    return StepOutcome(Factorization(W, H, ConstraintMode.BOTH_SIMPLEX), kl_divergence(X, W, H), 1)
+    W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, recon)
+    return _outcome(X, W, H, ConstraintMode.BOTH_SIMPLEX, 1)
 
 
 def mu_step_sparse(
@@ -189,6 +209,7 @@ def mu_step_sparse(
     lambda_sparsity: float,
     *,
     epsilon_floor: float = 1e-12,
+    recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One joint update for the l1-penalized objective with ``W`` on the simplex.
 
@@ -201,10 +222,10 @@ def mu_step_sparse(
         raise ValueError("lambda_sparsity must be non-negative and finite")
 
     W, H = joint_step(
-        X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor
+        X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor, recon
     )
-    objective = sparse_objective(X, W, H, lambda_sparsity)
-    return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), objective, 1)
+    penalized = partial(sparse_objective_at, lambda_sparsity=lambda_sparsity)
+    return _outcome(X, W, H, ConstraintMode.W_SIMPLEX, 1, penalized)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +289,11 @@ def fit(
 ) -> tuple[Factorization, FitTrace]:
     """Minimize the method's objective with its stepper under :func:`descend`.
 
-    The stepper rejects an ``init`` in another constraint mode.  The run
-    is fully determined by ``(seed, config, init)``.
+    The initial objective is the registry objective's value part
+    (``kl_divergence_at``, ``sparse_objective_at``) at the initial
+    reconstruction, and each step gets the reconstruction its predecessor
+    returned.  The stepper rejects an ``init`` in another constraint mode.
+    The run is fully determined by ``(seed, config, init)``.
 
     Returns the final factorization together with the per-iteration trace.
     """
@@ -283,9 +307,12 @@ def fit(
     stepper = spec.function(spec.stepper)
     penalty = spec.penalty(config.lambda_sparsity)
 
-    def step(current: Factorization):
-        out = stepper(X, current, epsilon_floor=config.epsilon_floor, **penalty)
-        return out.factorization, out.objective, out.recon_evals
+    def step(current):
+        f, recon = current
+        out = stepper(X, f, epsilon_floor=config.epsilon_floor, recon=recon, **penalty)
+        return (out.factorization, out.recon), out.objective, out.recon_evals
 
-    initial = spec.function(spec.objective)(X, f.W, f.H, **penalty)
-    return descend(step, f, initial, config, +1)
+    recon = _checked_reconstruction(X, f.W, f.H)
+    initial = spec.function(spec.objective + "_at")(X, f.W, f.H, recon, **penalty)
+    (f, _), trace = descend(step, (f, recon), initial, config, +1)
+    return f, trace

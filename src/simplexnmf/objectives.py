@@ -6,9 +6,20 @@ are comparable across iterations of a fit but not across data sets.  The
 convention ``0 * log 0 = 0`` is built in: stored entries of a
 ``TermDocMatrix`` are strictly positive, and absent entries contribute only
 through reconstruction totals.
+
+The objectives and bounds that fits monitor come in two parts, so that a
+fit computes the costly part once per state and hands it on to the next
+step: ``kl_divergence_at`` and ``sparse_objective_at`` take the checked
+reconstruction, ``lda_elbo_at`` and ``gap_elbo_at`` the
+:class:`BoundTerms` (``E[log h]``, ``h~`` and ``(W h~)``) of
+``lda_elbo_terms`` and ``gap_elbo_terms``.  The drivers find the parts of
+a method's registry objective ``name`` as ``name_at`` and ``name_terms``;
+``name`` itself composes them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +49,11 @@ def kl_divergence(X: TermDocMatrix, W, H) -> float:
     The sum over ``x log(x/..) - x`` runs over the nonzeros of ``X``; the
     ``+ (WH)`` term is added in closed form over the full matrix.
     """
-    recon = _checked_reconstruction(X, W, H)
+    return kl_divergence_at(X, W, H, _checked_reconstruction(X, W, H))
+
+
+def kl_divergence_at(X: TermDocMatrix, W, H, recon: np.ndarray) -> float:
+    """:func:`kl_divergence` from the checked reconstruction ``recon`` of ``(W, H)``."""
     x = X.vals
     return float(np.sum(x * np.log(x / recon) - x) + reconstruction_total(W, H))
 
@@ -56,7 +71,12 @@ def plsa_log_likelihood(X: TermDocMatrix, W, H) -> float:
 
 def sparse_objective(X: TermDocMatrix, W, H, lambda_sparsity: float) -> float:
     """KL divergence plus the l1 penalty ``lambda * sum |h|``."""
-    return kl_divergence(X, W, H) + float(lambda_sparsity) * float(np.sum(np.abs(H)))
+    return sparse_objective_at(X, W, H, _checked_reconstruction(X, W, H), lambda_sparsity)
+
+
+def sparse_objective_at(X: TermDocMatrix, W, H, recon: np.ndarray, lambda_sparsity: float) -> float:
+    """:func:`sparse_objective` from the checked reconstruction ``recon`` of ``(W, H)``."""
+    return kl_divergence_at(X, W, H, recon) + float(lambda_sparsity) * float(np.sum(np.abs(H)))
 
 
 def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
@@ -86,12 +106,16 @@ def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
 # Posterior expectations of the topic weights
 
 
+def _dirichlet_elog(beta: np.ndarray) -> np.ndarray:
+    return digamma(beta) - digamma(beta.sum(axis=0, keepdims=True))
+
+
 def expected_log_h_dirichlet(beta) -> np.ndarray:
     """``exp(E[log h])`` under columnwise Dirichlet(beta_d): ``exp(psi(beta) - psi(sum_k beta))``."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or np.any(beta <= 0):
         raise ValueError("beta must be a strictly positive 2-d array")
-    return np.exp(digamma(beta) - digamma(beta.sum(axis=0, keepdims=True)))
+    return np.exp(_dirichlet_elog(beta))
 
 
 def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
@@ -109,6 +133,25 @@ def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
 # Variational lower bounds
 
 
+class BoundTerms(NamedTuple):
+    """The parts of a variational bound at one state that take ``digamma`` or a reconstruction.
+
+    ``h_tilde`` is computed exactly as the method's stepper computes it, so
+    ``h_tilde`` and ``recon`` are also the inputs of a step from this state.
+    """
+
+    elog: np.ndarray  # E[log h]
+    h_tilde: np.ndarray  # exp(E[log h])
+    recon: np.ndarray  # (W h~) at the nonzeros, checked positive
+
+
+def lda_elbo_terms(X: TermDocMatrix, W, state: VariationalState) -> BoundTerms:
+    """The :class:`BoundTerms` of :func:`lda_elbo` at ``(W, state)``."""
+    elog = _dirichlet_elog(state.beta)
+    h_tilde = np.exp(elog)
+    return BoundTerms(elog, h_tilde, _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError))
+
+
 def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> float:
     """Variational bound of the Dirichlet topic model, count-only constants dropped.
 
@@ -119,15 +162,27 @@ def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> fl
         + sum_d [ logG(sum alpha) - logG(sum beta_d) ]
         + sum_{k,d} [ logG(beta) - logG(alpha) + (alpha - beta) E[log h] ].
     """
+    return lda_elbo_at(X, W, priors, state, lda_elbo_terms(X, W, state))
+
+
+def lda_elbo_at(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms: BoundTerms) -> float:
+    """:func:`lda_elbo` from its :class:`BoundTerms` at ``(W, state)``."""
     beta = state.beta
     alpha = priors.alpha
-    elog = digamma(beta) - digamma(beta.sum(axis=0, keepdims=True))
-    h_tilde = np.exp(elog)
-    recon = _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError)
-    mixture = float(np.sum(X.vals * np.log(recon)))
+    mixture = float(np.sum(X.vals * np.log(terms.recon)))
     per_doc = log_gamma(float(alpha.sum())) - log_gamma(beta.sum(axis=0))
-    per_cell = log_gamma(beta) - log_gamma(alpha)[:, None] + (alpha[:, None] - beta) * elog
+    per_cell = log_gamma(beta) - log_gamma(alpha)[:, None] + (alpha[:, None] - beta) * terms.elog
     return mixture + float(per_doc.sum()) + float(per_cell.sum())
+
+
+def gap_elbo_terms(X: TermDocMatrix, W, state: VariationalState) -> BoundTerms:
+    """The :class:`BoundTerms` of :func:`gap_elbo` at ``(W, state)``; ``h~ = exp(psi(beta)) / b``."""
+    if state.b_rate is None:
+        raise ValueError("gap_elbo requires a state with b_rate")
+    psi = digamma(state.beta)
+    h_tilde = np.exp(psi) / state.b_rate
+    elog = psi - np.log(state.b_rate)
+    return BoundTerms(elog, h_tilde, _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError))
 
 
 def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> float:
@@ -140,24 +195,24 @@ def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> fl
         + sum_{k,d} [ alpha log a - beta log b ]
         + sum_{k,d} [ logG(beta) - logG(alpha) + (alpha - beta) E[log h] + (b - a) E[h] ].
     """
-    if state.b_rate is None:
-        raise ValueError("gap_elbo requires a state with b_rate")
+    return gap_elbo_at(X, W, priors, state, gap_elbo_terms(X, W, state))
+
+
+def gap_elbo_at(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms: BoundTerms) -> float:
+    """:func:`gap_elbo` from its :class:`BoundTerms` at ``(W, state)``."""
     if priors.rate_a is None:
         raise ValueError("gap_elbo requires priors with rate_a")
     beta, b = state.beta, state.b_rate
     alpha, a = priors.alpha, priors.rate_a
-    elog = digamma(beta) - np.log(b)
     eh = beta / b
-    h_tilde = np.exp(elog)
-    recon = _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError)
-    mixture = float(np.sum(X.vals * np.log(recon)))
+    mixture = float(np.sum(X.vals * np.log(terms.recon)))
     per_cell = (
         -eh
         + (alpha * np.log(a))[:, None]
         - beta * np.log(b)
         + log_gamma(beta)
         - log_gamma(alpha)[:, None]
-        + (alpha[:, None] - beta) * elog
+        + (alpha[:, None] - beta) * terms.elog
         + (b - a[:, None]) * eh
     )
     return mixture + float(per_cell.sum())

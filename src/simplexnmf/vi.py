@@ -10,7 +10,12 @@ the ``W`` update and the shape update
 
 which is :func:`simplexnmf.mu.joint_step` with ``h~`` for ``H`` and
 ``alpha_k + (.)`` as the map on the ``H`` side, so the per-iteration
-reconstruction count is 1.  The Gamma variant keeps its rate parameters
+reconstruction count is 1.  :func:`fit_vi` evaluates the bound at every
+state from its :class:`~simplexnmf.objectives.BoundTerms` (one ``digamma``
+pass over ``beta``, ``h~`` and the checked ``(W h~)``) and hands ``h~`` and
+``(W h~)`` to the next step, so each state's one reconstruction and one
+``digamma`` pass serve both the bound and the update: ``n + 1`` of each
+in a fit of ``n`` iterations.  The Gamma variant keeps its rate parameters
 pinned at ``b = 1 + a``, which is the stationary value of the bound in
 ``b``; with a uniform rate vector its iterates coincide with the
 Dirichlet ones because the two ``h~`` differ only by a per-document
@@ -43,11 +48,19 @@ def dp_vi_step(
     state: VariationalState,
     *,
     epsilon_floor: float = 1e-12,
+    h_tilde: np.ndarray | None = None,
+    recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, VariationalState, int]:
-    """One update of the Dirichlet-weight model; returns ``(W', state', recon_evals)``."""
-    h_tilde = expected_log_h_dirichlet(state.beta)
+    """One update of the Dirichlet-weight model; returns ``(W', state', recon_evals)``.
+
+    ``h_tilde`` and ``recon`` are ``h~`` and ``(W h~)`` at the input state,
+    as in :func:`~simplexnmf.objectives.lda_elbo_terms`; each is computed
+    when ``None``.
+    """
+    if h_tilde is None:
+        h_tilde = expected_log_h_dirichlet(state.beta)
     h_map = partial(np.add, priors.alpha[:, None])
-    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor)
+    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, recon)
     return W, VariationalState(beta), 1
 
 
@@ -58,13 +71,20 @@ def gap_vi_step(
     state: VariationalState,
     *,
     epsilon_floor: float = 1e-12,
+    h_tilde: np.ndarray | None = None,
+    recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, VariationalState, int]:
-    """One update of the Gamma-weight model; the rates ``b`` stay fixed."""
+    """One update of the Gamma-weight model; the rates ``b`` stay fixed.
+
+    ``h_tilde`` and ``recon`` are as for :func:`dp_vi_step`, with ``h~ =
+    exp(psi(beta)) / b`` (:func:`~simplexnmf.objectives.gap_elbo_terms`).
+    """
     if state.b_rate is None:
         raise ValueError("gap_vi_step requires a state with b_rate (fixed at 1 + rate_a)")
-    h_tilde = expected_log_h_gamma(state.beta, state.b_rate)
+    if h_tilde is None:
+        h_tilde = expected_log_h_gamma(state.beta, state.b_rate)
     h_map = partial(np.add, priors.alpha[:, None])
-    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor)
+    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, recon)
     return W, VariationalState(beta, state.b_rate), 1
 
 
@@ -118,10 +138,13 @@ def fit_vi(
 ) -> tuple[np.ndarray, VariationalState, FitTrace]:
     """Run the configured variational stepper until the bound stalls.
 
-    The bound is evaluated after every iteration and recorded in the
-    trace; it must not decrease by more than ``DESCENT_SLACK`` relative,
-    otherwise ``MonotonicityError`` is raised, and a non-finite bound
-    raises ``NumericalError``.  Convergence is the same relative-change
+    The bound is evaluated at every state from the two parts of the
+    registry bound (``lda_elbo_terms`` and ``lda_elbo_at``, or the
+    ``gap_elbo`` pair) and recorded in the trace; the terms' ``h~`` and
+    ``(W h~)`` are the next step's inputs.  The bound must not decrease
+    by more than ``DESCENT_SLACK`` relative, otherwise
+    ``MonotonicityError`` is raised, and a non-finite bound raises
+    ``NumericalError``.  Convergence is the same relative-change
     rule as the multiplicative driver; both run :func:`descend`.
 
     Returns ``(W, state, trace)``.
@@ -142,12 +165,19 @@ def fit_vi(
     state = VariationalState(beta, _pinned_rates(config.method, priors, beta.shape))
 
     stepper = spec.function(spec.stepper)
-    bound = spec.function(spec.objective)
+    terms_of = spec.function(spec.objective + "_terms")
+    bound_at = spec.function(spec.objective + "_at")
+
+    def evaluated(W, state):
+        terms = terms_of(X, W, state)
+        return (W, state, terms.h_tilde, terms.recon), bound_at(X, W, priors, state, terms)
 
     def step(current):
-        W, state = current
-        W, state, recon_evals = stepper(X, W, priors, state, epsilon_floor=config.epsilon_floor)
-        return (W, state), bound(X, W, priors, state), recon_evals
+        W, state, h_tilde, recon = current
+        W, state, recon_evals = stepper(
+            X, W, priors, state, epsilon_floor=config.epsilon_floor, h_tilde=h_tilde, recon=recon
+        )
+        return *evaluated(W, state), recon_evals
 
-    (W, state), trace = descend(step, (W, state), bound(X, W, priors, state), config, -1)
+    (W, state, _, _), trace = descend(step, *evaluated(W, state), config, -1)
     return W, state, trace

@@ -55,9 +55,10 @@ def test_eval_reports_by_method(tmp_path, matrix_file, capsys):
         ("lda", "elbo", "kl_divergence"),
     ]:
         model = tmp_path / f"{method}.json"
+        alpha = ["--alpha", "0.6"] if method == "lda" else []
         assert main([
             "fit", "--input", str(matrix_file), "--method", method, "--topics", "3",
-            "--alpha", "0.6", "--max-iter", "40", "--output", str(model),
+            *alpha, "--max-iter", "40", "--output", str(model),
         ]) == 0
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--input", str(matrix_file)]) == 0
@@ -72,6 +73,22 @@ def test_sparse_requires_lambda(tmp_path, matrix_file, capsys):
     ])
     assert rc == 1
     assert "--lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, flag", [
+    ("mu", "--lambda"), ("mu-joint", "--lambda"), ("plsa", "--lambda"), ("lda", "--lambda"), ("gap", "--lambda"),
+    ("mu", "--alpha"), ("mu-joint", "--alpha"), ("plsa", "--alpha"), ("sparse", "--alpha"),
+    ("mu", "--rate-a"), ("mu-joint", "--rate-a"), ("plsa", "--rate-a"), ("sparse", "--rate-a"), ("lda", "--rate-a"),
+])
+def test_flag_the_method_ignores_is_usage_error(tmp_path, matrix_file, capsys, method, flag):
+    needed = ["--lambda", "0.5"] if method == "sparse" else []
+    rc = main([
+        "fit", "--input", str(matrix_file), "--method", method, "--topics", "2",
+        *needed, flag, "0.3", "--output", str(tmp_path / "m.json"),
+    ])
+    assert rc == 1
+    assert f"usage error: {flag} does not apply to --method {method}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_usage_error_on_bad_flags(capsys):

@@ -266,7 +266,7 @@ class TestDescend:
 
     def test_non_finite_initial_objective_is_an_error(self, monkeypatch):
         X = random_count_matrix(17, n_terms=10, n_docs=6)
-        monkeypatch.setattr(objectives, "kl_divergence", lambda X_, W, H: float("inf"))
+        monkeypatch.setattr(objectives, "kl_divergence_at", lambda X_, W, H, recon: float("inf"))
         config = snf.FitConfig(n_topics=3, method="plsa", max_iters=5, seed=3)
         with pytest.raises(NumericalError, match="non-finite initial objective inf"):
             mu.fit(X, config)
