@@ -12,6 +12,7 @@ from .errors import (
     DataError,
     DeadTopicError,
     DegenerateColumnError,
+    EntryError,
     InfiniteDivergenceError,
     MonotonicityError,
     NumericalError,

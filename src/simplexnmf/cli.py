@@ -181,14 +181,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_topics(args) -> int:
+    if args.top < 1:
+        raise UsageError(f"--top must be at least 1, got {args.top}")
     model = load_model(args.model)
     vocab = load_vocabulary(args.vocab)
     if len(vocab) != model.n_terms:
         raise DataError(f"vocabulary has {len(vocab)} terms, model expects {model.n_terms}")
     W = np.asarray(model.W)
-    top = max(1, args.top)
     for k in range(model.n_topics):
-        order = np.argsort(-W[:, k], kind="stable")[:top]
+        order = np.argsort(-W[:, k], kind="stable")[:args.top]
         terms = " ".join(vocab.terms[v] for v in order)
         print(f"topic {k}: {terms}")
     return 0

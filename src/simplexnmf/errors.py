@@ -12,6 +12,16 @@ class DataError(Exception):
     """Malformed or inconsistent input data (files, schemas, corpora)."""
 
 
+class EntryError(DataError):
+    """A count-matrix entry fault: ``fault`` is ``"range"``, ``"negative"``,
+    ``"non-finite"`` or ``"duplicate"``, and ``entry`` the position of the
+    entry in the arrays given to ``TermDocMatrix.from_arrays``."""
+
+    def __init__(self, message: str, entry: int, fault: str):
+        super().__init__(message)
+        self.entry, self.fault = entry, fault
+
+
 class NumericalError(Exception):
     """A solver or evaluator hit a numerically invalid state."""
 

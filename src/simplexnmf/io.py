@@ -13,17 +13,26 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, EntryError
 from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a matrix or vocabulary file; other bytes are a ``DataError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -33,51 +42,56 @@ _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 def load_matrix_market(path) -> TermDocMatrix:
     """Parse a 1-indexed coordinate-format matrix file.
 
-    Zero-valued entries are dropped; negative or non-finite values,
-    duplicate coordinates, out-of-range indices, and malformed headers
-    raise ``DataError`` with the offending line number.
+    Zero-valued entries are dropped.  A malformed header or size line, an
+    entry line that is not three numbers (integer indices), a count that
+    differs from the declared one, and every entry fault that
+    ``TermDocMatrix.from_arrays`` finds (an index out of range, a negative
+    or non-finite value, a duplicate coordinate) raise ``DataError``
+    naming the offending line, or for a duplicate its coordinate.  The
+    entry lines are parsed in one pass over the whole body; only a fault
+    looks up its line.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or " ".join(lines[0].split()).lower() != _MM_HEADER:
         raise DataError(f"malformed header in {path}: expected MatrixMarket coordinate real general")
-    body = [
-        (i + 1, line)
-        for i, line in enumerate(lines[1:], start=1)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
+    # positions of the lines that are neither blank nor a comment: the size line, then the entries
+    at = [i for i, line in enumerate(lines) if i and (text := line.lstrip()) and text[0] != "%"]
+    if not at:
         raise DataError(f"missing size line in {path}")
-    size_no, size_line = body[0]
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise DataError(f"malformed size line at line {size_no}")
     try:
-        n_terms, n_docs, nnz = (int(p) for p in parts)
+        n_terms, n_docs, nnz = map(int, lines[at[0]].split())
     except ValueError as exc:
-        raise DataError(f"malformed size line at line {size_no}") from exc
-    entries = []
-    for line_no, line in body[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataError(f"malformed entry at line {line_no}")
-        try:
-            v, d, value = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise DataError(f"malformed entry at line {line_no}") from exc
-        if not 0.0 <= value < math.inf:
-            kind = "negative" if value < 0 else "non-finite"
-            raise DataError(f"{kind} count at line {line_no}")
-        if not (1 <= v <= n_terms) or not (1 <= d <= n_docs):
-            raise DataError(f"index overflow at line {line_no}: ({v}, {d}) outside {n_terms} x {n_docs}")
-        entries.append((v - 1, d - 1, value))
-    if len(entries) != nnz:
-        raise DataError(f"{path} declares {nnz} entries but contains {len(entries)}")
-    seen = set()
-    for v, d, _ in entries:
-        if (v, d) in seen:
-            raise DataError(f"duplicate entry ({v + 1}, {d + 1})")
-        seen.add((v, d))
-    return TermDocMatrix.from_entries(n_terms, n_docs, entries)
+        raise DataError(f"malformed size line at line {at[0] + 1}") from exc
+    body = [lines[i] for i in at[1:]]
+    entries = _mm_entries(body)
+    if entries is None:
+        bad = next(k for k, line in enumerate(body) if _mm_entries([line]) is None)
+        raise DataError(f"malformed entry at line {at[bad + 1] + 1}")
+    if len(body) != nnz:
+        raise DataError(f"{path} declares {nnz} entries but contains {len(body)}")
+    rows, cols, vals = entries
+    try:
+        return TermDocMatrix.from_arrays(n_terms, n_docs, rows, cols, vals)
+    except EntryError as fault:
+        v, d, line = rows[fault.entry] + 1, cols[fault.entry] + 1, at[fault.entry + 1] + 1
+        message = {
+            "range": f"index overflow at line {line}: ({v}, {d}) outside {n_terms} x {n_docs}",
+            "duplicate": f"duplicate entry ({v}, {d})",
+        }.get(fault.fault, f"{fault.fault} count at line {line}")
+        raise EntryError(message, fault.entry, fault.fault) from fault
+
+
+def _mm_entries(body: list[str]):
+    """0-based ``rows``, ``cols`` and the ``vals`` of entry lines, or ``None``
+    unless every line is two 64-bit integers and a number."""
+    if set(map(len, map(str.split, body))) - {3}:
+        return None
+    fields, n = "\n".join(body).split(), len(body)
+    try:
+        ints = [np.fromiter(map(int, fields[i::3]), np.int64, n) - 1 for i in (0, 1)]
+        return (*ints, np.fromiter(map(float, fields[2::3]), float, n))
+    except (ValueError, OverflowError):
+        return None
 
 
 def save_matrix_market(path, X: TermDocMatrix) -> None:
@@ -139,27 +153,19 @@ def ingest_corpus(directory, min_count: int = 1) -> tuple[TermDocMatrix, Vocabul
             docs.append(tokenize(p.read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"unreadable file {p}: {exc}") from exc
-    totals: dict[str, int] = {}
-    for tokens in docs:
-        for t in tokens:
-            totals[t] = totals.get(t, 0) + 1
-    kept = sorted(t for t, c in totals.items() if c >= min_count)
-    vocab = Vocabulary(tuple(kept), min_count=min_count)
-    counts = []
-    empty = []
-    for p, tokens in zip(files, docs):
-        vec: dict[int, float] = {}
-        for t in tokens:
-            i = vocab.index.get(t)
-            if i is not None:
-                vec[i] = vec.get(i, 0.0) + 1.0
-        if not vec:
-            empty.append(p.name)
-        counts.append(vec)
+    tokens = list(chain.from_iterable(docs))
+    totals = Counter(tokens)
+    vocab = Vocabulary(tuple(sorted(t for t, c in totals.items() if c >= min_count)), min_count=min_count)
+    term = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), np.int64, len(tokens))
+    counted = term >= 0
+    doc = np.repeat(np.arange(len(files)), list(map(len, docs)))[counted]
+    empty = [p.name for p, n in zip(files, np.bincount(doc, minlength=len(files))) if n == 0]
     if empty:
         raise DataError(f"documents with no countable terms: {', '.join(empty)}")
-    entries = [(v, d, c) for d, vec in enumerate(counts) for v, c in vec.items()]
-    return TermDocMatrix.from_entries(len(vocab), len(files), entries), vocab
+    # one key per (document, term) pair in document-major order, with its count
+    keys, counts = np.unique(doc * len(vocab) + term[counted], return_counts=True)
+    matrix = TermDocMatrix.from_arrays(len(vocab), len(files), keys % len(vocab), keys // len(vocab), counts)
+    return matrix, vocab
 
 
 def save_vocabulary(path, vocab: Vocabulary) -> None:
@@ -167,7 +173,7 @@ def save_vocabulary(path, vocab: Vocabulary) -> None:
 
 
 def load_vocabulary(path, min_count: int = 1) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     return Vocabulary(tuple(lines), min_count=min_count)
 
 

@@ -17,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DataError, DegenerateColumnError
+from .errors import DataError, DegenerateColumnError, EntryError
 
 SIMPLEX_TOL = 1e-12
 
@@ -60,6 +60,8 @@ class TermDocMatrix:
     Per-document totals (the column sums ``lambda_d``) are cached at
     construction; ``doc_ptr`` delimits the entry range of each document.
     Counts are kept as reals: nothing in the solvers requires integer data.
+    Every constructor, and every file reader, goes through
+    :meth:`from_arrays`, the one place that decides what a valid entry is.
     """
 
     n_terms: int
@@ -71,42 +73,47 @@ class TermDocMatrix:
     doc_ptr: np.ndarray
 
     @classmethod
-    def from_entries(cls, n_terms: int, n_docs: int, entries) -> "TermDocMatrix":
-        """Build from an iterable of ``(term, doc, count)`` triples."""
+    def from_arrays(cls, n_terms: int, n_docs: int, rows, cols, vals) -> "TermDocMatrix":
+        """Build from parallel arrays of 0-based term indices, document indices and counts.
+
+        Checks, in this order: positive dimensions, equal-length 1-d
+        arrays, indices in range, finite non-negative counts, and no
+        ``(term, doc)`` pair twice (zeros included).  An entry fault raises
+        ``EntryError`` naming the first offending entry in input order.
+        One stable sort into document-major order also finds the
+        duplicates as adjacent equal pairs; zeros are dropped after it.
+        """
         if n_terms <= 0 or n_docs <= 0:
             raise DataError("matrix dimensions must be positive")
-        triples = list(entries)
-        rows = np.array([t[0] for t in triples], dtype=np.int64)
-        cols = np.array([t[1] for t in triples], dtype=np.int64)
-        vals = np.array([t[2] for t in triples], dtype=float)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_terms or cols.min() < 0 or cols.max() >= n_docs:
-                raise DataError("entry index out of range")
-            bad = ~(np.isfinite(vals) & (vals >= 0))
-            if bad.any():
-                e = int(np.argmax(bad))
-                kind = "negative" if vals[e] < 0 else "non-finite"
-                raise DataError(f"{kind} count at entry ({rows[e]}, {cols[e]})")
-            keys = cols * n_terms + rows
-            if np.unique(keys).size != keys.size:
-                order = np.argsort(keys, kind="stable")
-                dup = order[np.nonzero(np.diff(keys[order]) == 0)[0][0] + 1]
-                raise DataError(f"duplicate entry ({rows[dup]}, {cols[dup]})")
-            keep = vals > 0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            order = np.lexsort((rows, cols))
-            rows, cols, vals = rows[order], cols[order], vals[order]
+        rows, cols, vals = np.asarray(rows, np.int64), np.asarray(cols, np.int64), np.asarray(vals, float)
+        if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
+            raise DataError("rows, cols and vals must be 1-d arrays of equal length")
+        bad = (rows < 0) | (rows >= n_terms) | (cols < 0) | (cols >= n_docs)
+        if bad.any():
+            e = int(np.argmax(bad))
+            where = f"({rows[e]}, {cols[e]}) outside {n_terms} x {n_docs}"
+            raise EntryError(f"entry index out of range: {where}", e, "range")
+        bad = ~(np.isfinite(vals) & (vals >= 0))
+        if bad.any():
+            e = int(np.argmax(bad))
+            kind = "negative" if vals[e] < 0 else "non-finite"
+            raise EntryError(f"{kind} count at entry ({rows[e]}, {cols[e]})", e, kind)
+        order = np.lexsort((rows, cols))
+        repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+        if repeat.any():
+            e = int(order[1:][repeat].min())
+            raise EntryError(f"duplicate entry ({rows[e]}, {cols[e]})", e, "duplicate")
+        order = order[vals[order] > 0]
+        rows, cols, vals = rows[order], cols[order], vals[order]
         col_sums = np.bincount(cols, vals, minlength=n_docs)
-        doc_ptr = np.searchsorted(cols, np.arange(n_docs + 1))
-        return cls(
-            int(n_terms),
-            int(n_docs),
-            _readonly(rows),
-            _readonly(cols),
-            _readonly(vals),
-            _readonly(col_sums),
-            _readonly(doc_ptr.astype(np.int64)),
-        )
+        doc_ptr = np.searchsorted(cols, np.arange(n_docs + 1)).astype(np.int64)
+        return cls(int(n_terms), int(n_docs), *map(_readonly, (rows, cols, vals, col_sums, doc_ptr)))
+
+    @classmethod
+    def from_entries(cls, n_terms: int, n_docs: int, entries) -> "TermDocMatrix":
+        """Build from an iterable of ``(term, doc, count)`` triples."""
+        triples = list(entries)
+        return cls.from_arrays(n_terms, n_docs, *(np.array([t[i] for t in triples]) for i in range(3)))
 
     @classmethod
     def from_dense(cls, dense) -> "TermDocMatrix":
@@ -114,7 +121,7 @@ class TermDocMatrix:
         if arr.ndim != 2:
             raise DataError("dense input must be a 2-d array")
         rows, cols = np.nonzero(arr)
-        return cls.from_entries(arr.shape[0], arr.shape[1], zip(rows, cols, arr[rows, cols]))
+        return cls.from_arrays(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_terms, self.n_docs))

@@ -207,3 +207,37 @@ def test_non_finite_objective_is_numerical_failure(tmp_path, matrix_file, monkey
     ])
     assert rc == 3
     assert "non-finite objective" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fitted_topics(tmp_path, corpus):
+    mtx, vocab, model = tmp_path / "m.mtx", tmp_path / "v.txt", tmp_path / "model.json"
+    assert main(["ingest", "--corpus", str(corpus), "--out-matrix", str(mtx), "--out-vocab", str(vocab)]) == 0
+    assert main([
+        "fit", "--input", str(mtx), "--method", "mu-joint", "--topics", "2", "--max-iter", "5",
+        "--output", str(model),
+    ]) == 0
+    return model, vocab
+
+
+@pytest.mark.parametrize("top", ["0", "-4"])
+def test_topics_without_terms_is_usage_error(fitted_topics, capsys, top):
+    model, vocab = fitted_topics
+    capsys.readouterr()
+    assert main(["topics", "--model", str(model), "--vocab", str(vocab), "--top", top]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: --top must be at least 1, got {top}" in captured.err
+    assert captured.out == ""
+
+
+def test_non_utf8_files_are_data_errors(tmp_path, fitted_topics, capsys):
+    model, _ = fitted_topics
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n")
+    for argv in (
+        ["fit", "--input", str(bad), "--method", "mu", "--topics", "1", "--output", str(tmp_path / "o.json")],
+        ["topics", "--model", str(model), "--vocab", str(bad)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad} is not UTF-8 text")

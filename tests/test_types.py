@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simplexnmf as snf
-from simplexnmf.errors import DataError, DegenerateColumnError
+from simplexnmf.errors import DataError, DegenerateColumnError, EntryError
 
 from helpers import random_count_matrix
 
@@ -245,3 +246,71 @@ class TestNonFiniteRejected:
             snf.Priors(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="rate_a"):
             snf.Priors(np.array([1.0, 1.0]), np.array([np.inf, 1.0]))
+
+
+@st.composite
+def shuffled_cells(draw):
+    """Every cell of a random count matrix, zeros included, in a random order."""
+    n_terms, n_docs = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    counts = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0]), min_size=n_terms * n_docs,
+                           max_size=n_terms * n_docs))
+    dense = np.array(counts).reshape(n_terms, n_docs)
+    order = np.array(draw(st.permutations(range(dense.size))), dtype=np.int64)
+    rows, cols = np.unravel_index(order, dense.shape)
+    return dense, rows, cols, dense[rows, cols]
+
+
+class TestFromArrays:
+    """``TermDocMatrix.from_arrays``, the one check of every entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_cells())
+    def test_shuffled_cells_with_zeros_match_from_dense(self, problem):
+        dense, rows, cols, vals = problem
+        X = snf.TermDocMatrix.from_arrays(*dense.shape, rows, cols, vals)
+        Y = snf.TermDocMatrix.from_dense(dense)
+        assert np.array_equal(X.to_dense(), dense) and X.nnz == np.count_nonzero(dense)
+        assert np.all(np.diff(X.cols * dense.shape[0] + X.rows) > 0)  # document-major, each pair once
+        assert np.array_equal(X.col_sums, dense.sum(axis=0))  # exact: few small half-integer counts
+        for name in ("rows", "cols", "vals", "col_sums", "doc_ptr"):
+            assert np.array_equal(getattr(X, name), getattr(Y, name)), name
+            assert getattr(X, name).dtype == getattr(Y, name).dtype
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_cells(), st.data())
+    def test_a_planted_duplicate_is_rejected(self, problem, data):
+        dense, rows, cols, vals = problem
+        copy = data.draw(st.integers(0, rows.size - 1))
+        at = data.draw(st.integers(0, rows.size))
+        rows, cols, vals = (np.insert(a, at, a[copy]) for a in (rows, cols, vals))
+        with pytest.raises(EntryError, match="duplicate entry") as info:
+            snf.TermDocMatrix.from_arrays(*dense.shape, rows, cols, vals)
+        assert info.value.fault == "duplicate"
+        assert info.value.entry == max(at, copy + (at <= copy))
+
+    @pytest.mark.parametrize("rows, cols, vals, fault, entry", [
+        ([0, 2, 0], [0, 0, 5], [1.0, 1.0, 1.0], "range", 1),
+        ([0, -1], [0, 0], [1.0, 1.0], "range", 1),
+        ([0, 1, 1], [0, 0, 1], [1.0, -2.0, np.nan], "negative", 1),
+        ([0, 1, 1], [0, 0, 1], [1.0, np.inf, -2.0], "non-finite", 1),
+        ([1, 0, 1, 0], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0], "duplicate", 2),
+    ])
+    def test_first_fault_in_input_order(self, rows, cols, vals, fault, entry):
+        with pytest.raises(EntryError) as info:
+            snf.TermDocMatrix.from_arrays(2, 2, rows, cols, vals)
+        assert (info.value.fault, info.value.entry) == (fault, entry)
+
+    def test_range_is_checked_before_values(self):
+        with pytest.raises(EntryError, match=r"out of range: \(0, 2\) outside 2 x 2"):
+            snf.TermDocMatrix.from_arrays(2, 2, [0, 0], [0, 2], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("rows, cols, vals", [([0], [0, 1], [1.0, 1.0]), ([[0]], [[0]], [[1.0]])])
+    def test_misshapen_arrays(self, rows, cols, vals):
+        with pytest.raises(DataError, match="1-d arrays of equal length"):
+            snf.TermDocMatrix.from_arrays(2, 2, rows, cols, vals)
+
+    def test_caller_arrays_stay_writable(self):
+        rows, cols, vals = np.array([1, 0]), np.array([0, 0]), np.array([2.0, 3.0])
+        X = snf.TermDocMatrix.from_arrays(2, 1, rows, cols, vals)
+        assert rows.flags.writeable and vals.flags.writeable
+        assert not X.rows.flags.writeable and np.array_equal(X.rows, [0, 1])
