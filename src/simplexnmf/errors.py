@@ -13,7 +13,8 @@ class DataError(Exception):
 
 
 class EntryError(DataError):
-    """A count-matrix entry fault: ``fault`` is ``"range"``, ``"negative"``,
+    """A count-matrix entry fault: ``fault`` is ``"index"`` (an index that
+    is not a finite whole number), ``"range"``, ``"negative"``,
     ``"non-finite"`` or ``"duplicate"``, and ``entry`` the position of the
     entry in the arrays given to ``TermDocMatrix.from_arrays``."""
 

@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DeadTopicError, MonotonicityError, NumericalError
+from .errors import DeadTopicError, DegenerateColumnError, MonotonicityError, NumericalError
 from .objectives import _checked_reconstruction, kl_divergence_at, sparse_objective_at
 from .types import (
     ConstraintMode,
@@ -85,10 +85,11 @@ def _floor_columns(M: np.ndarray, epsilon_floor: float) -> np.ndarray:
     return np.maximum(M, epsilon_floor * M.max(axis=0, keepdims=True))
 
 
-def _normalized(raw: np.ndarray, epsilon_floor: float, detail: str) -> np.ndarray:
+def _normalized(raw: np.ndarray, epsilon_floor: float, dead) -> np.ndarray:
+    """Floor, then normalize the columns of ``raw``; ``dead(j)`` is raised for a zero column ``j``."""
     sums = raw.sum(axis=0)
     if np.any(sums == 0):
-        raise DeadTopicError(int(np.argmax(sums == 0)), detail)
+        raise dead(int(np.argmax(sums == 0)))
     return normalize_columns(_floor_columns(raw, epsilon_floor))[0]
 
 
@@ -113,7 +114,8 @@ def joint_step(
     vanish) and ``H' = h_map(H * sum_v r_vd w_vk)`` with the pre-update ``W``.
     """
     ratio = X.vals / (_checked_reconstruction(X, W, H) if recon is None else recon)
-    W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, "all update numerators vanished")
+    dead = partial(DeadTopicError, detail="all update numerators vanished")
+    W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, dead)
     return W_new, h_map(H * topic_doc_sums(X, ratio, W))
 
 
@@ -195,10 +197,12 @@ def mu_step_joint_bothnorm(
 
     Same shared reconstruction as :func:`mu_step_joint_wnorm`, but the
     ``h`` update is renormalized per document.  This is exactly the EM
-    update of the word/document mixture model.
+    update of the word/document mixture model.  A document whose column
+    vanishes, such as one with no entries, raises
+    ``DegenerateColumnError`` naming the document.
     """
     _require_mode(f, ConstraintMode.BOTH_SIMPLEX, "mu_step_joint_bothnorm")
-    h_map = partial(_normalized, epsilon_floor=epsilon_floor, detail="document column collapsed")
+    h_map = partial(_normalized, epsilon_floor=epsilon_floor, dead=partial(DegenerateColumnError, what="document"))
     W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, recon)
     return _outcome(X, W, H, ConstraintMode.BOTH_SIMPLEX, 1)
 

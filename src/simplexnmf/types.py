@@ -7,6 +7,13 @@ form: ``sum_v (WH)_vd = sum_k (sum_v w_vk) h_kd``, which collapses to
 ``sum_k h_kd`` when the columns of ``W`` are normalized.  That split is
 what makes the one-reconstruction-per-iteration accounting of the joint
 solvers meaningful on sparse data.
+
+The three kernels on the stored entries run one topic at a time, so their
+memory is O(nnz) whatever the number of topics: the reconstruction adds
+one gathered product per topic into an ``nnz``-vector, the term x topic
+sums are one ``np.bincount`` over the term indices per topic, and the
+topic x document sums one ``np.add.reduceat`` over the document segments
+per topic.  Each adds in a fixed order, so a fit is deterministic.
 """
 
 from __future__ import annotations
@@ -51,6 +58,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _whole(a: np.ndarray) -> np.ndarray:
+    """Which entries of an integer or float array are finite whole numbers."""
+    if a.dtype.kind in "iu":
+        return np.ones(a.shape, bool)
+    return np.isfinite(a) & (a == np.floor(a))
+
+
 @dataclass(frozen=True, eq=False)
 class TermDocMatrix:
     """Sparse non-negative term-document count matrix.
@@ -77,22 +91,29 @@ class TermDocMatrix:
         """Build from parallel arrays of 0-based term indices, document indices and counts.
 
         Checks, in this order: positive dimensions, equal-length 1-d
-        arrays, indices in range, finite non-negative counts, and no
-        ``(term, doc)`` pair twice (zeros included).  An entry fault raises
-        ``EntryError`` naming the first offending entry in input order.
-        One stable sort into document-major order also finds the
-        duplicates as adjacent equal pairs; zeros are dropped after it.
+        arrays, indices that are finite whole numbers, indices in range,
+        finite non-negative counts, and no ``(term, doc)`` pair twice
+        (zeros included).  An entry fault raises ``EntryError`` naming the
+        first offending entry in input order.  One stable sort into
+        document-major order also finds the duplicates as adjacent equal
+        pairs; zeros are dropped after it.
         """
         if n_terms <= 0 or n_docs <= 0:
             raise DataError("matrix dimensions must be positive")
-        rows, cols, vals = np.asarray(rows, np.int64), np.asarray(cols, np.int64), np.asarray(vals, float)
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, float)
         if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
             raise DataError("rows, cols and vals must be 1-d arrays of equal length")
+        rows, cols = (a if a.dtype.kind in "iu" else a.astype(float) for a in (rows, cols))
+        bad = ~(_whole(rows) & _whole(cols))
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise EntryError(f"entry index not a finite whole number: ({rows[e]}, {cols[e]})", e, "index")
         bad = (rows < 0) | (rows >= n_terms) | (cols < 0) | (cols >= n_docs)
         if bad.any():
             e = int(np.argmax(bad))
             where = f"({rows[e]}, {cols[e]}) outside {n_terms} x {n_docs}"
             raise EntryError(f"entry index out of range: {where}", e, "range")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
         bad = ~(np.isfinite(vals) & (vals >= 0))
         if bad.any():
             e = int(np.argmax(bad))
@@ -388,10 +409,21 @@ def normalize_columns(M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
-    """``(WH)_vd`` evaluated at the stored nonzero entries of ``X``, in storage order."""
+    """``(WH)_vd`` evaluated at the stored nonzero entries of ``X``, in storage order.
+
+    Topic-major: the products ``w_vk h_kd`` of one topic at a time are
+    gathered and added into one array of ``nnz`` entries, topics in order,
+    so no ``nnz x K`` array is formed and the working memory is three
+    ``nnz``-vectors besides a contiguous copy of ``W.T``.
+    """
     W = np.asarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
-    return np.einsum("ek,ke->e", W[X.rows, :], H[:, X.cols])
+    out = np.zeros(X.nnz)
+    for w, h in zip(np.ascontiguousarray(W.T), H):
+        products = w[X.rows]
+        products *= h[X.cols]
+        out += products
+    return out
 
 
 def reconstruction_column_sums(W, H) -> np.ndarray:
@@ -409,14 +441,27 @@ def reconstruction_total(W, H) -> float:
 def term_topic_sums(X: TermDocMatrix, entry_weights: np.ndarray, H) -> np.ndarray:
     """Accumulate ``sum_d weight_vd h_kd`` into a terms x topics array.
 
-    ``entry_weights`` is aligned with the stored entries of ``X``; every
-    sum is taken in storage order, so the result is deterministic.
+    ``entry_weights`` is aligned with the stored entries of ``X``; each
+    topic's sums are one ``np.bincount`` over the term indices, taken in
+    storage order, so the result is deterministic.
     """
     H = np.asarray(H, dtype=float)
     return np.stack([np.bincount(X.rows, entry_weights * h[X.cols], minlength=X.n_terms) for h in H], axis=1)
 
 
 def topic_doc_sums(X: TermDocMatrix, entry_weights: np.ndarray, W) -> np.ndarray:
-    """Accumulate ``sum_v weight_vd w_vk`` into a topics x documents array."""
+    """Accumulate ``sum_v weight_vd w_vk`` into a topics x documents array.
+
+    The entries of a document are contiguous in storage order, so each
+    topic's sums are one ``np.add.reduceat`` over the segments that
+    ``X.doc_ptr`` delimits, taken over the non-empty documents only (an
+    empty document's sum is 0).  The result is deterministic.
+    """
     W = np.asarray(W, dtype=float)
-    return np.stack([np.bincount(X.cols, entry_weights * w[X.rows], minlength=X.n_docs) for w in W.T])
+    out = np.zeros((W.shape[1], X.n_docs))
+    docs = np.flatnonzero(np.diff(X.doc_ptr))
+    starts = X.doc_ptr[docs]
+    if docs.size:
+        for sums, w in zip(out, np.ascontiguousarray(W.T)):
+            sums[docs] = np.add.reduceat(entry_weights * w[X.rows], starts)
+    return out

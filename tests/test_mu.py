@@ -6,10 +6,13 @@ import pytest
 import simplexnmf as snf
 from simplexnmf import mu
 from simplexnmf import objectives
-from simplexnmf.errors import DeadTopicError, MonotonicityError
+from simplexnmf.errors import DeadTopicError, DegenerateColumnError, MonotonicityError
 from simplexnmf.errors import NumericalError
 
 from helpers import planted_matrix, random_count_matrix, shared_inits
+
+# document 1 has no entries and term 2 none either
+EMPTY_DOC_1 = [[2.0, 0.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def _exact_product_factorization(seed, mode):
@@ -132,6 +135,26 @@ class TestJointBothnorm:
             wnorm = snf.mu_step_joint_wnorm(X, wnorm, epsilon_floor=0.0).factorization
             assert np.abs(both.W - wnorm.W).max() <= 1e-12
             assert np.abs(wnorm.H / lam[None, :] - both.H).max() <= 1e-12
+
+    def test_empty_document_is_named_as_a_document(self):
+        X = snf.TermDocMatrix.from_dense(EMPTY_DOC_1)
+        with pytest.raises(DegenerateColumnError, match=r"^degenerate document 1$") as info:
+            snf.fit(X, snf.FitConfig(n_topics=2, method="plsa"))
+        assert isinstance(info.value, NumericalError) and info.value.column == 1
+
+
+@pytest.mark.parametrize("method", [m for m in snf.METHODS if m != "plsa"])
+def test_other_methods_fit_an_empty_document(method):
+    X = snf.TermDocMatrix.from_dense(EMPTY_DOC_1)
+    config = snf.FitConfig(n_topics=2, method=method, max_iters=30, lambda_sparsity=0.5 * (method == "sparse"))
+    if method in snf.VI_METHODS:
+        W, state, trace = snf.fit_vi(X, config, snf.Priors(np.ones(2), np.ones(2) if method == "gap" else None))
+        assert np.all(np.isfinite(state.beta))
+    else:
+        f, trace = snf.fit(X, config)
+        W = f.W
+        assert not f.H[:, 1].any()
+    assert np.all(np.isfinite(W)) and np.all(np.isfinite(trace.objectives))
 
 
 class TestSparse:

@@ -294,6 +294,10 @@ class TestFromArrays:
         ([0, 1, 1], [0, 0, 1], [1.0, -2.0, np.nan], "negative", 1),
         ([0, 1, 1], [0, 0, 1], [1.0, np.inf, -2.0], "non-finite", 1),
         ([1, 0, 1, 0], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0], "duplicate", 2),
+        ([0, 0.5], [0, 0], [1.0, 1.0], "index", 1),
+        ([0, 1, 1], [0, np.inf, 1.5], [1.0, 1.0, 1.0], "index", 1),
+        ([0, 1], [0, np.nan], [1.0, 1.0], "index", 1),
+        ([5, 1.9], [0, 0], [-1.0, 1.0], "index", 1),
     ])
     def test_first_fault_in_input_order(self, rows, cols, vals, fault, entry):
         with pytest.raises(EntryError) as info:
@@ -303,6 +307,20 @@ class TestFromArrays:
     def test_range_is_checked_before_values(self):
         with pytest.raises(EntryError, match=r"out of range: \(0, 2\) outside 2 x 2"):
             snf.TermDocMatrix.from_arrays(2, 2, [0, 0], [0, 2], [-1.0, 1.0])
+
+    def test_non_integral_index_is_not_truncated(self):
+        with pytest.raises(EntryError, match=r"index not a finite whole number: \(0\.5, 0\)") as info:
+            snf.TermDocMatrix.from_arrays(2, 2, [0.5], [0], [1.0])
+        assert (info.value.fault, info.value.entry) == ("index", 0)
+        with pytest.raises(EntryError, match=r"index not a finite whole number: \(1\.9, 0\)") as info:
+            snf.TermDocMatrix.from_entries(2, 2, [(1, 1, 1.0), (1.9, 0, 1.0)])
+        assert (info.value.fault, info.value.entry) == ("index", 1)
+
+    def test_whole_float_indices_are_accepted(self):
+        X = snf.TermDocMatrix.from_arrays(2, 2, [1.0, 0.0], [0.0, 1.0], [2.0, 3.0])
+        Y = snf.TermDocMatrix.from_entries(2, 2, [(1, 0, 2.0), (0, 1, 3.0)])
+        for name in ("rows", "cols", "vals", "doc_ptr"):
+            assert np.array_equal(getattr(X, name), getattr(Y, name)) and getattr(X, name).dtype == getattr(Y, name).dtype
 
     @pytest.mark.parametrize("rows, cols, vals", [([0], [0, 1], [1.0, 1.0]), ([[0]], [[0]], [[1.0]])])
     def test_misshapen_arrays(self, rows, cols, vals):
