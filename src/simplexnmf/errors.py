@@ -14,9 +14,10 @@ class DataError(Exception):
 
 class EntryError(DataError):
     """A count-matrix entry fault: ``fault`` is ``"index"`` (an index that
-    is not a finite whole number), ``"range"``, ``"negative"``,
-    ``"non-finite"`` or ``"duplicate"``, and ``entry`` the position of the
-    entry in the arrays given to ``TermDocMatrix.from_arrays``."""
+    is not a finite whole number, or is a string, an object or a bool),
+    ``"range"``, ``"negative"``, ``"non-finite"`` or ``"duplicate"``, and
+    ``entry`` the position of the entry in the arrays given to
+    ``TermDocMatrix.from_arrays``."""
 
     def __init__(self, message: str, entry: int, fault: str):
         super().__init__(message)

@@ -1,15 +1,21 @@
 """Corpus ingestion, matrix interchange, and model persistence.
 
 Matrices travel as 1-indexed MatrixMarket coordinate files, models as JSON
-from ``json.dumps``, one key and one matrix row per line, with shortest
-round-trip floats and all-whole arrays as integers, so save/load round trips
-are value-exact and files byte-deterministic; loading checks every field's
-type.  The tokenizer is deliberately naive: lowercase, split on runs of
+from ``json.dumps`` with one top-level key per line.  A model's matrices
+(``W``, ``H``, ``beta``, ``b_rate``) are stored exactly, as the base64 of
+their little-endian float64 bytes (``format_version`` 2); scalars, the
+per-topic vectors and the trace stay plain JSON numbers in shortest
+round-trip form.  Save/load round trips are value-exact and files
+byte-deterministic, but the matrix entries cannot be read in a text editor:
+``topics`` and ``eval`` are the readers.  Version 1 files, whose matrices are
+JSON rows of numbers, still load.  Loading checks every field's type.  The
+tokenizer is deliberately naive: lowercase, split on runs of
 non-alphanumerics.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import re
@@ -24,6 +30,7 @@ from .errors import DataError, EntryError
 from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
+_MM_CHUNK = 1 << 16  # MatrixMarket entry lines parsed per pass
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -83,24 +90,38 @@ def load_matrix_market(path) -> TermDocMatrix:
 
 def _mm_entries(body: list[str]):
     """0-based ``rows``, ``cols`` and the ``vals`` of entry lines, or ``None``
-    unless every line is two 64-bit integers and a number."""
-    if set(map(len, map(str.split, body))) - {3}:
-        return None
-    fields, n = "\n".join(body).split(), len(body)
-    try:
-        ints = [np.fromiter(map(int, fields[i::3]), np.int64, n) - 1 for i in (0, 1)]
-        return (*ints, np.fromiter(map(float, fields[2::3]), float, n))
-    except (ValueError, OverflowError):
-        return None
+    unless every line is two 64-bit integers and a number.
+
+    The lines are parsed ``_MM_CHUNK`` at a time into preallocated arrays,
+    so the per-field string objects alive at once stay few: split in one
+    piece, a 400k-entry body held about 70 MB of them, and the process's
+    peak memory then varied by tens of MB with how the allocator had
+    reused its heap in earlier calls."""
+    n = len(body)
+    rows, cols, vals = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
+    for start in range(0, n, _MM_CHUNK):
+        chunk = body[start:start + _MM_CHUNK]
+        if set(map(len, map(str.split, chunk))) - {3}:
+            return None
+        fields = "\n".join(chunk).split()
+        try:
+            for i, (out, parse) in enumerate(((rows, int), (cols, int), (vals, float))):
+                out[start:start + len(chunk)] = np.fromiter(map(parse, fields[i::3]), out.dtype, len(chunk))
+        except (ValueError, OverflowError):
+            return None
+    return rows - 1, cols - 1, vals
 
 
 def save_matrix_market(path, X: TermDocMatrix) -> None:
     """Write the canonical text form; round trips through load are bit-identical."""
-    out = ["%%MatrixMarket matrix coordinate real general"]
-    out.append(f"{X.n_terms} {X.n_docs} {X.nnz}")
-    for v, d, value in zip(X.rows, X.cols, X.vals):
-        out.append(f"{v + 1} {d + 1} {_fmt(value)}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    finite = np.isfinite(X.vals)
+    if not finite.all():
+        raise DataError(f"non-finite value cannot be serialized: {X.vals[np.argmin(finite)]!r}")
+    body = "".join(
+        f"{v} {d} {x:.17g}\n" for v, d, x in zip((X.rows + 1).tolist(), (X.cols + 1).tolist(), X.vals.tolist())
+    )
+    header = f"%%MatrixMarket matrix coordinate real general\n{X.n_terms} {X.n_docs} {X.nnz}\n"
+    Path(path).write_text(header + body, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +201,10 @@ def load_vocabulary(path, min_count: int = 1) -> Vocabulary:
 # ---------------------------------------------------------------------------
 # Model files
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # the version save_model writes
+
+# the ``_KINDS`` entry of the matrix fields under each format_version that loads
+_MATRIX_KIND = {1: "matrix", 2: "array"}
 
 
 @dataclass
@@ -207,7 +231,7 @@ class ModelFile:
         """Raise ``DataError`` unless the model matches its method's registry record:
         the method's constraint mode, its fields with their shapes, finite
         non-negative factors and finite positive variational parameters."""
-        if self.format_version != FORMAT_VERSION:
+        if self.format_version not in _MATRIX_KIND:
             raise DataError(f"unsupported format_version: {self.format_version}")
         spec = METHOD_SPECS.get(self.method)
         if spec is None:
@@ -263,18 +287,39 @@ def _fmt(x: float) -> str:
 
 
 def _json_array(values) -> list:
-    """``values`` as nested lists; all-whole arrays as integers, which print without ``.0``."""
+    """``values`` as a list; all-whole arrays as integers, which print without ``.0``."""
     a = np.asarray(values, dtype=float)
     if np.all((a == np.trunc(a)) & (np.abs(a) < 2.0**53)):
         return a.astype(np.int64).tolist()
     return a.tolist()
 
 
-def save_model(path, model: ModelFile) -> None:
-    """Write the model as canonical JSON: fixed key order, one top-level key
-    and one matrix row per line, shortest round-trip floats.
+def _encoded(M) -> dict:
+    """A matrix as the ``format_version`` 2 object: dtype, shape and base64 of its bytes."""
+    M = np.ascontiguousarray(M, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(M.shape), "data": base64.b64encode(M.tobytes()).decode("ascii")}
 
-    Besides ``W`` the file holds the fields the method's registry record names.
+
+def _decoded(value: dict) -> np.ndarray:
+    """The writable native float64 matrix of a ``format_version`` 2 object
+    (``_KINDS`` checked its dtype and shape).  Bad base64, a byte count that
+    is not a multiple of 8 and an entry count other than ``rows * cols``
+    each raise ``ValueError`` (from ``b64decode``, ``frombuffer`` and
+    ``reshape``)."""
+    data = base64.b64decode(value["data"], validate=True)
+    return np.frombuffer(data, "<f8").astype(float).reshape(value["shape"])
+
+
+def save_model(path, model: ModelFile) -> None:
+    """Write the model as ``format_version`` 2 JSON: fixed key order, one
+    top-level key per line.
+
+    ``W`` and the matrices the method's registry record names (``H``,
+    ``beta``, ``b_rate``) are written as ``{"dtype": "<f8", "shape": [rows,
+    cols], "data": "<base64>"}``, the standard base64 alphabet without line
+    breaks over the little-endian float64 bytes in row-major order, so they
+    load bit for bit.  Scalars, ``alpha``, ``rate_a`` and the trace are JSON
+    numbers: shortest round-trip floats, all-whole lists as integers.
     """
     model.validate()
     doc: dict = {
@@ -286,31 +331,38 @@ def save_model(path, model: ModelFile) -> None:
         "constraint_mode": model.constraint_mode,
         "lambda_sparsity": float(model.lambda_sparsity),
         "final_objective": float(model.final_objective),
-        "W": _json_array(model.W),
+        "W": _encoded(model.W),
     }
     for name in METHOD_SPECS[model.method].model_fields:
-        doc[name] = _json_array(getattr(model, name))
+        value = getattr(model, name)
+        doc[name] = _json_array(value) if name in _PER_TOPIC_FIELDS else _encoded(value)
     if model.trace is not None:
         doc["trace"] = {
             "objectives": _json_array(model.trace.objectives),
             "recon_evals": _json_array(model.trace.recon_evals),
             "millis": _json_array(np.asarray(model.trace.seconds, dtype=float) * 1000.0),
         }
-    lines = []
+    # every value is serialized before the file is opened; the pieces are
+    # written one by one, never joined into one copy of the whole file
+    pieces = ["{\n"]
     try:
         for key, value in doc.items():
-            if isinstance(value, list) and value and isinstance(value[0], list):
-                value = "[\n" + ",\n".join("    " + json.dumps(row, allow_nan=False) for row in value) + "\n  ]"
-            else:
-                value = json.dumps(value, allow_nan=False)
-            lines.append(f"  {json.dumps(key)}: {value}")
+            pieces += f"  {json.dumps(key)}: ", json.dumps(value, allow_nan=False), ",\n"
     except ValueError as exc:
         raise DataError(f"non-finite value cannot be serialized at {key}: {exc}") from exc
-    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    pieces[-1] = "\n}\n"
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(pieces)
 
 
 def load_model(path) -> ModelFile:
-    """Read and validate a model file; schema errors name the offending field."""
+    """Read and validate a model file; schema errors name the offending field.
+
+    Reads ``format_version`` 2, whose matrices are base64 float64 objects
+    (see ``save_model``), and version 1, whose matrices are JSON lists of
+    equal-length rows of numbers.  The arrays come back as writable native
+    float64 arrays either way.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -318,8 +370,9 @@ def load_model(path) -> ModelFile:
     if not isinstance(doc, dict):
         raise DataError("schema violation at top level: expected an object")
     version = _field(doc, "format_version", "integer", None)
-    if version != FORMAT_VERSION:
+    if version not in _MATRIX_KIND:
         raise DataError(f"unsupported format_version: {version}")
+    matrix = _MATRIX_KIND[version]
     trace = _field(doc, "trace", "object", None)
     model = ModelFile(
         method=_field(doc, "method", "string"),
@@ -327,9 +380,9 @@ def load_model(path) -> ModelFile:
         n_docs=_field(doc, "n_docs", "integer"),
         n_topics=_field(doc, "n_topics", "integer"),
         constraint_mode=_field(doc, "constraint_mode", "string"),
-        W=_field(doc, "W", "matrix"),
+        W=_field(doc, "W", matrix),
         **{
-            name: _field(doc, name, "numbers" if name in _PER_TOPIC_FIELDS else "matrix", None)
+            name: _field(doc, name, "numbers" if name in _PER_TOPIC_FIELDS else matrix, None)
             for name in ("H", "beta", "b_rate", "alpha", "rate_a")
         },
         lambda_sparsity=_field(doc, "lambda_sparsity", "number", 0.0),
@@ -359,6 +412,12 @@ _KINDS = {  # kind: (what a schema error says is expected, check of the value js
         lambda v: type(v) is list and set(map(type, v)) == {list} and len(set(map(len, v))) == 1
         and set(map(type, chain.from_iterable(v))) <= _NUMBER,
     ),
+    "array": (
+        'an object {"dtype": "<f8", "shape": [rows, cols], "data": "<base64 of rows * cols finite float64s>"}',
+        lambda v: type(v) is dict and v.get("dtype") == "<f8" and type(v.get("data")) is str
+        and type(v.get("shape")) is list and len(v["shape"]) == 2
+        and all(type(n) is int and n > 0 for n in v["shape"]),
+    ),
     "object": ("an object", lambda v: type(v) is dict),
 }
 
@@ -366,18 +425,24 @@ _KINDS = {  # kind: (what a schema error says is expected, check of the value js
 def _field(doc: dict, name: str, kind: str, default=_REQUIRED, prefix: str = ""):
     """``doc[name]`` checked to be of ``kind`` (a key of ``_KINDS``), or ``default`` if absent.
 
-    A number comes back as a ``float``, lists of numbers and matrices as
-    float arrays; entry types are checked in one pass over the whole list.
+    A number comes back as a ``float``, lists of numbers and matrices (rows
+    of numbers or base64 objects) as float arrays of finite entries; entry
+    types are checked in one pass over the whole list.
     """
     if name not in doc and default is not _REQUIRED:
         return default
     expected, check = _KINDS[kind]
     value = doc.get(name)
     ok = check(value)
-    if ok and kind in ("number", "numbers", "matrix"):
+    if ok and kind in ("number", "numbers", "matrix", "array"):
         try:
-            value = float(value) if kind == "number" else np.asarray(value, dtype=float)
-        except OverflowError:  # an integer beyond the float range
+            if kind == "number":
+                value = float(value)
+            elif kind == "array":
+                value = _decoded(value)
+            else:
+                value = np.asarray(value, dtype=float)
+        except (OverflowError, ValueError):  # an integer beyond the float range; bad base64 or byte count
             ok = False
         else:
             ok = bool(np.all(np.isfinite(value)))

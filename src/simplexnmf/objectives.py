@@ -89,17 +89,36 @@ def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
 
     At ``candidate == anchor`` this equals the KL divergence up to the
     dropped count-only constant ``sum x log x - sum x``.
+
+    Topic-major: one topic at a time, ``phi_k`` is formed at the stored
+    entries and ``log(w h / phi)`` is split into ``log w + log h - log phi``,
+    each gathered in turn and weighted by ``x phi_k`` in its own dot
+    product.  No ``nnz x K`` array is formed; the working memory is three
+    ``nnz``-vectors.  An entry with ``phi_k <= 0`` adds nothing.
     """
     W, H = (np.asarray(m, dtype=float) for m in candidate)
     Wa, Ha = (np.asarray(m, dtype=float) for m in anchor)
     recon_anchor = _checked_reconstruction(X, Wa, Ha)
-    # per-entry topic responsibilities at the anchor, shape (nnz, K)
-    phi = (Wa[X.rows, :] * Ha[:, X.cols].T) / recon_anchor[:, None]
-    cand = W[X.rows, :] * H[:, X.cols].T
+    total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(phi > 0, phi * np.log(cand / np.where(phi > 0, phi, 1.0)), 0.0)
-    weighted = X.vals[:, None] * logs
-    return float(-np.sum(weighted) + reconstruction_total(W, H))
+        for k in range(W.shape[1]):
+            phi = Wa[X.rows, k]
+            phi *= Ha[k, X.cols]
+            phi /= recon_anchor
+            unheld = ~(phi > 0)
+            log_phi = np.log(phi)
+            phi *= X.vals
+            total -= _masked_dot(phi, log_phi, unheld)
+            del log_phi  # freed before the next gather, so at most three nnz-vectors live
+            total += _masked_dot(phi, np.log(W[:, k])[X.rows], unheld)
+            total += _masked_dot(phi, np.log(H[k])[X.cols], unheld)
+    return float(-total + reconstruction_total(W, H))
+
+
+def _masked_dot(weights: np.ndarray, logs: np.ndarray, unheld: np.ndarray) -> float:
+    """``weights @ logs`` with the ``unheld`` entries of ``logs`` (modified in place) taken as 0."""
+    logs[unheld] = 0.0
+    return weights @ logs
 
 
 # ---------------------------------------------------------------------------

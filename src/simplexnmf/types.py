@@ -59,9 +59,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _whole(a: np.ndarray) -> np.ndarray:
-    """Which entries of an integer or float array are finite whole numbers."""
+    """Which entries of an index array are finite whole numbers: every entry
+    of an integer array, none of an array of strings, objects or bools."""
     if a.dtype.kind in "iu":
         return np.ones(a.shape, bool)
+    if a.dtype.kind != "f":
+        return np.zeros(a.shape, bool)
     return np.isfinite(a) & (a == np.floor(a))
 
 
@@ -94,7 +97,8 @@ class TermDocMatrix:
         arrays, indices that are finite whole numbers, indices in range,
         finite non-negative counts, and no ``(term, doc)`` pair twice
         (zeros included).  An entry fault raises ``EntryError`` naming the
-        first offending entry in input order.  One stable sort into
+        first offending entry in input order; an index array of strings,
+        objects or bools is an ``index`` fault from its first entry on.  One stable sort into
         document-major order also finds the duplicates as adjacent equal
         pairs; zeros are dropped after it.
         """
@@ -103,7 +107,6 @@ class TermDocMatrix:
         rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, float)
         if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
             raise DataError("rows, cols and vals must be 1-d arrays of equal length")
-        rows, cols = (a if a.dtype.kind in "iu" else a.astype(float) for a in (rows, cols))
         bad = ~(_whole(rows) & _whole(cols))
         if bad.any():
             e = int(np.argmax(bad))

@@ -1,7 +1,9 @@
 """Matrix interchange, corpus ingestion, and model persistence."""
 
+import base64
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,32 @@ class TestMatrixMarket:
         assert np.array_equal(again.vals, X.vals)
 
 
+def test_matrix_market_text_is_pinned(tmp_path):
+    X = snf.TermDocMatrix.from_entries(3, 2, [(2, 1, 5e-324), (0, 0, 2.0), (1, 0, 0.1 + 0.2), (0, 1, 1 / 3)])
+    path = tmp_path / "m.mtx"
+    snf.save_matrix_market(path, X)
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n3 2 4\n"
+        b"1 1 2\n2 1 0.30000000000000004\n1 2 0.33333333333333331\n3 2 4.9406564584124654e-324\n"
+    )
+
+
+def test_matrix_market_body_parsed_in_chunks(tmp_path, monkeypatch):
+    X = random_count_matrix(0, n_terms=9, n_docs=7)
+    path = tmp_path / "m.mtx"
+    snf.save_matrix_market(path, X)
+    monkeypatch.setattr("simplexnmf.io._MM_CHUNK", 3)
+    assert X.nnz > 3 * 3
+    again = snf.load_matrix_market(path)
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(again, name), getattr(X, name))
+    lines = path.read_text().splitlines()
+    lines[2 + 7] = "1 1"  # the 8th entry, in the third chunk
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="malformed entry at line 10"):
+        snf.load_matrix_market(path)
+
+
 class TestIngest:
     def _write(self, tmp_path, docs):
         for name, text in docs.items():
@@ -135,6 +163,118 @@ def _mu_model():
     )
 
 
+_MU_W, _MU_H = _mu_model().W, _mu_model().H  # the factors the malformed version 2 fields encode
+
+# format_version 1 files written by the version 1 writer: each method fitted for
+# 3 iterations (K=2) on counts.mtx, with a trace whose timings were set by hand
+V1 = Path(__file__).parent / "data" / "v1"
+
+# the arrays those files hold, as the shortest round-trip text of each float
+V1_ARRAYS = {
+    "mu": {
+        "W": [[0.22439082048870027, 0.00028694881264273005], [0.09898274178761313, 2.080211750188289],
+              [0.09515423686065731, 1.3428607545550328], [0.3726574773041031, 0.01426610490649745]],
+        "H": [[8.8442095264779, 0.2530906056808652, 3.9384490916814174],
+              [0.000753904358321814, 1.1053438993161473, 0.2571417542765497]],
+        "final_objective": 3.0560764761406887,
+        "objectives": [6.905543983371388, 4.274218187033904, 3.0560764761406887],
+        "recon_evals": [2, 2, 2],
+    },
+    "mu-joint": {
+        "W": [[0.27152225288168624, 0.0012827582463025718], [0.24099482077916878, 0.33799325664319463],
+              [0.05539014916878179, 0.6017836341806773], [0.4320927771703632, 0.05894035092982546]],
+        "H": [[6.928762864775911, 1.8852239903663777, 2.216076053786706],
+              [0.0712371352240888, 2.1147760096336223, 1.783923946213294]],
+        "final_objective": 4.72692575651816,
+        "objectives": [6.637828513057784, 5.658136752101367, 4.72692575651816],
+    },
+    "plsa": {
+        "W": [[0.27152225288168624, 0.0012827582463025722], [0.24099482077916884, 0.3379932566431946],
+              [0.05539014916878179, 0.6017836341806773], [0.4320927771703632, 0.05894035092982546]],
+        "H": [[0.9898232663965587, 0.47130599759159447, 0.5540190134466765],
+              [0.010176733603441257, 0.5286940024084056, 0.4459809865533235]],
+        "final_objective": 17.438651688864475,
+        "objectives": [19.349554445404102, 18.369862684447682, 17.438651688864475],
+    },
+    "sparse": {
+        "W": [[0.2715222528816863, 0.0012827582463025716], [0.24099482077916878, 0.3379932566431946],
+              [0.0553901491687818, 0.6017836341806774], [0.43209277717036315, 0.05894035092982547]],
+        "H": [[5.543010291820729, 1.5081791922931023, 1.7728608430293646],
+              [0.056989708179271036, 1.6918208077068975, 1.4271391569706349]],
+        "lambda_sparsity": 0.25,
+        "final_objective": 8.074079026231306,
+        "objectives": [9.98498178277093, 9.005290021814512, 8.074079026231306],
+    },
+    "lda": {
+        "W": [[0.38390584272222184, 0.1422878653576889], [0.5956683499789739, 0.16342149966266822],
+              [0.016764631448133734, 0.25750173080184036], [0.0036611758506705713, 0.4367889041778025]],
+        "beta": [[1.9794571500325728, 2.238669044417148, 0.8647281489114858],
+                 [7.020542849967428, 3.7613309555828525, 5.135271851088515]],
+        "alpha": [0.5, 1.5],
+        "final_objective": -21.91027673049875,
+        "objectives": [-22.448435633005918, -22.245686035005384, -21.91027673049875],
+    },
+    "gap": {
+        "W": [[0.3798620080728602, 0.09449896392905832], [0.5781618087957452, 0.08395403837014204],
+              [0.03516898031745097, 0.2966843611914656], [0.006807202813943642, 0.5248626365093342]],
+        "beta": [[2.7447810767487995, 3.1304239148853994, 1.170416887373562],
+                 [6.2552189232512, 2.869576085114601, 4.8295831126264375]],
+        "b_rate": [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]],
+        "alpha": [0.5, 1.5],
+        "rate_a": [1.0, 2.0],
+        "final_objective": -19.00192025292283,
+        "objectives": [-19.725216038364845, -19.3783106535145, -19.00192025292283],
+    },
+}
+
+_ARRAY_FIELDS = ("W", "H", "beta", "b_rate", "alpha", "rate_a")
+
+
+def _matrix_object(M, **changes) -> dict:
+    """The format_version 2 form of matrix ``M``, with ``changes`` to its keys."""
+    M = np.asarray(M, dtype="<f8")
+    value = {"dtype": "<f8", "shape": list(M.shape), "data": base64.b64encode(M.tobytes()).decode("ascii")}
+    return {**value, **changes}
+
+
+class TestVersion1Files:
+    @pytest.mark.parametrize("method", snf.METHODS)
+    def test_fixture_loads_the_pinned_arrays(self, tmp_path, method):
+        pinned = V1_ARRAYS[method]
+        path = V1 / f"{method}.json"
+        assert '"format_version": 1,' in path.read_text()
+        model = snf.load_model(path)
+        assert model.method == method and model.format_version == 1
+        for name in _ARRAY_FIELDS:
+            loaded = getattr(model, name)
+            if name not in pinned:
+                assert loaded is None, name
+                continue
+            assert np.array_equal(loaded, pinned[name]), name
+            assert loaded.dtype == np.float64 and loaded.flags.writeable, name
+        assert model.lambda_sparsity == pinned.get("lambda_sparsity", 0.0)
+        assert model.final_objective == pinned["final_objective"]
+        assert model.trace.objectives == pinned["objectives"]
+        assert model.trace.recon_evals == pinned.get("recon_evals", [1, 1, 1])
+        assert model.trace.seconds == [0.001, 0.0025, 0.004]
+        # saved again it is a version 2 file with the same values, and saves repeat byte for byte
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        snf.save_model(first, model)
+        snf.save_model(second, snf.load_model(first))
+        assert first.read_bytes() == second.read_bytes()
+        assert '"format_version": 2,' in first.read_text()
+        again = snf.load_model(first)
+        for name in pinned.keys() & set(_ARRAY_FIELDS):
+            assert np.array_equal(getattr(again, name), pinned[name]), name
+
+    def test_cli_reads_a_version_1_file(self, capsys):
+        from simplexnmf.cli import main
+
+        assert main(["eval", "--model", str(V1 / "gap.json"), "--input", str(V1 / "counts.mtx")]) == 0
+        assert main(["topics", "--model", str(V1 / "gap.json"), "--vocab", str(V1 / "vocab.txt"), "--top", "2"]) == 0
+        assert "topic 1:" in capsys.readouterr().out
+
+
 class TestModelFiles:
     def test_round_trip_value_identical(self, tmp_path):
         model = _mu_model()
@@ -187,12 +327,23 @@ class TestModelFiles:
             snf.load_model(path)
 
     def test_unsupported_version(self, tmp_path):
-        model = _mu_model()
         path = tmp_path / "m.json"
-        snf.save_model(path, model)
-        path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
-        with pytest.raises(DataError, match="unsupported format_version"):
+        path.write_text((V1 / "mu-joint.json").read_text().replace('"format_version": 1', '"format_version": 3'))
+        with pytest.raises(DataError, match="unsupported format_version: 3"):
             snf.load_model(path)
+
+    def test_unsupported_version_of_a_version_2_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        snf.save_model(path, _mu_model())
+        text = path.read_text()
+        assert '"format_version": 2,' in text
+        path.write_text(text.replace('"format_version": 2', '"format_version": 3'))
+        with pytest.raises(DataError, match="unsupported format_version: 3"):
+            snf.load_model(path)
+        model = _mu_model()
+        model.format_version = 3
+        with pytest.raises(DataError, match="unsupported format_version: 3"):
+            model.validate()
 
     def test_schema_violation_field_path(self, tmp_path):
         model = _mu_model()
@@ -219,23 +370,62 @@ class TestModelFiles:
         model.final_objective = final
         with pytest.raises(DataError, match="non-finite value cannot be serialized"):
             snf.save_model(tmp_path / "m.json", model)
+        assert not (tmp_path / "m.json").exists()
 
     def test_seventeen_digit_text_loads_to_the_same_arrays(self, tmp_path):
+        pinned = V1_ARRAYS["gap"]
+        path = tmp_path / "m.json"
+        # every number as the 17-significant-digit text of format_version 1's first writer
+        old = re.sub(r"-?\d[\d.e+-]*", lambda m: format(float(m[0]), ".17g"), (V1 / "gap.json").read_text())
+        assert "-19.001920252922829" in old and '"format_version": 1,' in old
+        path.write_text(old)
+        again = snf.load_model(path)
+        for name in ("W", "beta", "b_rate", "alpha", "rate_a"):
+            assert np.array_equal(getattr(again, name), pinned[name])
+        assert again.trace.objectives == pinned["objectives"]
+        assert again.trace.seconds == [0.001, 0.0025, 0.004]
+
+    def test_seventeen_digit_text_of_a_version_2_file_loads_to_the_same_arrays(self, tmp_path):
         model = _gap_model()
         model.trace = snf.FitTrace([-3.0, 1 / 3], [1, 1], [0.001, 0.0123])
+        model.final_objective = 1 / 3
         path = tmp_path / "m.json"
         snf.save_model(path, model)
-        # every number as the 17-significant-digit text of format_version 1's first writer
-        old = re.sub(r"-?\d[\d.e+-]*", lambda m: format(float(m[0]), ".17g"), path.read_text())
-        assert "0.33333333333333331" in old
+        # the numbers outside the matrices' base64 as 17-significant-digit text
+        lines = path.read_text().splitlines(keepends=True)
+        old = "".join(
+            line if '"data": "' in line else re.sub(r"-?\d[\d.e+-]*", lambda m: format(float(m[0]), ".17g"), line)
+            for line in lines
+        )
+        assert old.count("0.33333333333333331") == 2 and '"format_version": 2,' in old
         path.write_text(old)
         again = snf.load_model(path)
         for name in ("W", "beta", "b_rate", "alpha", "rate_a"):
             assert np.array_equal(getattr(again, name), getattr(model, name))
+        assert again.final_objective == 1 / 3
         assert again.trace.objectives == model.trace.objectives
         assert again.trace.seconds == model.trace.seconds
 
     def test_save_load_save_is_exact_and_byte_identical(self, tmp_path):
+        # the extremes written into a version 1 file's text load exactly and survive re-saving
+        text = (V1 / "gap.json").read_text()
+        row = '[2.7447810767487995, 3.1304239148853994, 1.170416887373562]'
+        assert '"b_rate": [\n    [2, 2, 2],\n    [3, 3, 3]\n  ],' in text and row in text
+        v1 = tmp_path / "v1.json"
+        v1.write_text(text.replace(row, "[5e-324, 1.7976931348623157e+308, 0.1]"))
+        extremes = [5e-324, 1.7976931348623157e308, 0.1]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        loaded = snf.load_model(v1)
+        assert np.array_equal(loaded.beta[0], extremes)
+        snf.save_model(first, loaded)
+        again = snf.load_model(first)
+        snf.save_model(second, again)
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(again.beta[0], extremes)
+        assert np.array_equal(again.beta[1], V1_ARRAYS["gap"]["beta"][1])
+        assert np.array_equal(again.b_rate, V1_ARRAYS["gap"]["b_rate"])
+
+    def test_version_2_save_load_save_is_exact_and_byte_identical(self, tmp_path):
         model = _gap_model()
         extremes = [5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
         model.beta.flat[: len(extremes)] = extremes
@@ -249,9 +439,28 @@ class TestModelFiles:
         assert np.array_equal(again.beta, model.beta)
         assert np.array_equal(again.b_rate, model.b_rate)
         assert again.final_objective == 1 / 3
-        text = first.read_text()
-        assert '"b_rate": [\n    [2, 2, 2],\n    [2, 2, 2]\n  ],' in text
-        assert "[5e-324, 1.7976931348623157e+308, 0.1]" in text
+        for name in ("W", "beta", "b_rate", "alpha", "rate_a"):
+            value = getattr(again, name)
+            assert value.dtype == np.float64 and value.flags.writeable, name
+        again.beta[0, 0] = 1.0  # writable arrays, not views of the file's bytes
+        # the layout: one top-level key per line, matrices as base64 objects, vectors as numbers
+        assert first.read_text() == "{\n" + ",\n".join([
+            '  "format_version": 2',
+            '  "method": "gap"',
+            '  "n_terms": 4',
+            '  "n_docs": 3',
+            '  "n_topics": 2',
+            '  "constraint_mode": "w-simplex"',
+            '  "lambda_sparsity": 0.0',
+            '  "final_objective": 0.3333333333333333',
+            '  "W": ' + json.dumps(_matrix_object(model.W)),
+            '  "beta": ' + json.dumps(_matrix_object(model.beta)),
+            # six little-endian 2.0s: bytes 00 00 00 00 00 00 00 40
+            '  "b_rate": {"dtype": "<f8", "shape": [2, 3], "data": '
+            '"AAAAAAAAAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAABA"}',
+            '  "alpha": [0.5, 0.5]',
+            '  "rate_a": [0.5, 0.5]',
+        ]) + "\n}\n"
 
     def test_trace_csv_columns(self, tmp_path):
         trace = snf.FitTrace([2.0, 1.0], [2, 2], [0.01, 0.02])
@@ -285,8 +494,15 @@ class TestNonFiniteAndInconsistentInput:
     @pytest.mark.parametrize("field, bad", [("W", "NaN"), ("H", "-1.0")])
     def test_load_rejects_bad_factor_values(self, tmp_path, field, bad):
         path = tmp_path / "m.json"
+        path.write_text(_with_first_entry((V1 / "mu-joint.json").read_text(), field, bad))
+        with pytest.raises(DataError, match=f"schema violation at {field}"):
+            snf.load_model(path)
+
+    @pytest.mark.parametrize("field, bad", [("W", np.nan), ("W", np.inf), ("H", -1.0)])
+    def test_load_rejects_bad_factor_values_in_a_version_2_file(self, tmp_path, field, bad):
+        path = tmp_path / "m.json"
         snf.save_model(path, _mu_model())
-        path.write_text(_with_first_entry(path.read_text(), field, bad))
+        path.write_text(_with_first_value(path.read_text(), field, bad))
         with pytest.raises(DataError, match=f"schema violation at {field}"):
             snf.load_model(path)
 
@@ -313,6 +529,23 @@ class TestNonFiniteAndInconsistentInput:
     def test_eval_of_a_bad_model_is_a_data_error(self, tmp_path, capsys, corrupt):
         from simplexnmf.cli import main
 
+        path = tmp_path / "model.json"
+        path.write_text(corrupt((V1 / "mu-joint.json").read_text()))
+        assert main(["eval", "--model", str(path), "--input", str(V1 / "counts.mtx")]) == 2
+        assert "schema violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text.replace('"constraint_mode": "w-simplex"', '"constraint_mode": "unconstrained"'),
+            lambda text: _with_first_value(text, "W", np.nan),
+            lambda text: _with_first_value(text, "H", -1.0),
+        ],
+        ids=["constraint_mode", "W-nan", "H-negative"],
+    )
+    def test_eval_of_a_bad_version_2_model_is_a_data_error(self, tmp_path, capsys, corrupt):
+        from simplexnmf.cli import main
+
         matrix = tmp_path / "m.mtx"
         snf.save_matrix_market(matrix, random_count_matrix(4, n_terms=4, n_docs=3))
         path = tmp_path / "model.json"
@@ -320,7 +553,6 @@ class TestNonFiniteAndInconsistentInput:
         path.write_text(corrupt(path.read_text()))
         assert main(["eval", "--model", str(path), "--input", str(matrix)]) == 2
         assert "schema violation" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize(
         "key, value, field",
@@ -336,6 +568,23 @@ class TestNonFiniteAndInconsistentInput:
             ("final_objective", [1], "final_objective"),
             ("final_objective", float("nan"), "final_objective"),
             ("n_terms", True, "n_terms"),
+            pytest.param("W", _matrix_object(_MU_W, dtype="<f4"), "W", id="W-dtype-f4"),
+            pytest.param("W", _matrix_object(_MU_W, dtype=">f8"), "W", id="W-dtype-big-endian"),
+            pytest.param("W", _matrix_object(_MU_W, shape=[4, 2, 1]), "W", id="W-shape-three-numbers"),
+            pytest.param("W", _matrix_object(_MU_W, shape=[True, 8]), "W", id="W-shape-bool"),
+            pytest.param("W", _matrix_object(_MU_W, shape=[0, 2], data=""), "W", id="W-shape-zero"),
+            pytest.param("H", _matrix_object(_MU_H, shape=[2.0, 3]), "H", id="H-shape-float"),
+            pytest.param("W", _matrix_object(_MU_W, data=_matrix_object(_MU_W[:3])["data"]), "W",
+                         id="W-short-data"),
+            pytest.param("W", _matrix_object(_MU_W, data=_matrix_object(_MU_W)["data"][:-4]), "W",
+                         id="W-data-cut"),
+            pytest.param("W", _matrix_object(_MU_W, data="not base64!"), "W", id="W-bad-base64"),
+            pytest.param("W", _matrix_object(_MU_W, data=_matrix_object(_MU_W)["data"][:40] + "\n"
+                                             + _matrix_object(_MU_W)["data"][40:]), "W", id="W-line-break"),
+            pytest.param("H", _matrix_object(_MU_H, data=7), "H", id="H-data-number"),
+            pytest.param("H", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "H", id="H-version-1-rows"),
+            pytest.param("W", _matrix_object(np.where(np.eye(4, 2) == 1, np.nan, _MU_W)), "W", id="W-nan"),
+            pytest.param("H", _matrix_object(-_MU_H), "H", id="H-negative"),
         ],
     )
     def test_eval_of_a_malformed_field_is_a_data_error(self, tmp_path, capsys, key, value, field):
@@ -361,9 +610,18 @@ class TestNonFiniteAndInconsistentInput:
             snf.load_model(path)
 
 def _with_first_entry(text, field, value):
-    """A saved model's text with the first entry of matrix ``field`` replaced."""
+    """A version 1 model's text with the first entry of matrix ``field`` replaced."""
     row = text.index("[", text.index(f'"{field}": [') + len(f'"{field}": ['))
     return text[: row + 1] + value + text[text.index(",", row):]
+
+
+def _with_first_value(text, field, value):
+    """A version 2 model's text with the first entry of matrix ``field`` set to ``value``."""
+    doc = json.loads(text)
+    M = np.frombuffer(base64.b64decode(doc[field]["data"]), "<f8").reshape(doc[field]["shape"]).copy()
+    M.flat[0] = value
+    doc[field] = _matrix_object(M)
+    return json.dumps(doc)
 
 
 def _gap_model():

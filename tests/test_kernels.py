@@ -5,6 +5,9 @@ in their own orders, so they are checked against ``(W @ H)[rows, cols]``,
 ``R @ H.T`` and ``(R.T @ W).T`` (``R`` the dense matrix of the entry
 weights) within 1e-12 relative, over random shapes that include empty
 documents, unused terms, a single topic, a single entry and no entry.
+``objectives.joint_aux``, topic-major as well, is checked against the
+entry-by-topic form of its sum.  Each of them must work in memory linear in
+the entries, with no ``nnz x K`` temporary.
 """
 
 import tracemalloc
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import simplexnmf as snf
-from simplexnmf import types
+from simplexnmf import objectives, types
 
 KERNEL_RTOL = 1e-12
 
@@ -57,7 +60,36 @@ def test_no_topic_reconstructs_zeros():
     assert recon.shape == (3,) and not recon.any()
 
 
-@pytest.mark.parametrize("kernel", ["reconstruct_nonzeros", "term_topic_sums", "topic_doc_sums"])
+def _joint_aux_by_entry_and_topic(X, candidate, anchor):
+    """``joint_aux`` summed over one ``nnz x K`` array of the entry-by-topic terms."""
+    (W, H), (Wa, Ha) = candidate, anchor
+    phi = Wa[X.rows, :] * Ha[:, X.cols].T
+    phi /= phi.sum(axis=1, keepdims=True)
+    cand = W[X.rows, :] * H[:, X.cols].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(phi > 0, phi * np.log(cand / np.where(phi > 0, phi, 1.0)), 0.0)
+    return float(-np.sum(X.vals[:, None] * logs) + W.sum(axis=0) @ H.sum(axis=1))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_joint_aux_matches_the_entry_by_topic_sum(seed):
+    rng = np.random.default_rng(seed)
+    n_terms, n_docs, n_topics = rng.integers(1, 12, size=3)
+    dense = rng.poisson(1.0, size=(n_terms, n_docs)).astype(float)
+    dense[0, 0] += 1.0
+    X = snf.TermDocMatrix.from_dense(dense)
+    anchor = (rng.gamma(1.0, 1.0, size=(n_terms, n_topics)), rng.gamma(1.0, 1.0, size=(n_topics, n_docs)))
+    candidate = (rng.gamma(1.0, 1.0, size=(n_terms, n_topics)), rng.gamma(1.0, 1.0, size=(n_topics, n_docs)))
+    if n_topics > 1:  # responsibilities of 0: those entry-topic terms add nothing
+        anchor[0][:, 1:][rng.random((n_terms, n_topics - 1)) < 0.3] = 0.0
+    for point in (candidate, anchor):
+        want = _joint_aux_by_entry_and_topic(X, point, anchor)
+        assert objectives.joint_aux(X, point, anchor) == pytest.approx(want, rel=KERNEL_RTOL, abs=0)
+    candidate[0][X.rows[0], :] = 0.0  # an entry the candidate cannot reconstruct
+    assert objectives.joint_aux(X, candidate, anchor) == np.inf == _joint_aux_by_entry_and_topic(X, candidate, anchor)
+
+
+@pytest.mark.parametrize("kernel", ["reconstruct_nonzeros", "term_topic_sums", "topic_doc_sums", "joint_aux"])
 def test_kernel_memory_is_linear_in_the_entries(kernel):
     # K=20 topics over about 100k entries: an nnz x K temporary would take 20 x nnz x 8 bytes
     rng = np.random.default_rng(0)
@@ -66,14 +98,15 @@ def test_kernel_memory_is_linear_in_the_entries(kernel):
     W = rng.random((X.n_terms, 20))
     H = rng.random((20, X.n_docs))
     weights = rng.random(X.nnz)
-    args = {
-        "reconstruct_nonzeros": (X, W, H),
-        "term_topic_sums": (X, weights, H),
-        "topic_doc_sums": (X, weights, W),
+    function, *args = {
+        "reconstruct_nonzeros": (types.reconstruct_nonzeros, X, W, H),
+        "term_topic_sums": (types.term_topic_sums, X, weights, H),
+        "topic_doc_sums": (types.topic_doc_sums, X, weights, W),
+        "joint_aux": (objectives.joint_aux, X, (W, H), (rng.random(W.shape), rng.random(H.shape))),
     }[kernel]
     tracemalloc.start()
     try:
-        getattr(types, kernel)(*args)
+        function(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -298,11 +298,21 @@ class TestFromArrays:
         ([0, 1, 1], [0, np.inf, 1.5], [1.0, 1.0, 1.0], "index", 1),
         ([0, 1], [0, np.nan], [1.0, 1.0], "index", 1),
         ([5, 1.9], [0, 0], [-1.0, 1.0], "index", 1),
+        (["0", "a"], [0, 0], [1.0, 1.0], "index", 0),
+        ([0, 1], [False, True], [1.0, 1.0], "index", 0),
+        (np.array([0, None], dtype=object), [0, 0], [1.0, 1.0], "index", 0),
+        (np.array([0, 1], dtype=object), [0, 1], [1.0, 1.0], "index", 0),
     ])
     def test_first_fault_in_input_order(self, rows, cols, vals, fault, entry):
         with pytest.raises(EntryError) as info:
             snf.TermDocMatrix.from_arrays(2, 2, rows, cols, vals)
         assert (info.value.fault, info.value.entry) == (fault, entry)
+
+    @pytest.mark.parametrize("index", ["a", True, None])
+    def test_non_numeric_or_bool_index_from_entries(self, index):
+        with pytest.raises(EntryError, match=r"index not a finite whole number") as info:
+            snf.TermDocMatrix.from_entries(2, 2, [(index, 0, 1.0)])
+        assert (info.value.fault, info.value.entry) == ("index", 0)
 
     def test_range_is_checked_before_values(self):
         with pytest.raises(EntryError, match=r"out of range: \(0, 2\) outside 2 x 2"):
