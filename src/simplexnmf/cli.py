@@ -268,10 +268,8 @@ def _cmd_compare(args) -> int:
             dev_h = max(dev_h, float(np.abs(penalized.H * (1.0 + lam) - plain.H).max() / max(1.0, np.abs(plain.H).max())))
             offset = sparse_objective(X, penalized.W, penalized.H, lam) - kl_divergence(X, plain.W, plain.H)
             dev_obj = max(dev_obj, abs(offset - np.log1p(lam) * total) / max(1.0, abs(offset)))
-        ok = _report(
-            {"W iterates": dev_w, "H iterates * (1+lambda)": dev_h},
-            tol,
-        ) and _report({"objective offset vs log(1+lambda)*sum(X)": dev_obj}, 1e-10)
+        iterates_ok = _report({"W iterates": dev_w, "H iterates * (1+lambda)": dev_h}, tol)
+        ok = _report({"objective offset vs log(1+lambda)*sum(X)": dev_obj}, 1e-10) and iterates_ok
     elif args.pair == "gap-lda":
         config_lda = FitConfig(n_topics=COMPARE_TOPICS, method="lda", seed=args.seed)
         priors_lda = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA))

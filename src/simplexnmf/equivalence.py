@@ -163,9 +163,9 @@ def fixed_point_residual(
     model,
     priors: Priors | None = None,
     lambda_sparsity: float = 0.0,
-    epsilon_floor: float = 1e-12,
 ) -> float:
-    """Max-norm parameter change under one step of the named solver.
+    """Max-norm parameter change under one step of the named solver, with its
+    default floor ``mu.EPSILON_FLOOR``.
 
     ``model`` is a :class:`Factorization` for the multiplicative methods
     and a ``(W, VariationalState)`` pair for ``lda`` / ``gap``.
@@ -178,7 +178,7 @@ def fixed_point_residual(
         if priors is None:
             raise ValueError("variational residuals require priors")
         W, state = np.asarray(model[0], dtype=float), model[1]
-        W_new, state_new, _ = step(X, W, priors, state, epsilon_floor=epsilon_floor)
+        W_new, state_new, _ = step(X, W, priors, state)
         return float(max(np.abs(W_new - W).max(), np.abs(state_new.beta - state.beta).max()))
-    g = step(X, model, epsilon_floor=epsilon_floor, **spec.penalty(lambda_sparsity)).factorization
+    g = step(X, model, **spec.penalty(lambda_sparsity)).factorization
     return float(max(np.abs(g.W - model.W).max(), np.abs(g.H - model.H).max()))

@@ -130,10 +130,9 @@ def save_matrix_market(path, X: TermDocMatrix) -> None:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered term list with its inverse map and the threshold used to build it."""
+    """Ordered term list with its inverse map."""
 
     terms: tuple[str, ...]
-    min_count: int = 1
     index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -176,7 +175,7 @@ def ingest_corpus(directory, min_count: int = 1) -> tuple[TermDocMatrix, Vocabul
             raise DataError(f"unreadable file {p}: {exc}") from exc
     tokens = list(chain.from_iterable(docs))
     totals = Counter(tokens)
-    vocab = Vocabulary(tuple(sorted(t for t, c in totals.items() if c >= min_count)), min_count=min_count)
+    vocab = Vocabulary(tuple(sorted(t for t, c in totals.items() if c >= min_count)))
     term = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), np.int64, len(tokens))
     counted = term >= 0
     doc = np.repeat(np.arange(len(files)), list(map(len, docs)))[counted]
@@ -193,9 +192,9 @@ def save_vocabulary(path, vocab: Vocabulary) -> None:
     Path(path).write_text("".join(t + "\n" for t in vocab.terms), encoding="utf-8")
 
 
-def load_vocabulary(path, min_count: int = 1) -> Vocabulary:
-    lines = _read_text(path).splitlines()
-    return Vocabulary(tuple(lines), min_count=min_count)
+def load_vocabulary(path) -> Vocabulary:
+    """The vocabulary that :func:`save_vocabulary` wrote: one term per line, in order."""
+    return Vocabulary(tuple(_read_text(path).splitlines()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ reconstructions (``n + 1`` for a joint method, ``2n + 1`` for ``mu``), the
 number a step computes when it is given ``recon``.
 
 After every multiplicative update, entries are floored at
-``epsilon_floor * (column max)`` before any normalization.  Multiplicative
+``EPSILON_FLOOR * (column max)`` before any normalization.  Multiplicative
 updates cannot revive an exact zero, so the floor keeps topics alive
 without disturbing healthy entries; because it is relative to the column
 maximum it also commutes with the columnwise rescalings that relate the
@@ -64,6 +64,9 @@ from .types import (
 
 # relative slack on the guaranteed descent before a step is declared broken
 DESCENT_SLACK = 1e-9
+# the zero-absorbing floor, relative to each column's maximum; every
+# stepper's ``epsilon_floor`` default, and 0.0 disables it
+EPSILON_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def mu_step_alternating(
     X: TermDocMatrix,
     f: Factorization,
     *,
-    epsilon_floor: float = 1e-12,
+    epsilon_floor: float = EPSILON_FLOOR,
     recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One alternating update on an unconstrained factorization.
@@ -166,7 +169,7 @@ def mu_step_joint_wnorm(
     X: TermDocMatrix,
     f: Factorization,
     *,
-    epsilon_floor: float = 1e-12,
+    epsilon_floor: float = EPSILON_FLOOR,
     recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One joint update with the columns of ``W`` on the simplex.
@@ -190,7 +193,7 @@ def mu_step_joint_bothnorm(
     X: TermDocMatrix,
     f: Factorization,
     *,
-    epsilon_floor: float = 1e-12,
+    epsilon_floor: float = EPSILON_FLOOR,
     recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One joint update with both factors columnwise on the simplex.
@@ -212,7 +215,7 @@ def mu_step_sparse(
     f: Factorization,
     lambda_sparsity: float,
     *,
-    epsilon_floor: float = 1e-12,
+    epsilon_floor: float = EPSILON_FLOOR,
     recon: np.ndarray | None = None,
 ) -> StepOutcome:
     """One joint update for the l1-penalized objective with ``W`` on the simplex.
@@ -286,34 +289,28 @@ def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorizati
     return Factorization(W, H, spec.mode)
 
 
-def fit(
-    X: TermDocMatrix,
-    config: FitConfig,
-    init: Factorization | None = None,
-) -> tuple[Factorization, FitTrace]:
+def fit(X: TermDocMatrix, config: FitConfig) -> tuple[Factorization, FitTrace]:
     """Minimize the method's objective with its stepper under :func:`descend`.
 
-    The initial objective is the registry objective's value part
+    The run starts from :func:`initialize_factorization`.  The initial
+    objective is the registry objective's value part
     (``kl_divergence_at``, ``sparse_objective_at``) at the initial
     reconstruction, and each step gets the reconstruction its predecessor
-    returned.  The stepper rejects an ``init`` in another constraint mode.
-    The run is fully determined by ``(seed, config, init)``.
+    returned.  The run is fully determined by ``config``.
 
     Returns the final factorization together with the per-iteration trace.
     """
     spec = METHOD_SPECS[config.method]
     if spec.variational:
         raise ValueError(f"fit handles methods {MU_METHODS}; use fit_vi for {config.method!r}")
-    f = init if init is not None else initialize_factorization(X, config)
-    if f.n_topics != config.n_topics:
-        raise ValueError(f"init has {f.n_topics} topics, config expects {config.n_topics}")
+    f = initialize_factorization(X, config)
 
     stepper = spec.function(spec.stepper)
     penalty = spec.penalty(config.lambda_sparsity)
 
     def step(current):
         f, recon = current
-        out = stepper(X, f, epsilon_floor=config.epsilon_floor, recon=recon, **penalty)
+        out = stepper(X, f, recon=recon, **penalty)
         return (out.factorization, out.recon), out.objective, out.recon_evals
 
     recon = _checked_reconstruction(X, f.W, f.H)

@@ -95,12 +95,14 @@ class TermDocMatrix:
 
         Checks, in this order: positive dimensions, equal-length 1-d
         arrays, indices that are finite whole numbers, indices in range,
-        finite non-negative counts, and no ``(term, doc)`` pair twice
-        (zeros included).  An entry fault raises ``EntryError`` naming the
-        first offending entry in input order; an index array of strings,
-        objects or bools is an ``index`` fault from its first entry on.  One stable sort into
-        document-major order also finds the duplicates as adjacent equal
-        pairs; zeros are dropped after it.
+        finite non-negative counts, no ``(term, doc)`` pair twice (zeros
+        included), and finite document totals.  An entry fault raises
+        ``EntryError`` naming the first offending entry in input order; an
+        index array of strings, objects or bools is an ``index`` fault from
+        its first entry on.  A document whose counts sum past the float64
+        range raises a plain ``DataError`` naming the first such document.
+        One stable sort into document-major order also finds the duplicates
+        as adjacent equal pairs; zeros are dropped after it.
         """
         if n_terms <= 0 or n_docs <= 0:
             raise DataError("matrix dimensions must be positive")
@@ -130,6 +132,9 @@ class TermDocMatrix:
         order = order[vals[order] > 0]
         rows, cols, vals = rows[order], cols[order], vals[order]
         col_sums = np.bincount(cols, vals, minlength=n_docs)
+        if not np.isfinite(col_sums).all():
+            d = int(np.argmin(np.isfinite(col_sums)))
+            raise DataError(f"document {d} (0-based): its counts sum past the float64 range")
         doc_ptr = np.searchsorted(cols, np.arange(n_docs + 1)).astype(np.int64)
         return cls(int(n_terms), int(n_docs), *map(_readonly, (rows, cols, vals, col_sums, doc_ptr)))
 
@@ -335,7 +340,11 @@ METHOD_MODES = {name: spec.mode for name, spec in METHOD_SPECS.items()}
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a fit needs besides the data and the initialization."""
+    """Everything a fit needs besides the data (and the priors of ``lda`` / ``gap``).
+
+    The start is seeded by ``seed``; the zero-absorbing floor is the
+    steppers' fixed ``mu.EPSILON_FLOOR``.
+    """
 
     n_topics: int
     method: str = "mu"
@@ -343,7 +352,6 @@ class FitConfig:
     rel_tolerance: float = 1e-8
     seed: int = 0
     lambda_sparsity: float = 0.0
-    epsilon_floor: float = 1e-12
 
     def __post_init__(self):
         if self.n_topics < 1:
@@ -356,8 +364,6 @@ class FitConfig:
             raise ValueError("rel_tolerance must be positive")
         if not 0 <= self.lambda_sparsity < np.inf:
             raise ValueError("lambda_sparsity must be non-negative and finite")
-        if not 0 < self.epsilon_floor < 1:
-            raise ValueError("epsilon_floor must lie in (0, 1)")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .mu import descend, joint_step
+from .mu import EPSILON_FLOOR, descend, joint_step
 from .objectives import expected_log_h_dirichlet, expected_log_h_gamma
 from .types import (
     FitConfig,
@@ -47,7 +47,7 @@ def dp_vi_step(
     priors: Priors,
     state: VariationalState,
     *,
-    epsilon_floor: float = 1e-12,
+    epsilon_floor: float = EPSILON_FLOOR,
     h_tilde: np.ndarray | None = None,
     recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, VariationalState, int]:
@@ -70,7 +70,7 @@ def gap_vi_step(
     priors: Priors,
     state: VariationalState,
     *,
-    epsilon_floor: float = 1e-12,
+    epsilon_floor: float = EPSILON_FLOOR,
     h_tilde: np.ndarray | None = None,
     recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, VariationalState, int]:
@@ -129,19 +129,14 @@ def initialize_variational(
     return W, VariationalState(beta, _pinned_rates(config.method, priors, beta.shape))
 
 
-def fit_vi(
-    X: TermDocMatrix,
-    config: FitConfig,
-    priors: Priors,
-    w_init: np.ndarray | None = None,
-    beta_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, VariationalState, FitTrace]:
+def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndarray, VariationalState, FitTrace]:
     """Run the configured variational stepper until the bound stalls.
 
-    The bound is evaluated at every state from the two parts of the
-    registry bound (``lda_elbo_terms`` and ``lda_elbo_at``, or the
-    ``gap_elbo`` pair) and recorded in the trace; the terms' ``h~`` and
-    ``(W h~)`` are the next step's inputs.  The bound must not decrease
+    The run starts from :func:`initialize_variational`.  The bound is
+    evaluated at every state from the two parts of the registry bound
+    (``lda_elbo_terms`` and ``lda_elbo_at``, or the ``gap_elbo`` pair) and
+    recorded in the trace; the terms' ``h~`` and ``(W h~)`` are the next
+    step's inputs.  The bound must not decrease
     by more than ``DESCENT_SLACK`` relative, otherwise
     ``MonotonicityError`` is raised, and a non-finite bound raises
     ``NumericalError``.  Convergence is the same relative-change
@@ -152,17 +147,7 @@ def fit_vi(
     spec = METHOD_SPECS[config.method]
     if not spec.variational:
         raise ValueError(f"fit_vi handles methods {VI_METHODS}; use fit for {config.method!r}")
-    if w_init is None or beta_init is None:
-        W_default, state_default = initialize_variational(X, config, priors)
-        w_init = W_default if w_init is None else w_init
-        beta_init = state_default.beta if beta_init is None else beta_init
-    W = np.array(w_init, dtype=float)
-    beta = np.array(beta_init, dtype=float)
-    if W.shape != (X.n_terms, config.n_topics):
-        raise ValueError(f"w_init has shape {W.shape}, expected {(X.n_terms, config.n_topics)}")
-    if beta.shape != (config.n_topics, X.n_docs):
-        raise ValueError(f"beta_init has shape {beta.shape}, expected {(config.n_topics, X.n_docs)}")
-    state = VariationalState(beta, _pinned_rates(config.method, priors, beta.shape))
+    W, state = initialize_variational(X, config, priors)
 
     stepper = spec.function(spec.stepper)
     terms_of = spec.function(spec.objective + "_terms")
@@ -174,9 +159,7 @@ def fit_vi(
 
     def step(current):
         W, state, h_tilde, recon = current
-        W, state, recon_evals = stepper(
-            X, W, priors, state, epsilon_floor=config.epsilon_floor, h_tilde=h_tilde, recon=recon
-        )
+        W, state, recon_evals = stepper(X, W, priors, state, h_tilde=h_tilde, recon=recon)
         return *evaluated(W, state), recon_evals
 
     (W, state, _, _), trace = descend(step, *evaluated(W, state), config, -1)

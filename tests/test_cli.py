@@ -143,6 +143,19 @@ def test_malformed_matrix_is_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("method", ["mu", "lda"])
+def test_overflowing_document_total_is_data_error(tmp_path, capsys, method):
+    big = tmp_path / "big.mtx"
+    big.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n1 1 1e308\n2 1 1e308\n3 2 1\n")
+    rc = main([
+        "fit", "--input", str(big), "--method", method, "--topics", "2",
+        "--output", str(tmp_path / "m.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == ["data error: document 0 (0-based): its counts sum past the float64 range"]
+
+
 def test_fit_outputs_are_byte_deterministic(tmp_path, matrix_file):
     models = []
     for name in ("m1.json", "m2.json"):
@@ -175,6 +188,20 @@ def test_compare_failure_exit_code(matrix_file, capsys):
     assert rc == 3
     assert "FAILED" in capsys.readouterr().out
 
+
+
+def test_compare_failure_prints_every_line(matrix_file, capsys):
+    rc = main([
+        "compare", "--input", str(matrix_file), "--pair", "sparse-plain",
+        "--seed", "2", "--iters", "60", "--tol", "1e-18",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert [(line.split(":")[0], line.split()[-1]) for line in lines] == [
+        ("W iterates", "FAILED"),
+        ("H iterates * (1+lambda)", "FAILED"),
+        ("objective offset vs log(1+lambda)*sum(X)", "ok"),
+    ]
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

@@ -139,10 +139,10 @@ class TestIngest:
             snf.ingest_corpus(tmp_path, min_count=1)
 
     def test_vocabulary_round_trip(self, tmp_path):
-        vocab = snf.Vocabulary(("alpha", "beta", "gamma"), min_count=2)
+        vocab = snf.Vocabulary(("alpha", "beta", "gamma"))
         path = tmp_path / "v.txt"
         snf.save_vocabulary(path, vocab)
-        again = snf.load_vocabulary(path, min_count=2)
+        again = snf.load_vocabulary(path)
         assert again.terms == vocab.terms
         assert again.index == vocab.index
 

@@ -1,5 +1,7 @@
 """Multiplicative-update steppers and the fit driver."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from simplexnmf import mu
 from simplexnmf import objectives
 from simplexnmf.errors import DeadTopicError, DegenerateColumnError, MonotonicityError
 from simplexnmf.errors import NumericalError
+from simplexnmf.types import METHOD_SPECS
 
 from helpers import planted_matrix, random_count_matrix, shared_inits
 
@@ -143,6 +146,13 @@ class TestJointBothnorm:
         assert isinstance(info.value, NumericalError) and info.value.column == 1
 
 
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_every_stepper_floors_at_the_one_constant(method):
+    spec = METHOD_SPECS[method]
+    default = inspect.signature(spec.function(spec.stepper)).parameters["epsilon_floor"].default
+    assert default is mu.EPSILON_FLOOR
+
+
 @pytest.mark.parametrize("method", [m for m in snf.METHODS if m != "plsa"])
 def test_other_methods_fit_an_empty_document(method):
     X = snf.TermDocMatrix.from_dense(EMPTY_DOC_1)
@@ -243,12 +253,9 @@ class TestFit:
 
     def test_mode_mismatch_rejected(self):
         X = random_count_matrix(14, n_terms=10, n_docs=6)
-        config = snf.FitConfig(n_topics=3, method="plsa", max_iters=5)
-        init = snf.initialize_factorization(
-            X, snf.FitConfig(n_topics=3, method="mu-joint")
-        )
+        start = snf.initialize_factorization(X, snf.FitConfig(n_topics=3, method="mu-joint"))
         with pytest.raises(ValueError, match="constraint mode"):
-            snf.fit(X, config, init)
+            snf.mu_step_joint_bothnorm(X, start)
 
     def test_vi_methods_rejected(self):
         X = random_count_matrix(15, n_terms=10, n_docs=6)

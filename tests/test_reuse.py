@@ -72,19 +72,18 @@ def test_reuse_moves_nothing(method):
     n = 10
     X, config, priors = _setup(method, n)
     stepper, objective = PUBLIC[method]
-    floor = config.epsilon_floor
     values = []
     if method in snf.VI_METHODS:
         W, state = snf.initialize_variational(X, config, priors)
         for _ in range(n):
-            W, state, _ = stepper(X, W, priors, state, epsilon_floor=floor)
+            W, state, _ = stepper(X, W, priors, state)
             values.append(objective(X, W, priors, state))
         expected = {"W": W, "beta": state.beta, "b_rate": state.b_rate}
     else:
         f = snf.initialize_factorization(X, config)
         penalty = {"lambda_sparsity": config.lambda_sparsity} if method == "sparse" else {}
         for _ in range(n):
-            out = stepper(X, f, epsilon_floor=floor, **penalty)
+            out = stepper(X, f, **penalty)
             f = out.factorization
             assert out.objective == objective(X, f.W, f.H, **penalty)
             assert np.array_equal(out.recon, snf.reconstruct_nonzeros(X, f.W, f.H))

@@ -231,6 +231,13 @@ class TestNonFiniteRejected:
         with pytest.raises(DataError, match=r"non-finite count at entry \(1, 0\)"):
             snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1.0), (1, 0, value)])
 
+    def test_overflowing_document_total(self):
+        # every count is finite, but documents 1 and 2 sum past the float64 range
+        entries = [(0, 0, 1.0), (0, 1, 1e308), (1, 1, 1e308), (1, 2, 1e308), (2, 2, 1e308)]
+        with pytest.raises(DataError, match=r"document 1 \(0-based\)") as info:
+            snf.TermDocMatrix.from_entries(3, 3, entries)
+        assert type(info.value) is DataError
+
     def test_factorization(self):
         with pytest.raises(ValueError, match="finite"):
             snf.Factorization(np.array([[np.nan]]), np.array([[1.0]]))

@@ -192,15 +192,6 @@ class TestFitVi:
         with pytest.raises(ValueError, match="fit handles|fit_vi handles"):
             snf.fit_vi(X, snf.FitConfig(n_topics=2, method="mu"), priors)
 
-    def test_misshapen_inits_rejected(self):
-        X = random_count_matrix(12, n_terms=8, n_docs=5)
-        priors = snf.Priors(np.full(2, 0.9))
-        config = snf.FitConfig(n_topics=2, method="lda", max_iters=3)
-        with pytest.raises(ValueError, match="w_init"):
-            snf.fit_vi(X, config, priors, w_init=np.full((8, 3), 0.1))
-        with pytest.raises(ValueError, match="beta_init"):
-            snf.fit_vi(X, config, priors, beta_init=np.ones((2, 9)))
-
     def test_deterministic_given_seed(self):
         X = random_count_matrix(11, n_terms=8, n_docs=5)
         priors = snf.Priors(np.full(2, 0.9))
