@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run a matched-initialization equivalence check")
     p.add_argument("--input", required=True)
-    p.add_argument("--pair", required=True, choices=["alg4-alg5", "sparse-plain", "gap-lda", "plsa-ref"])
+    p.add_argument("--pair", required=True, choices=list(COMPARE_PAIRS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -220,85 +220,102 @@ def _cmd_eval(args) -> int:
 # compare
 
 
-def _report(deviations: dict[str, float], tol: float) -> bool:
-    ok = True
-    for name, value in deviations.items():
-        passed = value <= tol
-        ok = ok and passed
-        print(f"{name}: max deviation {value:.3e} (tol {tol:.1e}) {'ok' if passed else 'FAILED'}")
-    return ok
-
-
 def _shared_inits(X: TermDocMatrix, seed: int):
     config = FitConfig(n_topics=COMPARE_TOPICS, method="plsa", seed=seed)
     return initialize_factorization(X, config)
+
+
+def _alg4_alg5(X: TermDocMatrix, seed: int):
+    start = _shared_inits(X, seed)
+    wnorm = Factorization(start.W, X.col_sums[None, :] * start.H, ConstraintMode.W_SIMPLEX)
+    both = start
+    lam = X.col_sums
+    while True:
+        wnorm = mu_step_joint_wnorm(X, wnorm, epsilon_floor=_NO_FLOOR).factorization
+        both = mu_step_joint_bothnorm(X, both, epsilon_floor=_NO_FLOOR).factorization
+        yield np.abs(wnorm.W - both.W).max(), np.abs(wnorm.H / lam[None, :] - both.H).max()
+
+
+def _sparse_plain(X: TermDocMatrix, seed: int):
+    start = _shared_inits(X, seed)
+    plain = Factorization(start.W, X.col_sums[None, :] * start.H, ConstraintMode.W_SIMPLEX)
+    penalized = plain
+    lam = COMPARE_LAMBDA
+    while True:
+        plain = mu_step_joint_wnorm(X, plain, epsilon_floor=_NO_FLOOR).factorization
+        penalized = mu_step_sparse(X, penalized, lam, epsilon_floor=_NO_FLOOR).factorization
+        dev_h = np.abs(penalized.H * (1.0 + lam) - plain.H).max() / np.maximum(1.0, np.abs(plain.H).max())
+        offset = sparse_objective(X, penalized.W, penalized.H, lam) - kl_divergence(X, plain.W, plain.H)
+        dev_obj = abs(offset - np.log1p(lam) * X.total) / np.maximum(1.0, abs(offset))
+        yield np.abs(plain.W - penalized.W).max(), dev_h, dev_obj
+
+
+def _gap_lda(X: TermDocMatrix, seed: int):
+    config_lda = FitConfig(n_topics=COMPARE_TOPICS, method="lda", seed=seed)
+    priors_lda = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA))
+    priors_gap = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA), np.full(COMPARE_TOPICS, COMPARE_RATE))
+    W_lda, state_lda = initialize_variational(X, config_lda, priors_lda, perturb=True)
+    W_gap = W_lda.copy()
+    state_gap = map_gap_lda_state(state_lda, priors_gap, "to_gap")
+    while True:
+        W_lda, state_lda, _ = dp_vi_step(X, W_lda, priors_lda, state_lda, epsilon_floor=_NO_FLOOR)
+        W_gap, state_gap, _ = gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=_NO_FLOOR)
+        scale = np.maximum(1.0, np.abs(state_lda.beta))
+        yield np.abs(W_lda - W_gap).max(), (np.abs(state_lda.beta - state_gap.beta) / scale).max()
+
+
+def _plsa_ref(X: TermDocMatrix, seed: int):
+    current = _shared_inits(X, seed)
+    dense = X.to_dense()
+    W_ref, H_ref = current.W.copy(), current.H.copy()
+    while True:
+        current = mu_step_joint_bothnorm(X, current, epsilon_floor=_NO_FLOOR).factorization
+        W_ref, H_ref = plsa_step_reference(dense, W_ref, H_ref)
+        yield (np.maximum(np.abs(current.W - W_ref).max(), np.abs(current.H - H_ref).max()),)
+
+
+# each pair: the generator of its per-iteration deviations, and the name and
+# tolerance (None: the --tol flag) of every deviation it yields, in order
+COMPARE_PAIRS = {
+    "alg4-alg5": (_alg4_alg5, (("W iterates", None), ("H iterates / lambda_d", None))),
+    "sparse-plain": (
+        _sparse_plain,
+        (
+            ("W iterates", None),
+            ("H iterates * (1+lambda)", None),
+            ("objective offset vs log(1+lambda)*sum(X)", 1e-10),
+        ),
+    ),
+    "gap-lda": (_gap_lda, (("W iterates", None), ("beta iterates (relative)", None))),
+    "plsa-ref": (_plsa_ref, (("factor iterates vs explicit-responsibility reference", None),)),
+}
 
 
 def _cmd_compare(args) -> int:
     if args.iters < 1:
         raise UsageError(f"--iters must be at least 1, got {args.iters}")
     X = load_matrix_market(args.input)
-    tol = args.tol
-    if args.pair == "alg4-alg5":
-        start = _shared_inits(X, args.seed)
-        wnorm = Factorization(start.W, X.col_sums[None, :] * start.H, ConstraintMode.W_SIMPLEX)
-        both = start
-        dev_w = 0.0
-        dev_h = 0.0
-        lam = X.col_sums
-        for _ in range(args.iters):
-            wnorm = mu_step_joint_wnorm(X, wnorm, epsilon_floor=_NO_FLOOR).factorization
-            both = mu_step_joint_bothnorm(X, both, epsilon_floor=_NO_FLOOR).factorization
-            dev_w = max(dev_w, float(np.abs(wnorm.W - both.W).max()))
-            dev_h = max(dev_h, float(np.abs(wnorm.H / lam[None, :] - both.H).max()))
-        ok = _report({"W iterates": dev_w, "H iterates / lambda_d": dev_h}, tol)
-    elif args.pair == "sparse-plain":
-        start = _shared_inits(X, args.seed)
-        plain = Factorization(start.W, X.col_sums[None, :] * start.H, ConstraintMode.W_SIMPLEX)
-        penalized = plain
-        lam = COMPARE_LAMBDA
-        dev_w = 0.0
-        dev_h = 0.0
-        dev_obj = 0.0
-        total = X.total
-        for _ in range(args.iters):
-            plain = mu_step_joint_wnorm(X, plain, epsilon_floor=_NO_FLOOR).factorization
-            penalized = mu_step_sparse(X, penalized, lam, epsilon_floor=_NO_FLOOR).factorization
-            dev_w = max(dev_w, float(np.abs(plain.W - penalized.W).max()))
-            dev_h = max(dev_h, float(np.abs(penalized.H * (1.0 + lam) - plain.H).max() / max(1.0, np.abs(plain.H).max())))
-            offset = sparse_objective(X, penalized.W, penalized.H, lam) - kl_divergence(X, plain.W, plain.H)
-            dev_obj = max(dev_obj, abs(offset - np.log1p(lam) * total) / max(1.0, abs(offset)))
-        iterates_ok = _report({"W iterates": dev_w, "H iterates * (1+lambda)": dev_h}, tol)
-        ok = _report({"objective offset vs log(1+lambda)*sum(X)": dev_obj}, 1e-10) and iterates_ok
-    elif args.pair == "gap-lda":
-        config_lda = FitConfig(n_topics=COMPARE_TOPICS, method="lda", seed=args.seed)
-        priors_lda = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA))
-        priors_gap = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA), np.full(COMPARE_TOPICS, COMPARE_RATE))
-        W_lda, state_lda = initialize_variational(X, config_lda, priors_lda, perturb=True)
-        W_gap = W_lda.copy()
-        state_gap = map_gap_lda_state(state_lda, priors_gap, "to_gap")
-        dev_w = 0.0
-        dev_b = 0.0
-        for _ in range(args.iters):
-            W_lda, state_lda, _ = dp_vi_step(X, W_lda, priors_lda, state_lda, epsilon_floor=_NO_FLOOR)
-            W_gap, state_gap, _ = gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=_NO_FLOOR)
-            dev_w = max(dev_w, float(np.abs(W_lda - W_gap).max()))
-            dev_b = max(
-                dev_b,
-                float((np.abs(state_lda.beta - state_gap.beta) / np.maximum(1.0, np.abs(state_lda.beta))).max()),
-            )
-        ok = _report({"W iterates": dev_w, "beta iterates (relative)": dev_b}, tol)
-    else:  # plsa-ref
-        start = _shared_inits(X, args.seed)
-        dense = X.to_dense()
-        W_ref, H_ref = start.W.copy(), start.H.copy()
-        current = start
-        dev = 0.0
-        for _ in range(args.iters):
-            current = mu_step_joint_bothnorm(X, current, epsilon_floor=_NO_FLOOR).factorization
-            W_ref, H_ref = plsa_step_reference(dense, W_ref, H_ref)
-            dev = max(dev, float(np.abs(current.W - W_ref).max()), float(np.abs(current.H - H_ref).max()))
-        ok = _report({"factor iterates vs explicit-responsibility reference": dev}, tol)
+    deviations, lines = COMPARE_PAIRS[args.pair]
+    worst = np.zeros(len(lines))
+    failure = None
+    # a non-finite value is reported as a failed line below, not as a warning
+    with np.errstate(all="ignore"):
+        try:
+            for _, current in zip(range(args.iters), deviations(X, args.seed)):
+                worst = np.maximum(worst, current)  # unlike max(), keeps a NaN
+        except NumericalError as exc:  # the pair's deviations are undefined from here on
+            failure = exc
+            worst[:] = np.nan
+    ok = True
+    for (name, tol), value in zip(lines, worst):
+        tol = args.tol if tol is None else tol
+        passed = bool(value <= tol)
+        ok = ok and passed
+        print(f"{name}: max deviation {value:.3e} (tol {tol:.1e}) {'ok' if passed else 'FAILED'}")
+        if failure is None and not np.isfinite(value):
+            failure = NumericalError(f"non-finite deviation in {name}")
+    if failure is not None:
+        raise failure
     return 0 if ok else 3
 
 

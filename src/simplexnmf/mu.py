@@ -96,6 +96,14 @@ def _normalized(raw: np.ndarray, epsilon_floor: float, dead) -> np.ndarray:
     return normalize_columns(_floor_columns(raw, epsilon_floor))[0]
 
 
+def _finite_update(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(W, H)``, once both are checked finite (``NumericalError`` otherwise)."""
+    for name, M in (("W", W), ("the topic weights", H)):
+        if not np.isfinite(M).all():
+            raise NumericalError(f"non-finite iterate: the update left an infinite or NaN entry in {name}")
+    return W, H
+
+
 def _require_mode(f: Factorization, mode: ConstraintMode, who: str) -> None:
     if f.constraint_mode != mode:
         raise ValueError(f"{who} requires constraint mode {mode.tag!r}, got {f.constraint_mode.tag!r}")
@@ -115,11 +123,12 @@ def joint_step(
     (``recon``, computed when ``None``), ``W' = normalize_k(floor(W *
     sum_d r_vd h_kd))`` (``DeadTopicError`` when a topic's numerators all
     vanish) and ``H' = h_map(H * sum_v r_vd w_vk)`` with the pre-update ``W``.
+    An infinite or NaN entry in either raises ``NumericalError``.
     """
     ratio = X.vals / (_checked_reconstruction(X, W, H) if recon is None else recon)
     dead = partial(DeadTopicError, detail="all update numerators vanished")
     W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, dead)
-    return W_new, h_map(H * topic_doc_sums(X, ratio, W))
+    return _finite_update(W_new, h_map(H * topic_doc_sums(X, ratio, W)))
 
 
 def _outcome(X: TermDocMatrix, W, H, mode: ConstraintMode, recon_evals: int, objective_at=kl_divergence_at):
@@ -162,7 +171,7 @@ def mu_step_alternating(
     H_new = H * topic_doc_sums(X, ratio, W_new) / w_col_sums[:, None]
     H_new = _floor_columns(H_new, epsilon_floor)
 
-    return _outcome(X, W_new, H_new, ConstraintMode.UNCONSTRAINED, 2)
+    return _outcome(X, *_finite_update(W_new, H_new), ConstraintMode.UNCONSTRAINED, 2)
 
 
 def mu_step_joint_wnorm(

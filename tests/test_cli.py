@@ -204,6 +204,22 @@ def test_compare_failure_prints_every_line(matrix_file, capsys):
     ]
 
 
+@pytest.mark.parametrize("pair", ["alg4-alg5", "sparse-plain", "gap-lda", "plsa-ref"])
+def test_compare_non_finite_deviation_is_numerical_failure(tmp_path, capsys, pair):
+    # each document total is finite, the grand total is not; the updates of
+    # both-normalized and variational iterates overflow, the sparse-plain
+    # objective offset is inf - inf
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n2 2 1e308\n")
+    rc = main(["compare", "--input", str(path), "--pair", pair, "--iters", "5"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    verdicts = [line.split()[-1] for line in captured.out.splitlines()]
+    assert verdicts and set(verdicts) <= {"ok", "FAILED"} and "FAILED" in verdicts
+    assert "max deviation nan" in captured.out
+    assert captured.err.startswith("numerical failure: non-finite ")
+
+
 @pytest.mark.parametrize("iters", ["0", "-3"])
 def test_compare_without_iterations_is_usage_error(matrix_file, capsys, iters):
     rc = main(["compare", "--input", str(matrix_file), "--pair", "plsa-ref", "--iters", iters])

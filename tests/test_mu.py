@@ -167,6 +167,15 @@ def test_other_methods_fit_an_empty_document(method):
     assert np.all(np.isfinite(W)) and np.all(np.isfinite(trace.objectives))
 
 
+def test_overflowing_update_is_a_numerical_failure():
+    # each document total is finite, but W h < 1 makes the ratios 1e308 / (W h) overflow
+    X = snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1e308), (1, 1, 1e308)])
+    f = snf.initialize_factorization(X, snf.FitConfig(n_topics=2, method="plsa"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^non-finite iterate: .* entry in W$"):
+            snf.mu_step_joint_bothnorm(X, f)
+
+
 class TestSparse:
     def test_lambda_zero_is_plain_update(self):
         X = random_count_matrix(8, n_terms=10, n_docs=6)

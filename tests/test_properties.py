@@ -5,7 +5,9 @@ Each property runs a few matched steps with the floor disabled (as the
 documents and topics, and checks one of the paper's identities at the
 1e-12 tolerance of the acceptance suite.  Every document has at least one
 nonzero; single-entry documents, single terms, single documents and a
-single topic all occur.
+single topic all occur.  The last properties check ``digamma`` and
+``log_gamma`` on random 2-d arrays (empty and 1 x 1 ones included) with
+values log-uniform in [1e-8, 1e6], at the tolerances of ``test_specfun``.
 """
 
 import numpy as np
@@ -33,6 +35,19 @@ def problems(draw):
         if not dense[:, d].any():
             dense[draw(st.integers(0, n_terms - 1)), d] = float(draw(st.integers(1, 5)))
     return snf.TermDocMatrix.from_dense(dense), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def special_arguments(draw):
+    """A 2-d array of 0 to 4 rows and 0 to 5 columns, log-uniform in [1e-8, 1e6]."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 5)))
+    exponents = draw(st.lists(st.floats(-8.0, 6.0), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return (10.0 ** np.array(exponents, dtype=float)).reshape(shape)
+
+
+def _special_tolerance(values):
+    # 1e-12 absolute where representable, else 8 ulp of the value (test_specfun)
+    return np.maximum(1e-12, 8.0 * np.spacing(np.abs(values)))
 
 
 def _both_simplex_start(X, n_topics, seed):
@@ -118,3 +133,40 @@ def test_gamma_step_matches_dirichlet_step_for_uniform_rates(problem, alpha, rat
         W_gap, state_gap, _ = snf.gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=NO_FLOOR)
         assert np.abs(W_lda - W_gap).max() <= MATCH_TOL
         assert np.abs(state_lda.beta - state_gap.beta).max() <= MATCH_TOL
+
+
+@SETTINGS
+@given(special_arguments())
+def test_special_functions_array_calls_match_scalar_calls(xs):
+    for fn in (snf.digamma, snf.log_gamma):
+        values = fn(xs)
+        assert values.shape == xs.shape
+        scalars = np.array([fn(float(x)) for x in xs.ravel()], dtype=float).reshape(xs.shape)
+        assert np.array_equal(values, scalars)
+
+
+@SETTINGS
+@given(special_arguments())
+def test_special_functions_satisfy_the_recurrences(xs):
+    upper = xs + 1.0
+    lower = upper - 1.0  # so that upper = lower + 1 holds exactly
+    psi_lower, psi_upper = snf.digamma(lower), snf.digamma(upper)
+    tolerance = _special_tolerance(psi_lower) + _special_tolerance(psi_upper)
+    assert np.all(np.abs(psi_upper - psi_lower - 1.0 / lower) <= tolerance)
+    lg_lower, lg_upper = snf.log_gamma(lower), snf.log_gamma(upper)
+    tolerance = _special_tolerance(lg_lower) + _special_tolerance(lg_upper)
+    assert np.all(np.abs(lg_upper - lg_lower - np.log(lower)) <= tolerance)
+
+
+@SETTINGS
+@given(special_arguments())
+def test_digamma_increases_along_sorted_draws(xs):
+    ordered = np.unique(xs)
+    values = snf.digamma(ordered)
+    tolerance = _special_tolerance(values)
+    rise = np.diff(values)
+    # psi' > 1/x, so psi(b) - psi(a) > log(b/a); a rise of more than the
+    # accuracy of both values must show, and no step may fall by more
+    assert np.all(rise >= -(tolerance[1:] + tolerance[:-1]))
+    resolved = np.log(ordered[1:] / ordered[:-1]) > tolerance[1:] + tolerance[:-1]
+    assert np.all(rise[resolved] > 0.0)

@@ -1,5 +1,7 @@
 """Digamma / log-gamma accuracy against a high-precision oracle."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -50,6 +52,16 @@ def test_accuracy_against_mpmath(fn, oracle):
         assert abs(fn(float(x)) - reference) <= tolerance, f"x={x}"
 
 
+@pytest.mark.parametrize("fn,oracle", [(digamma, mp.digamma), (log_gamma, mp.loggamma)])
+@pytest.mark.parametrize("x", [1e60, 1e62, 1e100, 1e155, 1e300])
+def test_large_arguments_against_mpmath(fn, oracle, x):
+    # log_gamma(x + 1) of a raw count can be huge; no shift product may overflow
+    reference = float(oracle(mp.mpf(x)))
+    tolerance = max(1e-12, 8.0 * np.spacing(abs(reference)))
+    assert abs(fn(x) - reference) <= tolerance
+    assert abs(fn(np.array([x]))[0] - reference) <= tolerance
+
+
 def test_derivative_consistency():
     # central difference of log_gamma approximates digamma
     h = 1e-5
@@ -69,6 +81,19 @@ def test_array_and_scalar_forms_agree():
     assert np.array_equal(digamma(xs), np.vectorize(digamma)(xs))
     assert np.array_equal(log_gamma(xs), np.vectorize(log_gamma)(xs))
     assert isinstance(digamma(1.5), float)
+
+
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+def test_working_memory_is_bounded(fn):
+    # five float arrays the argument's size and a mask, the result included
+    xs = np.random.default_rng(2).uniform(0.05, 12.0, size=(200, 1000))
+    tracemalloc.start()
+    try:
+        fn(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * xs.nbytes
 
 
 @pytest.mark.parametrize("fn", [digamma, log_gamma])
