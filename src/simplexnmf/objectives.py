@@ -199,8 +199,11 @@ def gap_elbo_terms(X: TermDocMatrix, W, state: VariationalState) -> BoundTerms:
     if state.b_rate is None:
         raise ValueError("gap_elbo requires a state with b_rate")
     psi = digamma(state.beta)
-    h_tilde = np.exp(psi) / state.b_rate
-    elog = psi - np.log(state.b_rate)
+    h_tilde = np.exp(psi)
+    h_tilde /= state.b_rate
+    elog = np.log(state.b_rate)
+    np.subtract(psi, elog, out=elog)
+    del psi
     return BoundTerms(elog, h_tilde, _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError))
 
 
@@ -223,17 +226,22 @@ def gap_elbo_at(X: TermDocMatrix, W, priors: Priors, state: VariationalState, te
         raise ValueError("gap_elbo requires priors with rate_a")
     beta, b = state.beta, state.b_rate
     alpha, a = priors.alpha, priors.rate_a
-    eh = beta / b
     mixture = float(np.sum(X.vals * np.log(terms.recon)))
-    per_cell = (
-        -eh
-        + (alpha * np.log(a))[:, None]
-        - beta * np.log(b)
-        + log_gamma(beta)
-        - log_gamma(alpha)[:, None]
-        + (alpha[:, None] - beta) * terms.elog
-        + (b - a[:, None]) * eh
-    )
+    # each K x D term is formed as in the formula, and added into one array in place
+    per_cell = log_gamma(beta)
+    per_cell -= log_gamma(alpha)[:, None]
+    per_cell += (alpha * np.log(a))[:, None]
+    term = np.log(b)
+    term *= beta
+    per_cell -= term
+    np.subtract(alpha[:, None], beta, out=term)
+    term *= terms.elog
+    per_cell += term
+    eh = np.divide(beta, b, out=term)
+    per_cell -= eh
+    rate_gap = b - a[:, None]
+    rate_gap *= eh
+    per_cell += rate_gap
     return mixture + float(per_cell.sum())
 
 
@@ -241,15 +249,26 @@ def gap_elbo_at(X: TermDocMatrix, W, priors: Priors, state: VariationalState, te
 # Marginal likelihoods of the single-document generative models
 
 
+def _counts(x) -> np.ndarray:
+    """The counts of one document as a flat float array, checked finite and non-negative."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    finite = np.isfinite(x)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise ValueError(f"counts must be finite: count {v} is {x[v]!r}")
+    if np.any(x < 0):
+        raise ValueError("counts must be non-negative")
+    return x
+
+
 def poisson_marginal_loglik(x, W, h) -> float:
     """Log marginal of independent Poisson counts with mean ``(Wh)_v``.
 
-    Includes the ``exp(-sum (Wh))`` and ``1/x!`` factors.
+    Includes the ``exp(-sum (Wh))`` and ``1/x!`` factors.  The counts must
+    be finite and non-negative (``ValueError`` otherwise).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _counts(x)
     y = np.asarray(W, dtype=float) @ np.asarray(h, dtype=float).reshape(-1)
-    if np.any(x < 0):
-        raise ValueError("counts must be non-negative")
     pos = x > 0
     if np.any(pos & (y <= 0)):
         raise InfiniteDivergenceError(int(np.argmax(pos & (y <= 0))))
@@ -259,10 +278,12 @@ def poisson_marginal_loglik(x, W, h) -> float:
 
 
 def multinomial_marginal_loglik(x, W, h, n_total) -> float:
-    """Log marginal of multinomial counts with cell probabilities ``(Wh) / sum(Wh)``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if np.any(x < 0):
-        raise ValueError("counts must be non-negative")
+    """Log marginal of multinomial counts with cell probabilities ``(Wh) / sum(Wh)``.
+
+    The counts must be finite and non-negative and sum to ``n_total``
+    (``ValueError`` otherwise).
+    """
+    x = _counts(x)
     if abs(float(x.sum()) - float(n_total)) > 1e-9 * max(1.0, float(n_total)):
         raise ValueError(f"count mismatch: entries sum to {x.sum()}, expected {n_total}")
     y = np.asarray(W, dtype=float) @ np.asarray(h, dtype=float).reshape(-1)

@@ -28,17 +28,17 @@ thresholds and far below that for larger arguments.  Absolute accuracy is
 accuracy in float64; for |result| above ~1e4 the unit of last place exceeds
 1e-12 and accuracy is a few ulp instead.
 
-Scalar inputs return a ``float``; array inputs return an ``ndarray`` of the
-same shape.  The work is done in place on a flat view of the argument, so
-an evaluation holds at most five float arrays the size of its argument,
-plus one boolean mask.
+Both are +inf at +inf.  Scalar inputs return a ``float``; array inputs
+return an ``ndarray`` of the same shape.  The work is done in place on a
+flat view of the argument, so an evaluation holds at most five float
+arrays the size of its argument, plus one boolean mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_HALF_LOG_TWO_PI = 0.9189385332046727
+_HALF_LOG_TWO_PI_LESS_HALF = 0.4189385332046727  # log(2 pi)/2 - 1/2
 _DIGAMMA_SHIFT = 6.0
 _LOG_GAMMA_SHIFT = 10.0
 # the series coefficients c0..c5 and the last divisor d, as in
@@ -119,10 +119,12 @@ def _log_gamma(x: np.ndarray) -> np.ndarray:
     series = _series(inv * inv, _LOG_GAMMA_SERIES)
     series *= inv
     del inv
+    # (z - 1/2) log z - z + log(2 pi)/2, written as (z - 1/2)(log z - 1) + (log(2 pi) - 1)/2
+    # so that z = inf gives inf, not inf - inf
     out = np.log(z)
+    out -= 1.0
     out *= z - 0.5
-    out -= z
-    out += _HALF_LOG_TWO_PI
+    out += _HALF_LOG_TWO_PI_LESS_HALF
     out += series
     np.subtract(out, c, out=out, where=small)
     return out

@@ -8,12 +8,14 @@ form: ``sum_v (WH)_vd = sum_k (sum_v w_vk) h_kd``, which collapses to
 what makes the one-reconstruction-per-iteration accounting of the joint
 solvers meaningful on sparse data.
 
-The three kernels on the stored entries run one topic at a time, so their
-memory is O(nnz) whatever the number of topics: the reconstruction adds
-one gathered product per topic into an ``nnz``-vector, the term x topic
-sums are one ``np.bincount`` over the term indices per topic, and the
-topic x document sums one ``np.add.reduceat`` over the document segments
-per topic.  Each adds in a fixed order, so a fit is deterministic.
+The three kernels on the stored entries never form an ``nnz x K`` array.
+The reconstruction, a dense product evaluated only at the stored entries,
+adds one gathered product per topic into an ``nnz``-vector.  The two
+accumulations are sparse-times-dense products of SciPy: the entry weights
+are viewed as a CSC matrix over ``X.rows`` and ``X.doc_ptr`` (no copy),
+the term x topic sums are ``R @ H.T`` and the topic x document sums
+``(R.T @ W).T``.  Each kernel adds in a fixed order, so a fit is
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, DegenerateColumnError, EntryError
 
@@ -56,6 +59,14 @@ _MODE_TAGS = {
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_float(x) -> np.ndarray:
+    """``x`` as a read-only float64 array: ``x`` itself when it already is one
+    that owns its data, as the arrays of another state are; a copy otherwise."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable:
+        return x
+    return _readonly(np.array(x, dtype=float))
 
 
 def _whole(a: np.ndarray) -> np.ndarray:
@@ -252,22 +263,25 @@ class VariationalState:
     ``beta`` holds the Dirichlet (or Gamma shape) parameters, topics x
     documents.  ``b_rate`` holds Gamma rate parameters when present.  The
     per-word responsibilities are never stored; they are recomputed from
-    ``W`` and the expected-log weights whenever needed.
+    ``W`` and the expected-log weights whenever needed.  Both are kept as
+    read-only float64 arrays: an input that already is one and owns its
+    data is shared (so the fixed rates of a ``gap`` fit pass from state to
+    state without a copy), anything else is copied.
     """
 
     beta: np.ndarray
     b_rate: np.ndarray | None = None
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
+        beta = _frozen_float(self.beta)
         if beta.ndim != 2 or not np.all((beta > 0) & np.isfinite(beta)):
             raise ValueError("beta must be a strictly positive, finite 2-d array")
-        object.__setattr__(self, "beta", _readonly(beta))
+        object.__setattr__(self, "beta", beta)
         if self.b_rate is not None:
-            b = np.array(self.b_rate, dtype=float)
+            b = _frozen_float(self.b_rate)
             if b.shape != beta.shape or not np.all((b > 0) & np.isfinite(b)):
                 raise ValueError("b_rate must be strictly positive, finite and the same shape as beta")
-            object.__setattr__(self, "b_rate", _readonly(b))
+            object.__setattr__(self, "b_rate", b)
 
     @property
     def n_topics(self) -> int:
@@ -447,30 +461,32 @@ def reconstruction_total(W, H) -> float:
     return float(reconstruction_column_sums(W, H).sum())
 
 
+def _entry_matrix(X: TermDocMatrix, entry_weights: np.ndarray) -> sparse.csc_array:
+    """The terms x documents CSC matrix of ``entry_weights`` at the stored entries of ``X``.
+
+    The document-major storage of ``X`` is already CSC, so the matrix
+    shares ``X.rows``, ``X.doc_ptr`` and the weights instead of copying them.
+    """
+    return sparse.csc_array((entry_weights, X.rows, X.doc_ptr), shape=(X.n_terms, X.n_docs))
+
+
 def term_topic_sums(X: TermDocMatrix, entry_weights: np.ndarray, H) -> np.ndarray:
     """Accumulate ``sum_d weight_vd h_kd`` into a terms x topics array.
 
-    ``entry_weights`` is aligned with the stored entries of ``X``; each
-    topic's sums are one ``np.bincount`` over the term indices, taken in
-    storage order, so the result is deterministic.
+    ``entry_weights`` is aligned with the stored entries of ``X``; the sums
+    are the sparse-times-dense product ``R @ H.T``, ``R`` the CSC matrix of
+    the weights, which adds each term's entries in storage order, so the
+    result is deterministic.
     """
-    H = np.asarray(H, dtype=float)
-    return np.stack([np.bincount(X.rows, entry_weights * h[X.cols], minlength=X.n_terms) for h in H], axis=1)
+    return _entry_matrix(X, entry_weights) @ np.asarray(H, dtype=float).T
 
 
 def topic_doc_sums(X: TermDocMatrix, entry_weights: np.ndarray, W) -> np.ndarray:
     """Accumulate ``sum_v weight_vd w_vk`` into a topics x documents array.
 
-    The entries of a document are contiguous in storage order, so each
-    topic's sums are one ``np.add.reduceat`` over the segments that
-    ``X.doc_ptr`` delimits, taken over the non-empty documents only (an
-    empty document's sum is 0).  The result is deterministic.
+    The sums are ``(R.T @ W).T``, ``R`` the CSC matrix of the weights; the
+    transpose of a CSC matrix is a CSR one over the same arrays, so each
+    document's entries are added in storage order (an empty document's sum
+    is 0).  The result is deterministic.
     """
-    W = np.asarray(W, dtype=float)
-    out = np.zeros((W.shape[1], X.n_docs))
-    docs = np.flatnonzero(np.diff(X.doc_ptr))
-    starts = X.doc_ptr[docs]
-    if docs.size:
-        for sums, w in zip(out, np.ascontiguousarray(W.T)):
-            sums[docs] = np.add.reduceat(entry_weights * w[X.rows], starts)
-    return out
+    return (_entry_matrix(X, entry_weights).T @ np.asarray(W, dtype=float)).T

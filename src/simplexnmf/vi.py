@@ -147,8 +147,6 @@ def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndar
     spec = METHOD_SPECS[config.method]
     if not spec.variational:
         raise ValueError(f"fit_vi handles methods {VI_METHODS}; use fit for {config.method!r}")
-    W, state = initialize_variational(X, config, priors)
-
     stepper = spec.function(spec.stepper)
     terms_of = spec.function(spec.objective + "_terms")
     bound_at = spec.function(spec.objective + "_at")
@@ -162,5 +160,6 @@ def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndar
         W, state, recon_evals = stepper(X, W, priors, state, h_tilde=h_tilde, recon=recon)
         return *evaluated(W, state), recon_evals
 
-    (W, state, _, _), trace = descend(step, *evaluated(W, state), config, -1)
+    # the start goes straight into its evaluation, so nothing holds it once the first step replaces it
+    (W, state, _, _), trace = descend(step, *evaluated(*initialize_variational(X, config, priors)), config, -1)
     return W, state, trace

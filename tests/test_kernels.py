@@ -1,13 +1,15 @@
 """The three kernels on the stored entries against dense references, and their memory.
 
-``reconstruct_nonzeros``, ``term_topic_sums`` and ``topic_doc_sums`` add
-in their own orders, so they are checked against ``(W @ H)[rows, cols]``,
-``R @ H.T`` and ``(R.T @ W).T`` (``R`` the dense matrix of the entry
-weights) within 1e-12 relative, over random shapes that include empty
-documents, unused terms, a single topic, a single entry and no entry.
-``objectives.joint_aux``, topic-major as well, is checked against the
-entry-by-topic form of its sum.  Each of them must work in memory linear in
-the entries, with no ``nnz x K`` temporary.
+``reconstruct_nonzeros`` adds one topic at a time; ``term_topic_sums`` and
+``topic_doc_sums`` are SciPy sparse-times-dense products over a CSC view of
+the entry weights.  Each adds in its own order, so they are checked against
+``(W @ H)[rows, cols]``, ``R @ H.T`` and ``(R.T @ W).T`` (``R`` the dense
+matrix of the entry weights) within 1e-12 relative, over random shapes that
+include empty documents, unused terms (the last of each too, which the CSC
+view's shape alone accounts for), a single topic, a single entry and no
+entry.  ``objectives.joint_aux``, topic-major as well, is checked against
+the entry-by-topic form of its sum.  Each of them must work in memory
+linear in the entries, with no ``nnz x K`` temporary.
 """
 
 import tracemalloc
@@ -36,6 +38,7 @@ def sparse_counts(draw):
 @example(np.zeros((3, 2)), 2, 0)  # no entry
 @example(np.array([[0.0, 0.0], [0.0, 4.0]]), 1, 1)  # a single entry, an empty document, an unused term
 @example(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]]), 3, 2)
+@example(np.array([[1.0, 2.0, 0.0], [0.0, 6.0, 0.0], [0.0, 0.0, 0.0]]), 1, 3)  # the last document and last term empty
 def test_kernels_match_dense_references(dense, n_topics, seed):
     X = snf.TermDocMatrix.from_dense(dense)
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ class TestGapElbo:
             after = snf.gap_elbo(X, W2, priors, state2)
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
+    def test_bound_from_terms_is_formed_in_place(self):
+        # log_gamma(beta) alone peaks at about 5.1 K x D arrays; the terms added in place stay below that
+        X = random_count_matrix(13, n_terms=40, n_docs=2000, mean=0.05)
+        priors = snf.Priors(np.full(50, 0.5), np.full(50, 1.0))
+        config = snf.FitConfig(n_topics=50, method="gap", seed=0)
+        W, state = snf.initialize_variational(X, config, priors, perturb=True)
+        terms = snf.objectives.gap_elbo_terms(X, W, state)
+        tracemalloc.start()
+        try:
+            value = snf.objectives.gap_elbo_at(X, W, priors, state, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == snf.gap_elbo(X, W, priors, state)
+        assert peak < 5.5 * state.beta.nbytes, f"peaked at {peak / state.beta.nbytes:.2f} x K x D x 8 bytes"
+
     def test_no_nan_on_valid_inputs(self):
         rng = np.random.default_rng(12)
         for seed in range(10):
@@ -290,6 +307,14 @@ class TestMarginals:
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="count mismatch"):
             snf.multinomial_marginal_loglik([1.0, 1.0], [[0.5], [0.5]], [1.0], 3)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_counts_rejected(self, bad):
+        W, h = [[0.5], [0.5]], [1.0]
+        with pytest.raises(ValueError, match="counts must be finite: count 0 is"):
+            snf.poisson_marginal_loglik([bad, 1.0], W, h)
+        with pytest.raises(ValueError, match="counts must be finite: count 0 is"):
+            snf.multinomial_marginal_loglik([bad, 1.0], W, h, 2)
 
     def test_poisson_multinomial_offset(self):
         # normalized parameters: the log-marginals differ by log(e^{-1}/N!)

@@ -62,6 +62,13 @@ def test_large_arguments_against_mpmath(fn, oracle, x):
     assert abs(fn(np.array([x]))[0] - reference) <= tolerance
 
 
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+def test_infinity_gives_infinity(fn):
+    # warnings are errors in this suite, so an inf - inf inside the series would fail here
+    assert fn(np.inf) == np.inf
+    assert np.array_equal(fn(np.array([np.inf, 1.0])), [np.inf, fn(1.0)])
+
+
 def test_derivative_consistency():
     # central difference of log_gamma approximates digamma
     h = 1e-5

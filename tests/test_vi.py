@@ -135,6 +135,19 @@ class TestGapStep:
         assert np.allclose(new_state.beta, [[4.5, 6.5]], rtol=1e-13)
         assert np.array_equal(new_state.b_rate, state.b_rate)
 
+    def test_rates_are_shared_not_copied(self):
+        X = random_count_matrix(5, n_terms=6, n_docs=4)
+        priors = snf.Priors(np.full(2, 1.0), np.full(2, 0.5))
+        W, state = snf.initialize_variational(X, snf.FitConfig(n_topics=2, method="gap"), priors)
+        _, state2, _ = snf.gap_vi_step(X, W, priors, state)
+        assert np.shares_memory(state2.b_rate, state.b_rate)
+        # a writable input, or a read-only view, is still copied
+        rates = np.array(state.b_rate)
+        assert not np.shares_memory(snf.VariationalState(state.beta, rates).b_rate, rates)
+        rates.setflags(write=False)
+        view = rates[:, :]
+        assert not np.shares_memory(snf.VariationalState(state.beta, view).b_rate, view)
+
     def test_uniform_rate_matches_dirichlet_iterates(self):
         # with a_k = a, the two h~ differ per document by a constant that
         # cancels, so the (W, beta) iterates coincide from the first step on
