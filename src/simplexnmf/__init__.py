@@ -30,9 +30,7 @@ from .types import (
     TermDocMatrix,
     VariationalState,
     VI_METHODS,
-    column_sums,
     normalize_columns,
-    reconstruct_at,
     reconstruct_nonzeros,
     reconstruction_column_sums,
     reconstruction_total,

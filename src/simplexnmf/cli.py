@@ -2,8 +2,9 @@
 
 Subcommands: ``ingest`` a directory of text files into a count matrix,
 ``fit`` any of the six solvers, ``topics`` to print top terms, ``eval``
-to report objectives for a saved model, and ``compare`` to run the
-matched-initialization equivalence checks end to end.
+to report objectives for a saved model, and ``compare`` to run one of the
+matched-initialization pairs of ``equivalence.PAIRS`` and print its worst
+deviations.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .equivalence import map_gap_lda_state
+from .equivalence import PAIRS
 from .errors import DataError, NumericalError
 from .io import (
     ModelFile,
@@ -28,28 +29,10 @@ from .io import (
     save_trace_csv,
     save_vocabulary,
 )
-from .mu import fit, initialize_factorization, mu_step_joint_bothnorm, mu_step_joint_wnorm, mu_step_sparse
-from .objectives import kl_divergence, sparse_objective
-from .reference import plsa_step_reference
-from .types import (
-    ConstraintMode,
-    Factorization,
-    FitConfig,
-    METHOD_SPECS,
-    METHODS,
-    Priors,
-    TermDocMatrix,
-    VariationalState,
-)
-from .vi import dp_vi_step, fit_vi, gap_vi_step, initialize_variational
-
-# internal settings of the `compare` subcommand; the zero-absorption floor is
-# disabled there so both routes follow the ideal iteration bit for bit
-COMPARE_TOPICS = 4
-COMPARE_LAMBDA = 0.5
-COMPARE_ALPHA = 0.7
-COMPARE_RATE = 1.3
-_NO_FLOOR = 0.0
+from .mu import fit
+from .objectives import kl_divergence
+from .types import FitConfig, METHOD_SPECS, METHODS, Priors, VariationalState
+from .vi import fit_vi
 
 
 class UsageError(Exception):
@@ -103,7 +86,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run a matched-initialization equivalence check")
     p.add_argument("--input", required=True)
-    p.add_argument("--pair", required=True, choices=list(COMPARE_PAIRS))
+    p.add_argument("--pair", required=True, choices=list(PAIRS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -216,86 +199,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# compare
-
-
-def _shared_inits(X: TermDocMatrix, seed: int):
-    config = FitConfig(n_topics=COMPARE_TOPICS, method="plsa", seed=seed)
-    return initialize_factorization(X, config)
-
-
-def _alg4_alg5(X: TermDocMatrix, seed: int):
-    start = _shared_inits(X, seed)
-    wnorm = Factorization(start.W, X.col_sums[None, :] * start.H, ConstraintMode.W_SIMPLEX)
-    both = start
-    lam = X.col_sums
-    while True:
-        wnorm = mu_step_joint_wnorm(X, wnorm, epsilon_floor=_NO_FLOOR).factorization
-        both = mu_step_joint_bothnorm(X, both, epsilon_floor=_NO_FLOOR).factorization
-        yield np.abs(wnorm.W - both.W).max(), np.abs(wnorm.H / lam[None, :] - both.H).max()
-
-
-def _sparse_plain(X: TermDocMatrix, seed: int):
-    start = _shared_inits(X, seed)
-    plain = Factorization(start.W, X.col_sums[None, :] * start.H, ConstraintMode.W_SIMPLEX)
-    penalized = plain
-    lam = COMPARE_LAMBDA
-    while True:
-        plain = mu_step_joint_wnorm(X, plain, epsilon_floor=_NO_FLOOR).factorization
-        penalized = mu_step_sparse(X, penalized, lam, epsilon_floor=_NO_FLOOR).factorization
-        dev_h = np.abs(penalized.H * (1.0 + lam) - plain.H).max() / np.maximum(1.0, np.abs(plain.H).max())
-        offset = sparse_objective(X, penalized.W, penalized.H, lam) - kl_divergence(X, plain.W, plain.H)
-        dev_obj = abs(offset - np.log1p(lam) * X.total) / np.maximum(1.0, abs(offset))
-        yield np.abs(plain.W - penalized.W).max(), dev_h, dev_obj
-
-
-def _gap_lda(X: TermDocMatrix, seed: int):
-    config_lda = FitConfig(n_topics=COMPARE_TOPICS, method="lda", seed=seed)
-    priors_lda = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA))
-    priors_gap = Priors(np.full(COMPARE_TOPICS, COMPARE_ALPHA), np.full(COMPARE_TOPICS, COMPARE_RATE))
-    W_lda, state_lda = initialize_variational(X, config_lda, priors_lda, perturb=True)
-    W_gap = W_lda.copy()
-    state_gap = map_gap_lda_state(state_lda, priors_gap, "to_gap")
-    while True:
-        W_lda, state_lda, _ = dp_vi_step(X, W_lda, priors_lda, state_lda, epsilon_floor=_NO_FLOOR)
-        W_gap, state_gap, _ = gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=_NO_FLOOR)
-        scale = np.maximum(1.0, np.abs(state_lda.beta))
-        yield np.abs(W_lda - W_gap).max(), (np.abs(state_lda.beta - state_gap.beta) / scale).max()
-
-
-def _plsa_ref(X: TermDocMatrix, seed: int):
-    current = _shared_inits(X, seed)
-    dense = X.to_dense()
-    W_ref, H_ref = current.W.copy(), current.H.copy()
-    while True:
-        current = mu_step_joint_bothnorm(X, current, epsilon_floor=_NO_FLOOR).factorization
-        W_ref, H_ref = plsa_step_reference(dense, W_ref, H_ref)
-        yield (np.maximum(np.abs(current.W - W_ref).max(), np.abs(current.H - H_ref).max()),)
-
-
-# each pair: the generator of its per-iteration deviations, and the name and
-# tolerance (None: the --tol flag) of every deviation it yields, in order
-COMPARE_PAIRS = {
-    "alg4-alg5": (_alg4_alg5, (("W iterates", None), ("H iterates / lambda_d", None))),
-    "sparse-plain": (
-        _sparse_plain,
-        (
-            ("W iterates", None),
-            ("H iterates * (1+lambda)", None),
-            ("objective offset vs log(1+lambda)*sum(X)", 1e-10),
-        ),
-    ),
-    "gap-lda": (_gap_lda, (("W iterates", None), ("beta iterates (relative)", None))),
-    "plsa-ref": (_plsa_ref, (("factor iterates vs explicit-responsibility reference", None),)),
-}
-
-
 def _cmd_compare(args) -> int:
     if args.iters < 1:
         raise UsageError(f"--iters must be at least 1, got {args.iters}")
+    if not args.tol >= 0:
+        raise UsageError(f"--tol must be a non-negative number, got {args.tol}")
     X = load_matrix_market(args.input)
-    deviations, lines = COMPARE_PAIRS[args.pair]
+    deviations, lines = PAIRS[args.pair]
     worst = np.zeros(len(lines))
     failure = None
     # a non-finite value is reported as a failed line below, not as a warning

@@ -6,6 +6,10 @@ fixed points travel between the unconstrained, W-normalized,
 both-normalized, penalized, and Bayesian formulations.  Global optimality
 itself is not certifiable; everything here is stated and checked at the
 level of objective-value identities and one-step residuals.
+
+:data:`PAIRS` runs the iterate-level identities: each pair steps two
+solvers from matched starts and yields, after every step, how far the
+maps above leave the two routes apart.
 """
 
 from __future__ import annotations
@@ -16,13 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, NumericalError
+from .mu import initialize_factorization, mu_step_joint_bothnorm, mu_step_joint_wnorm, mu_step_sparse
+from .objectives import kl_divergence, sparse_objective
+from .reference import plsa_step_reference
 from .types import (
     METHOD_SPECS,
+    Factorization,
+    FitConfig,
     Priors,
     TermDocMatrix,
     VariationalState,
     normalize_columns,
 )
+from .vi import dp_vi_step, gap_vi_step, initialize_variational
 
 
 @dataclass(frozen=True)
@@ -39,9 +49,6 @@ class NormalizationMatrix:
         if np.any(scales <= 0):
             raise ValueError("scales must be strictly positive")
         object.__setattr__(self, "scales", scales)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.scales)
 
 
 def absorb_scaling(W, H) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +151,6 @@ def absorb_penalty_general(W, H, p: float, penalty, X: TermDocMatrix | None = No
     value_general = float(penalty(norm.scales[:, None] * H))
     value_constrained = float(penalty(H_tilde))
     if X is not None:
-        from .objectives import kl_divergence
-
         value_general += kl_divergence(X, W, H)
         value_constrained += kl_divergence(X, W_tilde, H_tilde)
     gap = abs(value_general - value_constrained)
@@ -182,3 +187,86 @@ def fixed_point_residual(
         return float(max(np.abs(W_new - W).max(), np.abs(state_new.beta - state.beta).max()))
     g = step(X, model, **spec.penalty(lambda_sparsity)).factorization
     return float(max(np.abs(g.W - model.W).max(), np.abs(g.H - model.H).max()))
+
+
+# ---------------------------------------------------------------------------
+# Matched-iterate pairs
+
+# settings shared by the pairs; the zero-absorbing floor is disabled so that
+# both routes follow the ideal iteration bit for bit
+PAIR_TOPICS = 4
+PAIR_LAMBDA = 0.5
+PAIR_ALPHA = 0.7
+PAIR_RATE = 1.3
+_NO_FLOOR = 0.0
+
+
+def _start(X: TermDocMatrix, method: str, seed: int) -> Factorization:
+    """The seeded start of ``method``; the ``mu-joint`` and ``plsa`` ones differ
+    only by the document totals in ``H``."""
+    return initialize_factorization(X, FitConfig(n_topics=PAIR_TOPICS, method=method, seed=seed))
+
+
+def _alg4_alg5(X: TermDocMatrix, seed: int):
+    wnorm, both = _start(X, "mu-joint", seed), _start(X, "plsa", seed)
+    while True:
+        wnorm = mu_step_joint_wnorm(X, wnorm, epsilon_floor=_NO_FLOOR).factorization
+        both = mu_step_joint_bothnorm(X, both, epsilon_floor=_NO_FLOOR).factorization
+        # mapped after both steps, so that an empty document fails as plsa's degenerate document
+        W, H = map_c1_to_c2(X, wnorm.W, wnorm.H)
+        yield np.abs(W - both.W).max(), np.abs(H - both.H).max()
+
+
+def _sparse_plain(X: TermDocMatrix, seed: int):
+    plain = penalized = _start(X, "mu-joint", seed)
+    lam = PAIR_LAMBDA
+    while True:
+        plain = mu_step_joint_wnorm(X, plain, epsilon_floor=_NO_FLOOR).factorization
+        penalized = mu_step_sparse(X, penalized, lam, epsilon_floor=_NO_FLOOR).factorization
+        W, H = map_sparse_solution(penalized.W, penalized.H, lam, "inverse")
+        dev_h = np.abs(H - plain.H).max() / np.maximum(1.0, np.abs(plain.H).max())
+        offset = sparse_objective(X, penalized.W, penalized.H, lam) - kl_divergence(X, plain.W, plain.H)
+        dev_obj = abs(offset - np.log1p(lam) * X.total) / np.maximum(1.0, abs(offset))
+        yield np.abs(plain.W - W).max(), dev_h, dev_obj
+
+
+def _gap_lda(X: TermDocMatrix, seed: int):
+    config_lda = FitConfig(n_topics=PAIR_TOPICS, method="lda", seed=seed)
+    priors_lda = Priors(np.full(PAIR_TOPICS, PAIR_ALPHA))
+    priors_gap = Priors(np.full(PAIR_TOPICS, PAIR_ALPHA), np.full(PAIR_TOPICS, PAIR_RATE))
+    W_lda, state_lda = initialize_variational(X, config_lda, priors_lda, perturb=True)
+    W_gap = W_lda.copy()
+    state_gap = map_gap_lda_state(state_lda, priors_gap, "to_gap")
+    while True:
+        W_lda, state_lda, _ = dp_vi_step(X, W_lda, priors_lda, state_lda, epsilon_floor=_NO_FLOOR)
+        W_gap, state_gap, _ = gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=_NO_FLOOR)
+        scale = np.maximum(1.0, np.abs(state_lda.beta))
+        yield np.abs(W_lda - W_gap).max(), (np.abs(state_lda.beta - state_gap.beta) / scale).max()
+
+
+def _plsa_ref(X: TermDocMatrix, seed: int):
+    current = _start(X, "plsa", seed)
+    dense = X.to_dense()
+    W_ref, H_ref = current.W.copy(), current.H.copy()
+    while True:
+        current = mu_step_joint_bothnorm(X, current, epsilon_floor=_NO_FLOOR).factorization
+        W_ref, H_ref = plsa_step_reference(dense, W_ref, H_ref)
+        yield (np.maximum(np.abs(current.W - W_ref).max(), np.abs(current.H - H_ref).max()),)
+
+
+# pair name -> (the generator of its deviations, ``deviations(X, seed)``,
+# which yields one tuple per step and never stops; the name and tolerance of
+# each deviation in the tuple, in order, None leaving the tolerance to the caller)
+PAIRS = {
+    "alg4-alg5": (_alg4_alg5, (("W iterates", None), ("H iterates / lambda_d", None))),
+    "sparse-plain": (
+        _sparse_plain,
+        (
+            ("W iterates", None),
+            ("H iterates * (1+lambda)", None),
+            ("objective offset vs log(1+lambda)*sum(X)", 1e-10),
+        ),
+    ),
+    "gap-lda": (_gap_lda, (("W iterates", None), ("beta iterates (relative)", None))),
+    "plsa-ref": (_plsa_ref, (("factor iterates vs explicit-responsibility reference", None),)),
+}

@@ -3,8 +3,9 @@
 These are deliberately literal: each step builds the full ``(V, K, D)``
 array of per-word topic responsibilities and reduces it with plain sums.
 They exist as independent oracles for the production solvers, which never
-store responsibilities; the ``compare`` CLI command and the test suite
-check both routes against each other entry by entry.
+store responsibilities; the ``plsa-ref`` pair of
+``equivalence.PAIRS`` and the test suite check both routes against each
+other entry by entry.
 """
 
 from __future__ import annotations

@@ -177,10 +177,6 @@ class TermDocMatrix:
         """Grand total of all counts."""
         return float(self.col_sums.sum())
 
-    def recompute_column_sums(self) -> np.ndarray:
-        """Per-document totals re-accumulated in storage order (matches the cache exactly)."""
-        return np.bincount(self.cols, self.vals, minlength=self.n_docs)
-
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
@@ -404,20 +400,6 @@ class FitTrace:
 # Reconstruction evaluator
 
 
-def reconstruct_at(W, H, v: int, d: int) -> float:
-    """The single reconstruction entry ``sum_k w_vk h_kd``."""
-    W = np.asarray(W, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if not (0 <= v < W.shape[0]) or not (0 <= d < H.shape[1]):
-        raise IndexError(f"entry ({v}, {d}) outside a {W.shape[0]} x {H.shape[1]} reconstruction")
-    return float(W[v, :] @ H[:, d])
-
-
-def column_sums(M) -> np.ndarray:
-    """Per-column sums of a dense matrix."""
-    return np.asarray(M, dtype=float).sum(axis=0)
-
-
 def normalize_columns(M) -> tuple[np.ndarray, np.ndarray]:
     """Scale every column to sum to one; returns the matrix and the scales.
 
@@ -453,7 +435,7 @@ def reconstruction_column_sums(W, H) -> np.ndarray:
     """``sum_v (WH)_vd`` for every document, without forming ``WH``."""
     W = np.asarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
-    return column_sums(W) @ H
+    return W.sum(axis=0) @ H
 
 
 def reconstruction_total(W, H) -> float:

@@ -28,8 +28,9 @@ from functools import partial
 
 import numpy as np
 
+from .errors import UnrepresentableTermError
 from .mu import EPSILON_FLOOR, descend, joint_step
-from .objectives import expected_log_h_dirichlet, expected_log_h_gamma
+from .objectives import _checked_reconstruction, expected_log_h_dirichlet, expected_log_h_gamma
 from .types import (
     FitConfig,
     FitTrace,
@@ -39,6 +40,18 @@ from .types import (
     VariationalState,
     VI_METHODS,
 )
+
+
+def _vi_update(X: TermDocMatrix, W, priors: Priors, h_tilde, epsilon_floor: float, recon):
+    """:func:`~simplexnmf.mu.joint_step` on ``h~`` with the map ``alpha_k + (.)``; returns ``(W', beta')``.
+
+    A ``recon`` of ``None`` is computed and checked as the bounds check it:
+    a zero under a positive count raises ``UnrepresentableTermError``.
+    """
+    W = np.asarray(W, dtype=float)
+    if recon is None:
+        recon = _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError)
+    return joint_step(X, W, h_tilde, partial(np.add, priors.alpha[:, None]), epsilon_floor, recon)
 
 
 def dp_vi_step(
@@ -59,8 +72,7 @@ def dp_vi_step(
     """
     if h_tilde is None:
         h_tilde = expected_log_h_dirichlet(state.beta)
-    h_map = partial(np.add, priors.alpha[:, None])
-    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, recon)
+    W, beta = _vi_update(X, W, priors, h_tilde, epsilon_floor, recon)
     return W, VariationalState(beta), 1
 
 
@@ -83,8 +95,7 @@ def gap_vi_step(
         raise ValueError("gap_vi_step requires a state with b_rate (fixed at 1 + rate_a)")
     if h_tilde is None:
         h_tilde = expected_log_h_gamma(state.beta, state.b_rate)
-    h_map = partial(np.add, priors.alpha[:, None])
-    W, beta = joint_step(X, np.asarray(W, dtype=float), h_tilde, h_map, epsilon_floor, recon)
+    W, beta = _vi_update(X, W, priors, h_tilde, epsilon_floor, recon)
     return W, VariationalState(beta, state.b_rate), 1
 
 

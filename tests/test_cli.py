@@ -1,10 +1,13 @@
 """Command-line surface: flags, exit codes, files, determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 import simplexnmf as snf
-from simplexnmf.cli import main
+from simplexnmf.cli import _build_parser, main
+from simplexnmf.equivalence import PAIRS
 
 from helpers import random_count_matrix
 
@@ -227,6 +230,24 @@ def test_compare_without_iterations_is_usage_error(matrix_file, capsys, iters):
     captured = capsys.readouterr()
     assert "usage error: --iters must be at least 1" in captured.err
     assert "max deviation" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_compare_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
+    # rejected before the input is read: a missing file would be a data error
+    rc = main(["compare", "--input", str(tmp_path / "absent.mtx"), "--pair", "plsa-ref", "--tol", tol])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "usage error: --tol must be a non-negative number" in captured.err
+    assert captured.out == ""
+
+
+def test_compare_offers_the_library_pairs():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    pair = next(a for a in commands.choices["compare"]._actions if a.dest == "pair")
+    assert pair.choices == list(PAIRS)
+
 
 def test_gap_fit_records_rates(tmp_path, matrix_file):
     model_path = tmp_path / "gap.json"

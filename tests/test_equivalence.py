@@ -1,9 +1,12 @@
-"""Rescaling maps, penalty absorption, and fixed-point residuals."""
+"""Rescaling maps, penalty absorption, fixed-point residuals, and the matched-iterate pairs."""
+
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import simplexnmf as snf
+from simplexnmf.equivalence import PAIRS
 from simplexnmf.errors import DegenerateColumnError
 
 from helpers import planted_matrix, random_count_matrix, refine_mu, shared_inits
@@ -215,3 +218,15 @@ class TestFixedPointResidual:
         W_mapped, H_mapped = snf.map_c2_to_c1(X, f.W, f.H)
         mapped = snf.Factorization(W_mapped, H_mapped, snf.ConstraintMode.W_SIMPLEX)
         assert snf.fixed_point_residual(X, "mu-joint", mapped) < 1e-10
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_pair_deviations_within_tolerance(name):
+    deviations, lines = PAIRS[name]
+    X = random_count_matrix(12, n_terms=15, n_docs=10)
+    steps = list(islice(deviations(X, 5), 20))
+    assert len(steps) == 20
+    for current in steps:
+        assert len(current) == len(lines)
+        for (line, tol), value in zip(lines, current):
+            assert value <= (1e-12 if tol is None else tol), line

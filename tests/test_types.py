@@ -10,53 +10,6 @@ from simplexnmf.errors import DataError, DegenerateColumnError, EntryError
 from helpers import random_count_matrix
 
 
-class TestReconstructAt:
-    def test_identity_like_product(self):
-        W = np.array([[1.0, 0.0], [0.0, 1.0]])
-        H = np.array([[2.0, 0.0], [0.0, 3.0]])
-        assert snf.reconstruct_at(W, H, 0, 0) == 2.0
-
-    def test_single_topic_product(self):
-        W = np.array([[0.5], [0.5]])
-        H = np.array([[4.0, 6.0]])
-        assert snf.reconstruct_at(W, H, 1, 1) == pytest.approx(3.0)
-
-    def test_zero_column(self):
-        W = np.array([[0.3], [0.7]])
-        H = np.array([[0.0]])
-        assert snf.reconstruct_at(W, H, 0, 0) == 0.0
-        assert snf.reconstruct_at(W, H, 1, 0) == 0.0
-
-    def test_out_of_range(self):
-        W = np.ones((2, 1))
-        H = np.ones((1, 2))
-        with pytest.raises(IndexError):
-            snf.reconstruct_at(W, H, 2, 0)
-        with pytest.raises(IndexError):
-            snf.reconstruct_at(W, H, 0, -1)
-
-    def test_scaling_ambiguity(self):
-        rng = np.random.default_rng(0)
-        W = rng.gamma(1.0, 1.0, size=(6, 3))
-        H = rng.gamma(1.0, 1.0, size=(3, 4))
-        scales = rng.uniform(0.1, 10.0, size=3)
-        for v, d in [(0, 0), (5, 3), (2, 1)]:
-            plain = snf.reconstruct_at(W, H, v, d)
-            scaled = snf.reconstruct_at(W * scales[None, :], H / scales[:, None], v, d)
-            assert abs(plain - scaled) <= 1e-12 * max(1.0, plain)
-
-
-class TestColumnSums:
-    def test_small(self):
-        assert np.array_equal(snf.column_sums([[1.0, 2.0], [3.0, 4.0]]), [4.0, 6.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(snf.column_sums(np.zeros((3, 2))), [0.0, 0.0])
-
-    def test_single_column(self):
-        assert np.array_equal(snf.column_sums([[0.3], [0.7]]), [1.0])
-
-
 class TestNormalizeColumns:
     def test_basic(self):
         out, scales = snf.normalize_columns([[2.0], [2.0]])
@@ -100,7 +53,7 @@ class TestTermDocMatrix:
 
     def test_cached_column_sums_exact(self):
         X = random_count_matrix(3)
-        assert np.array_equal(X.col_sums, X.recompute_column_sums())
+        assert np.array_equal(X.col_sums, np.bincount(X.cols, X.vals, minlength=X.n_docs))
         assert np.allclose(X.col_sums, X.to_dense().sum(axis=0), rtol=1e-15)
 
     def test_duplicate_entry(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import simplexnmf as snf
-from simplexnmf.errors import DeadTopicError
+from simplexnmf.errors import DeadTopicError, UnrepresentableTermError
 
 from helpers import random_count_matrix
 
@@ -225,3 +225,19 @@ def test_non_finite_bound_is_an_error(monkeypatch):
     config = snf.FitConfig(n_topics=2, method="lda", max_iters=5, seed=1)
     with pytest.raises(NumericalError, match="non-finite initial objective nan"):
         snf.fit_vi(X, config, snf.Priors(np.full(2, 0.9)))
+
+
+@pytest.mark.parametrize("method", ["lda", "gap"])
+def test_unrepresentable_term_fails_as_in_the_bound(method):
+    # a step that computes its own (W h~) raises what the bound raises on the same state
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
+    W = np.array([[0.0, 0.0], [0.5, 0.25], [0.5, 0.75]])  # term 0 carried by no topic
+    priors = snf.Priors(np.ones(2), np.ones(2))
+    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0) if method == "gap" else None)
+    bound, step = {"lda": (snf.lda_elbo, snf.dp_vi_step), "gap": (snf.gap_elbo, snf.gap_vi_step)}[method]
+    with pytest.raises(UnrepresentableTermError, match="term 0"):
+        bound(X, W, priors, state)
+    with pytest.raises(UnrepresentableTermError, match="term 0"):
+        step(X, W, priors, state)
+    with pytest.raises(UnrepresentableTermError, match="term 0"):
+        snf.fixed_point_residual(X, method, (W, state), priors)
