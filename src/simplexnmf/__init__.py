@@ -64,7 +64,6 @@ from .vi import (
 )
 from .reference import lda_vi_step_reference, plsa_step_reference
 from .equivalence import (
-    NormalizationMatrix,
     absorb_penalty_general,
     absorb_scaling,
     fixed_point_residual,

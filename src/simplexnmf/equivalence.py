@@ -15,7 +15,6 @@ maps above leave the two routes apart.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +32,6 @@ from .types import (
     normalize_columns,
 )
 from .vi import dp_vi_step, gap_vi_step, initialize_variational
-
-
-@dataclass(frozen=True)
-class NormalizationMatrix:
-    """Diagonal of columnwise p-norms used to absorb a normalization constraint."""
-
-    p: float
-    scales: np.ndarray
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("the norm exponent must be positive")
-        scales = np.asarray(self.scales, dtype=float).reshape(-1)
-        if np.any(scales <= 0):
-            raise ValueError("scales must be strictly positive")
-        object.__setattr__(self, "scales", scales)
 
 
 def absorb_scaling(W, H) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +118,8 @@ def absorb_penalty_general(W, H, p: float, penalty, X: TermDocMatrix | None = No
     values must agree to 1e-10 relative; disagreement raises
     ``NumericalError``.
 
-    Returns ``(W~, H~, NormalizationMatrix, (value_general, value_constrained))``.
+    Returns ``(W~, H~, s, (value_general, value_constrained))``, ``s`` the
+    column norms, the diagonal of the normalization matrix ``D_p(W)``.
     """
     W = np.asarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -144,11 +128,10 @@ def absorb_penalty_general(W, H, p: float, penalty, X: TermDocMatrix | None = No
     scales = np.sum(np.abs(W) ** p, axis=0) ** (1.0 / p)
     if np.any(scales == 0):
         raise DegenerateColumnError(int(np.argmax(scales == 0)))
-    norm = NormalizationMatrix(p, scales)
     W_tilde = W / scales[None, :]
     H_tilde = scales[:, None] * H
 
-    value_general = float(penalty(norm.scales[:, None] * H))
+    value_general = float(penalty(scales[:, None] * H))
     value_constrained = float(penalty(H_tilde))
     if X is not None:
         value_general += kl_divergence(X, W, H)
@@ -159,7 +142,7 @@ def absorb_penalty_general(W, H, p: float, penalty, X: TermDocMatrix | None = No
             f"penalty absorption objectives disagree by {gap!r}: "
             f"{value_general!r} vs {value_constrained!r}"
         )
-    return W_tilde, H_tilde, norm, (value_general, value_constrained)
+    return W_tilde, H_tilde, scales, (value_general, value_constrained)
 
 
 def fixed_point_residual(

@@ -3,14 +3,15 @@
 Matrices travel as 1-indexed MatrixMarket coordinate files, models as JSON
 from ``json.dumps`` with one top-level key per line.  A model's matrices
 (``W``, ``H``, ``beta``, ``b_rate``) are stored exactly, as the base64 of
-their little-endian float64 bytes (``format_version`` 2); scalars, the
-per-topic vectors and the trace stay plain JSON numbers in shortest
-round-trip form.  Save/load round trips are value-exact and files
-byte-deterministic, but the matrix entries cannot be read in a text editor:
-``topics`` and ``eval`` are the readers.  Version 1 files, whose matrices are
-JSON rows of numbers, still load.  Loading checks every field's type.  The
-tokenizer is deliberately naive: lowercase, split on runs of
-non-alphanumerics.
+their little-endian float64 bytes (``format_version`` 2); scalars and the
+per-topic vectors stay plain JSON numbers in shortest round-trip form.
+Save/load round trips are value-exact and files byte-deterministic, but the
+matrix entries cannot be read in a text editor: ``topics`` and ``eval`` are
+the readers.  Version 1 files, whose matrices are JSON rows of numbers,
+still load.  Loading checks every field's type and ignores keys it does not
+know, such as the ``trace`` of earlier files; a fit's trace is written only
+as CSV (:func:`save_trace_csv`).  The tokenizer is deliberately naive:
+lowercase, split on runs of non-alphanumerics.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ _MATRIX_KIND = {1: "matrix", 2: "array"}
 
 @dataclass
 class ModelFile:
-    """Everything needed to reload a fitted model, plus optional trace data."""
+    """Everything needed to reload a fitted model."""
 
     method: str
     n_terms: int
@@ -223,7 +224,6 @@ class ModelFile:
     rate_a: np.ndarray | None = None
     lambda_sparsity: float = 0.0
     final_objective: float = 0.0
-    trace: FitTrace | None = None
     format_version: int = FORMAT_VERSION
 
     def validate(self) -> None:
@@ -317,8 +317,8 @@ def save_model(path, model: ModelFile) -> None:
     ``beta``, ``b_rate``) are written as ``{"dtype": "<f8", "shape": [rows,
     cols], "data": "<base64>"}``, the standard base64 alphabet without line
     breaks over the little-endian float64 bytes in row-major order, so they
-    load bit for bit.  Scalars, ``alpha``, ``rate_a`` and the trace are JSON
-    numbers: shortest round-trip floats, all-whole lists as integers.
+    load bit for bit.  Scalars, ``alpha`` and ``rate_a`` are JSON numbers:
+    shortest round-trip floats, all-whole lists as integers.
     """
     model.validate()
     doc: dict = {
@@ -335,12 +335,6 @@ def save_model(path, model: ModelFile) -> None:
     for name in METHOD_SPECS[model.method].model_fields:
         value = getattr(model, name)
         doc[name] = _json_array(value) if name in _PER_TOPIC_FIELDS else _encoded(value)
-    if model.trace is not None:
-        doc["trace"] = {
-            "objectives": _json_array(model.trace.objectives),
-            "recon_evals": _json_array(model.trace.recon_evals),
-            "millis": _json_array(np.asarray(model.trace.seconds, dtype=float) * 1000.0),
-        }
     # every value is serialized before the file is opened; the pieces are
     # written one by one, never joined into one copy of the whole file
     pieces = ["{\n"]
@@ -372,7 +366,6 @@ def load_model(path) -> ModelFile:
     if version not in _MATRIX_KIND:
         raise DataError(f"unsupported format_version: {version}")
     matrix = _MATRIX_KIND[version]
-    trace = _field(doc, "trace", "object", None)
     model = ModelFile(
         method=_field(doc, "method", "string"),
         n_terms=_field(doc, "n_terms", "integer"),
@@ -386,11 +379,6 @@ def load_model(path) -> ModelFile:
         },
         lambda_sparsity=_field(doc, "lambda_sparsity", "number", 0.0),
         final_objective=_field(doc, "final_objective", "number", 0.0),
-        trace=None if trace is None else FitTrace(
-            objectives=_field(trace, "objectives", "numbers", np.empty(0), "trace.").tolist(),
-            recon_evals=_field(trace, "recon_evals", "integers", [], "trace."),
-            seconds=(_field(trace, "millis", "numbers", np.empty(0), "trace.") / 1000.0).tolist(),
-        ),
         format_version=version,
     )
     model.validate()
@@ -403,7 +391,6 @@ _NUMBER = {int, float}  # the types json.loads gives numbers; bool is not among 
 _KINDS = {  # kind: (what a schema error says is expected, check of the value json.loads gave)
     "string": ("a string", lambda v: type(v) is str),
     "integer": ("an integer", lambda v: type(v) is int),
-    "integers": ("a list of integers", lambda v: type(v) is list and set(map(type, v)) <= {int}),
     "number": ("a finite number", lambda v: type(v) in _NUMBER),
     "numbers": ("a list of finite numbers", lambda v: type(v) is list and set(map(type, v)) <= _NUMBER),
     "matrix": (
@@ -417,11 +404,10 @@ _KINDS = {  # kind: (what a schema error says is expected, check of the value js
         and type(v.get("shape")) is list and len(v["shape"]) == 2
         and all(type(n) is int and n > 0 for n in v["shape"]),
     ),
-    "object": ("an object", lambda v: type(v) is dict),
 }
 
 
-def _field(doc: dict, name: str, kind: str, default=_REQUIRED, prefix: str = ""):
+def _field(doc: dict, name: str, kind: str, default=_REQUIRED):
     """``doc[name]`` checked to be of ``kind`` (a key of ``_KINDS``), or ``default`` if absent.
 
     A number comes back as a ``float``, lists of numbers and matrices (rows
@@ -446,7 +432,7 @@ def _field(doc: dict, name: str, kind: str, default=_REQUIRED, prefix: str = "")
         else:
             ok = bool(np.all(np.isfinite(value)))
     if not ok:
-        raise DataError(f"schema violation at {prefix}{name}: expected {expected}")
+        raise DataError(f"schema violation at {name}: expected {expected}")
     return value
 
 

@@ -15,15 +15,16 @@ The alternating stepper (``mu``) has a body of its own: it recomputes the
 reconstruction after its ``W`` update, two evaluations per iteration
 against one for the joint methods.
 
-A step takes the reconstruction at its input state as ``recon`` (computed
-when it is ``None``) and returns, in ``StepOutcome.recon``, the checked
-reconstruction at its output state, from which it also computed the
-objective it reports.  The drivers pass that array into the next step, so
-one reconstruction per state serves both the monitoring and the next
-update: a fit of ``n`` iterations computes ``sum(trace.recon_evals) + 1``
+A step only maps: it takes the reconstruction at its input state as
+``recon`` (computed when it is ``None``) and returns the new factors,
+without evaluating them.  The drivers evaluate every state in one place,
+the checked reconstruction and then the registry objective with
+``recon=``, and pass that reconstruction into the next step, so one
+reconstruction per state serves both the monitoring and the next update: a
+fit of ``n`` iterations computes ``sum(trace.recon_evals) + 1``
 reconstructions (``n + 1`` for a joint method, ``2n + 1`` for ``mu``), the
 ``+ 1`` being the initial state's.  ``StepOutcome.recon_evals`` is the
-number a step computes when it is given ``recon``.
+number a step computes when it is not given ``recon``.
 
 After every multiplicative update, entries are floored at
 ``EPSILON_FLOOR * (column max)`` before any normalization.  Multiplicative
@@ -42,13 +43,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import DeadTopicError, DegenerateColumnError, MonotonicityError, NumericalError
-from .objectives import _checked_reconstruction, kl_divergence_at, sparse_objective_at
+from .objectives import _checked_reconstruction
 from .types import (
     ConstraintMode,
     Factorization,
@@ -60,6 +61,7 @@ from .types import (
     normalize_columns,
     term_topic_sums,
     topic_doc_sums,
+    _readonly,
 )
 
 # relative slack on the guaranteed descent before a step is declared broken
@@ -71,15 +73,12 @@ EPSILON_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """One solver step: the updated factors, the objective after the step,
-    the number of reconstructions the step computes when it is given the
-    one at its input (1 or 2, the one at its output included), and that
-    output reconstruction, which the objective was computed from."""
+    """One solver step: the updated factors and the number of reconstructions
+    the step computes when it is not given the one at its input (1 or 2),
+    which is also the number an iteration of a fit computes."""
 
     factorization: Factorization
-    objective: float
     recon_evals: int
-    recon: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _floor_columns(M: np.ndarray, epsilon_floor: float) -> np.ndarray:
@@ -97,11 +96,15 @@ def _normalized(raw: np.ndarray, epsilon_floor: float, dead) -> np.ndarray:
 
 
 def _finite_update(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(W, H)``, once both are checked finite (``NumericalError`` otherwise)."""
+    """``(W, H)``, once both are checked finite (``NumericalError`` otherwise), made read-only.
+
+    Every step's new arrays pass through here, so the containers they go
+    into (``Factorization``, ``VariationalState``) take them without a copy.
+    """
     for name, M in (("W", W), ("the topic weights", H)):
         if not np.isfinite(M).all():
             raise NumericalError(f"non-finite iterate: the update left an infinite or NaN entry in {name}")
-    return W, H
+    return _readonly(W), _readonly(H)
 
 
 def _require_mode(f: Factorization, mode: ConstraintMode, who: str) -> None:
@@ -129,12 +132,6 @@ def joint_step(
     dead = partial(DeadTopicError, detail="all update numerators vanished")
     W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, dead)
     return _finite_update(W_new, h_map(H * topic_doc_sums(X, ratio, W)))
-
-
-def _outcome(X: TermDocMatrix, W, H, mode: ConstraintMode, recon_evals: int, objective_at=kl_divergence_at):
-    """The step's result at ``(W, H)``: its objective from the checked reconstruction it also returns."""
-    recon = _checked_reconstruction(X, W, H)
-    return StepOutcome(Factorization(W, H, mode), objective_at(X, W, H, recon), recon_evals, recon)
 
 
 def mu_step_alternating(
@@ -171,7 +168,8 @@ def mu_step_alternating(
     H_new = H * topic_doc_sums(X, ratio, W_new) / w_col_sums[:, None]
     H_new = _floor_columns(H_new, epsilon_floor)
 
-    return _outcome(X, *_finite_update(W_new, H_new), ConstraintMode.UNCONSTRAINED, 2)
+    W_new, H_new = _finite_update(W_new, H_new)
+    return StepOutcome(Factorization(W_new, H_new, ConstraintMode.UNCONSTRAINED), 2)
 
 
 def mu_step_joint_wnorm(
@@ -195,7 +193,7 @@ def mu_step_joint_wnorm(
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_joint_wnorm")
     h_map = partial(_floor_columns, epsilon_floor=epsilon_floor)
     W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, recon)
-    return _outcome(X, W, H, ConstraintMode.W_SIMPLEX, 1)
+    return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), 1)
 
 
 def mu_step_joint_bothnorm(
@@ -216,7 +214,7 @@ def mu_step_joint_bothnorm(
     _require_mode(f, ConstraintMode.BOTH_SIMPLEX, "mu_step_joint_bothnorm")
     h_map = partial(_normalized, epsilon_floor=epsilon_floor, dead=partial(DegenerateColumnError, what="document"))
     W, H = joint_step(X, f.W, f.H, h_map, epsilon_floor, recon)
-    return _outcome(X, W, H, ConstraintMode.BOTH_SIMPLEX, 1)
+    return StepOutcome(Factorization(W, H, ConstraintMode.BOTH_SIMPLEX), 1)
 
 
 def mu_step_sparse(
@@ -230,8 +228,8 @@ def mu_step_sparse(
     """One joint update for the l1-penalized objective with ``W`` on the simplex.
 
     Identical to :func:`mu_step_joint_wnorm` except that the ``h`` update
-    is scaled by ``1 / (1 + lambda)``; the reported objective includes the
-    penalty ``lambda * ||H||_1``.
+    is scaled by ``1 / (1 + lambda)``, the update for the objective with
+    the penalty ``lambda * ||H||_1`` (:func:`~simplexnmf.objectives.sparse_objective`).
     """
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_sparse")
     if not 0 <= lambda_sparsity < np.inf:
@@ -240,8 +238,7 @@ def mu_step_sparse(
     W, H = joint_step(
         X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor, recon
     )
-    penalized = partial(sparse_objective_at, lambda_sparsity=lambda_sparsity)
-    return _outcome(X, W, H, ConstraintMode.W_SIMPLEX, 1, penalized)
+    return StepOutcome(Factorization(W, H, ConstraintMode.W_SIMPLEX), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +298,11 @@ def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorizati
 def fit(X: TermDocMatrix, config: FitConfig) -> tuple[Factorization, FitTrace]:
     """Minimize the method's objective with its stepper under :func:`descend`.
 
-    The run starts from :func:`initialize_factorization`.  The initial
-    objective is the registry objective's value part
-    (``kl_divergence_at``, ``sparse_objective_at``) at the initial
-    reconstruction, and each step gets the reconstruction its predecessor
-    returned.  The run is fully determined by ``config``.
+    The run starts from :func:`initialize_factorization`.  Every state,
+    the initial one included, is evaluated here: its checked
+    reconstruction, then the registry objective (``kl_divergence``,
+    ``sparse_objective``) with ``recon=``; the next step is given that
+    reconstruction.  The run is fully determined by ``config``.
 
     Returns the final factorization together with the per-iteration trace.
     """
@@ -315,14 +312,17 @@ def fit(X: TermDocMatrix, config: FitConfig) -> tuple[Factorization, FitTrace]:
     f = initialize_factorization(X, config)
 
     stepper = spec.function(spec.stepper)
+    objective = spec.function(spec.objective)
     penalty = spec.penalty(config.lambda_sparsity)
+
+    def evaluated(f):
+        recon = _checked_reconstruction(X, f.W, f.H)
+        return (f, recon), objective(X, f.W, f.H, recon=recon, **penalty)
 
     def step(current):
         f, recon = current
         out = stepper(X, f, recon=recon, **penalty)
-        return (out.factorization, out.recon), out.objective, out.recon_evals
+        return *evaluated(out.factorization), out.recon_evals
 
-    recon = _checked_reconstruction(X, f.W, f.H)
-    initial = spec.function(spec.objective + "_at")(X, f.W, f.H, recon, **penalty)
-    (f, _), trace = descend(step, (f, recon), initial, config, +1)
+    (f, _), trace = descend(step, *evaluated(f), config, +1)
     return f, trace

@@ -7,14 +7,14 @@ convention ``0 * log 0 = 0`` is built in: stored entries of a
 ``TermDocMatrix`` are strictly positive, and absent entries contribute only
 through reconstruction totals.
 
-The objectives and bounds that fits monitor come in two parts, so that a
-fit computes the costly part once per state and hands it on to the next
-step: ``kl_divergence_at`` and ``sparse_objective_at`` take the checked
-reconstruction, ``lda_elbo_at`` and ``gap_elbo_at`` the
-:class:`BoundTerms` (``E[log h]``, ``h~`` and ``(W h~)``) of
-``lda_elbo_terms`` and ``gap_elbo_terms``.  The drivers find the parts of
-a method's registry objective ``name`` as ``name_at`` and ``name_terms``;
-``name`` itself composes them.
+The objectives and bounds that fits monitor take their costly part as an
+optional last argument, computed when it is ``None``, so that a fit
+computes it once per state and hands it on to the next step:
+``kl_divergence`` and ``sparse_objective`` take the checked reconstruction
+``recon``, ``lda_elbo`` and ``gap_elbo`` the :class:`BoundTerms`
+(``E[log h]``, ``h~`` and ``(W h~)``) of ``lda_elbo_terms`` and
+``gap_elbo_terms`` as ``terms``.  The variational steppers form ``h~``
+through the same ``*_elbo_terms``, so it is computed in one place.
 """
 
 from __future__ import annotations
@@ -43,17 +43,16 @@ def _checked_reconstruction(X: TermDocMatrix, W, H, error=InfiniteDivergenceErro
     return recon
 
 
-def kl_divergence(X: TermDocMatrix, W, H) -> float:
+def kl_divergence(X: TermDocMatrix, W, H, recon: np.ndarray | None = None) -> float:
     """Generalized KL divergence ``sum x log(x / (WH)) - x + (WH)``.
 
-    The sum over ``x log(x/..) - x`` runs over the nonzeros of ``X``; the
-    ``+ (WH)`` term is added in closed form over the full matrix.
+    The sum over ``x log(x/..) - x`` runs over the nonzeros of ``X``, from
+    the checked reconstruction ``recon`` of ``(W, H)`` at them (computed
+    when ``None``); the ``+ (WH)`` term is added in closed form over the
+    full matrix.
     """
-    return kl_divergence_at(X, W, H, _checked_reconstruction(X, W, H))
-
-
-def kl_divergence_at(X: TermDocMatrix, W, H, recon: np.ndarray) -> float:
-    """:func:`kl_divergence` from the checked reconstruction ``recon`` of ``(W, H)``."""
+    if recon is None:
+        recon = _checked_reconstruction(X, W, H)
     x = X.vals
     return float(np.sum(x * np.log(x / recon) - x) + reconstruction_total(W, H))
 
@@ -69,14 +68,9 @@ def plsa_log_likelihood(X: TermDocMatrix, W, H) -> float:
     return float(np.sum(X.vals * np.log(recon)))
 
 
-def sparse_objective(X: TermDocMatrix, W, H, lambda_sparsity: float) -> float:
-    """KL divergence plus the l1 penalty ``lambda * sum |h|``."""
-    return sparse_objective_at(X, W, H, _checked_reconstruction(X, W, H), lambda_sparsity)
-
-
-def sparse_objective_at(X: TermDocMatrix, W, H, recon: np.ndarray, lambda_sparsity: float) -> float:
-    """:func:`sparse_objective` from the checked reconstruction ``recon`` of ``(W, H)``."""
-    return kl_divergence_at(X, W, H, recon) + float(lambda_sparsity) * float(np.sum(np.abs(H)))
+def sparse_objective(X: TermDocMatrix, W, H, lambda_sparsity: float, recon: np.ndarray | None = None) -> float:
+    """KL divergence plus the l1 penalty ``lambda * sum |h|``; ``recon`` as for :func:`kl_divergence`."""
+    return kl_divergence(X, W, H, recon) + float(lambda_sparsity) * float(np.sum(np.abs(H)))
 
 
 def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
@@ -155,11 +149,13 @@ def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
 class BoundTerms(NamedTuple):
     """The parts of a variational bound at one state that take ``digamma`` or a reconstruction.
 
-    ``h_tilde`` is computed exactly as the method's stepper computes it, so
-    ``h_tilde`` and ``recon`` are also the inputs of a step from this state.
+    They are also the input of a variational step from this state, which
+    reads only ``h_tilde`` and ``recon``; a fit carries them to the next
+    step with ``elog`` set to ``None``, so that array is freed once the
+    bound is evaluated.
     """
 
-    elog: np.ndarray  # E[log h]
+    elog: np.ndarray | None  # E[log h]
     h_tilde: np.ndarray  # exp(E[log h])
     recon: np.ndarray  # (W h~) at the nonzeros, checked positive
 
@@ -171,7 +167,7 @@ def lda_elbo_terms(X: TermDocMatrix, W, state: VariationalState) -> BoundTerms:
     return BoundTerms(elog, h_tilde, _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError))
 
 
-def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> float:
+def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms: BoundTerms | None = None) -> float:
     """Variational bound of the Dirichlet topic model, count-only constants dropped.
 
     The responsibilities are the optimal ``phi_vkd ∝ w_vk h~_kd``, for which
@@ -180,12 +176,11 @@ def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> fl
         sum_{v,d} x log (W h~)_vd
         + sum_d [ logG(sum alpha) - logG(sum beta_d) ]
         + sum_{k,d} [ logG(beta) - logG(alpha) + (alpha - beta) E[log h] ].
+
+    ``terms`` are the :class:`BoundTerms` at ``(W, state)``, computed when ``None``.
     """
-    return lda_elbo_at(X, W, priors, state, lda_elbo_terms(X, W, state))
-
-
-def lda_elbo_at(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms: BoundTerms) -> float:
-    """:func:`lda_elbo` from its :class:`BoundTerms` at ``(W, state)``."""
+    if terms is None:
+        terms = lda_elbo_terms(X, W, state)
     beta = state.beta
     alpha = priors.alpha
     mixture = float(np.sum(X.vals * np.log(terms.recon)))
@@ -207,7 +202,7 @@ def gap_elbo_terms(X: TermDocMatrix, W, state: VariationalState) -> BoundTerms:
     return BoundTerms(elog, h_tilde, _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError))
 
 
-def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> float:
+def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms: BoundTerms | None = None) -> float:
     """Variational bound of the Gamma topic-weight model, count-only constants dropped.
 
     Uses ``E[h] = beta / b`` and ``E[log h] = psi(beta) - log b``; the
@@ -216,12 +211,11 @@ def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState) -> fl
         sum_{v,d} x log (W h~)_vd - sum_{k,d} E[h]
         + sum_{k,d} [ alpha log a - beta log b ]
         + sum_{k,d} [ logG(beta) - logG(alpha) + (alpha - beta) E[log h] + (b - a) E[h] ].
+
+    ``terms`` are the :class:`BoundTerms` at ``(W, state)``, computed when ``None``.
     """
-    return gap_elbo_at(X, W, priors, state, gap_elbo_terms(X, W, state))
-
-
-def gap_elbo_at(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms: BoundTerms) -> float:
-    """:func:`gap_elbo` from its :class:`BoundTerms` at ``(W, state)``."""
+    if terms is None:
+        terms = gap_elbo_terms(X, W, state)
     if priors.rate_a is None:
         raise ValueError("gap_elbo requires priors with rate_a")
     beta, b = state.beta, state.b_rate

@@ -63,7 +63,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 def _frozen_float(x) -> np.ndarray:
     """``x`` as a read-only float64 array: ``x`` itself when it already is one
-    that owns its data, as the arrays of another state are; a copy otherwise."""
+    that owns its data, as a step's new arrays and those of another state
+    are; a copy otherwise."""
     if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable:
         return x
     return _readonly(np.array(x, dtype=float))
@@ -104,7 +105,8 @@ class TermDocMatrix:
     def from_arrays(cls, n_terms: int, n_docs: int, rows, cols, vals) -> "TermDocMatrix":
         """Build from parallel arrays of 0-based term indices, document indices and counts.
 
-        Checks, in this order: positive dimensions, equal-length 1-d
+        Checks, in this order: dimensions that are positive whole numbers
+        (whole floats are taken as integers, bools are refused), equal-length 1-d
         arrays, indices that are finite whole numbers, indices in range,
         finite non-negative counts, no ``(term, doc)`` pair twice (zeros
         included), and finite document totals.  An entry fault raises
@@ -115,6 +117,9 @@ class TermDocMatrix:
         One stable sort into document-major order also finds the duplicates
         as adjacent equal pairs; zeros are dropped after it.
         """
+        if not all(np.ndim(n) == 0 and _whole(np.asarray(n)) for n in (n_terms, n_docs)):
+            raise DataError(f"matrix dimensions must be finite whole numbers, got {n_terms!r} x {n_docs!r}")
+        n_terms, n_docs = int(n_terms), int(n_docs)
         if n_terms <= 0 or n_docs <= 0:
             raise DataError("matrix dimensions must be positive")
         rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, float)
@@ -147,7 +152,7 @@ class TermDocMatrix:
             d = int(np.argmin(np.isfinite(col_sums)))
             raise DataError(f"document {d} (0-based): its counts sum past the float64 range")
         doc_ptr = np.searchsorted(cols, np.arange(n_docs + 1)).astype(np.int64)
-        return cls(int(n_terms), int(n_docs), *map(_readonly, (rows, cols, vals, col_sums, doc_ptr)))
+        return cls(n_terms, n_docs, *map(_readonly, (rows, cols, vals, col_sums, doc_ptr)))
 
     @classmethod
     def from_entries(cls, n_terms: int, n_docs: int, entries) -> "TermDocMatrix":
@@ -185,7 +190,8 @@ class Factorization:
     ``W`` is terms x topics, ``H`` topics x documents.  Construction
     validates that both are finite and non-negative and, depending on the
     mode, that the columns of ``W`` (and of ``H``) sum to one within
-    ``SIMPLEX_TOL``.
+    ``SIMPLEX_TOL``.  Both are kept as read-only float64 arrays, shared or
+    copied as in :class:`VariationalState`.
     """
 
     W: np.ndarray
@@ -193,8 +199,8 @@ class Factorization:
     constraint_mode: ConstraintMode = ConstraintMode.UNCONSTRAINED
 
     def __post_init__(self):
-        W = np.array(self.W, dtype=float)
-        H = np.array(self.H, dtype=float)
+        W = _frozen_float(self.W)
+        H = _frozen_float(self.H)
         if W.ndim != 2 or H.ndim != 2 or W.shape[1] != H.shape[0]:
             raise ValueError(f"inconsistent factor shapes {W.shape} x {H.shape}")
         if not (np.all(np.isfinite(W) & (W >= 0)) and np.all(np.isfinite(H) & (H >= 0))):
@@ -204,8 +210,8 @@ class Factorization:
             _check_simplex(W, "W")
         if mode == ConstraintMode.BOTH_SIMPLEX:
             _check_simplex(H, "H")
-        object.__setattr__(self, "W", _readonly(W))
-        object.__setattr__(self, "H", _readonly(H))
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "H", H)
         object.__setattr__(self, "constraint_mode", mode)
 
     @property
@@ -261,8 +267,9 @@ class VariationalState:
     per-word responsibilities are never stored; they are recomputed from
     ``W`` and the expected-log weights whenever needed.  Both are kept as
     read-only float64 arrays: an input that already is one and owns its
-    data is shared (so the fixed rates of a ``gap`` fit pass from state to
-    state without a copy), anything else is copied.
+    data is shared (so a step's new ``beta`` and the fixed rates of a
+    ``gap`` fit pass from state to state without a copy), anything else is
+    copied.
     """
 
     beta: np.ndarray
@@ -295,11 +302,12 @@ class MethodSpec:
     Functions are ``"module.function"`` names, looked up by :meth:`function`
     when called so that a rebound module attribute (a test double, a
     tracer) is the one that runs.  Multiplicative steppers take ``(X, f)``
-    and objectives ``(X, W, H)``, variational ones ``(X, W, priors,
-    state)``; with ``uses_lambda`` they and the ``eval_lines`` (``(label,
-    function)`` printed after the KL divergence) also take
-    ``lambda_sparsity``.  ``uses_rates`` methods need Gamma rates, and
-    ``model_fields`` are the model-file fields besides ``W``.
+    and objectives ``(X, W, H)`` (the fit adds ``recon=``), variational
+    ones ``(X, W, priors, state)`` (the fit adds ``terms=``); with
+    ``uses_lambda`` they and the ``eval_lines`` (``(label, function)``
+    printed after the KL divergence) also take ``lambda_sparsity``.
+    ``uses_rates`` methods need Gamma rates, and ``model_fields`` are the
+    model-file fields besides ``W``.
     """
 
     mode: ConstraintMode

@@ -10,12 +10,16 @@ the ``W`` update and the shape update
 
 which is :func:`simplexnmf.mu.joint_step` with ``h~`` for ``H`` and
 ``alpha_k + (.)`` as the map on the ``H`` side, so the per-iteration
-reconstruction count is 1.  :func:`fit_vi` evaluates the bound at every
-state from its :class:`~simplexnmf.objectives.BoundTerms` (one ``digamma``
-pass over ``beta``, ``h~`` and the checked ``(W h~)``) and hands ``h~`` and
-``(W h~)`` to the next step, so each state's one reconstruction and one
-``digamma`` pass serve both the bound and the update: ``n + 1`` of each
-in a fit of ``n`` iterations.  The Gamma variant keeps its rate parameters
+reconstruction count is 1.  A step only maps: it takes the
+:class:`~simplexnmf.objectives.BoundTerms` of its bound at its input state
+as ``terms`` (computed by ``lda_elbo_terms`` or ``gap_elbo_terms`` when
+``None``, so ``h~`` is formed in one place) and returns the new state
+without evaluating it.  :func:`fit_vi` computes the terms at every state
+(one ``digamma`` pass over ``beta``, ``h~`` and the checked ``(W h~)``),
+evaluates the registry bound with ``terms=`` and hands the terms to the
+next step, so each state's one reconstruction and one ``digamma`` pass
+serve both the bound and the update: ``n + 1`` of each in a fit of ``n``
+iterations.  The Gamma variant keeps its rate parameters
 pinned at ``b = 1 + a``, which is the stationary value of the bound in
 ``b``; with a uniform rate vector its iterates coincide with the
 Dirichlet ones because the two ``h~`` differ only by a per-document
@@ -28,9 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import UnrepresentableTermError
 from .mu import EPSILON_FLOOR, descend, joint_step
-from .objectives import _checked_reconstruction, expected_log_h_dirichlet, expected_log_h_gamma
+from .objectives import BoundTerms, gap_elbo_terms, lda_elbo_terms
 from .types import (
     FitConfig,
     FitTrace,
@@ -42,16 +45,10 @@ from .types import (
 )
 
 
-def _vi_update(X: TermDocMatrix, W, priors: Priors, h_tilde, epsilon_floor: float, recon):
-    """:func:`~simplexnmf.mu.joint_step` on ``h~`` with the map ``alpha_k + (.)``; returns ``(W', beta')``.
-
-    A ``recon`` of ``None`` is computed and checked as the bounds check it:
-    a zero under a positive count raises ``UnrepresentableTermError``.
-    """
-    W = np.asarray(W, dtype=float)
-    if recon is None:
-        recon = _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError)
-    return joint_step(X, W, h_tilde, partial(np.add, priors.alpha[:, None]), epsilon_floor, recon)
+def _vi_update(X: TermDocMatrix, W, priors: Priors, terms: BoundTerms, epsilon_floor: float):
+    """:func:`~simplexnmf.mu.joint_step` on ``h~`` with the map ``alpha_k + (.)``; returns ``(W', beta')``."""
+    h_map = partial(np.add, priors.alpha[:, None])
+    return joint_step(X, np.asarray(W, dtype=float), terms.h_tilde, h_map, epsilon_floor, terms.recon)
 
 
 def dp_vi_step(
@@ -61,18 +58,18 @@ def dp_vi_step(
     state: VariationalState,
     *,
     epsilon_floor: float = EPSILON_FLOOR,
-    h_tilde: np.ndarray | None = None,
-    recon: np.ndarray | None = None,
+    terms: BoundTerms | None = None,
 ) -> tuple[np.ndarray, VariationalState, int]:
     """One update of the Dirichlet-weight model; returns ``(W', state', recon_evals)``.
 
-    ``h_tilde`` and ``recon`` are ``h~`` and ``(W h~)`` at the input state,
-    as in :func:`~simplexnmf.objectives.lda_elbo_terms`; each is computed
-    when ``None``.
+    ``terms`` are the :class:`~simplexnmf.objectives.BoundTerms` of
+    :func:`~simplexnmf.objectives.lda_elbo` at the input state, of which
+    the step reads ``h~`` and ``(W h~)``; they are computed by
+    :func:`~simplexnmf.objectives.lda_elbo_terms` when ``None``.
     """
-    if h_tilde is None:
-        h_tilde = expected_log_h_dirichlet(state.beta)
-    W, beta = _vi_update(X, W, priors, h_tilde, epsilon_floor, recon)
+    if terms is None:
+        terms = lda_elbo_terms(X, W, state)
+    W, beta = _vi_update(X, W, priors, terms, epsilon_floor)
     return W, VariationalState(beta), 1
 
 
@@ -83,19 +80,19 @@ def gap_vi_step(
     state: VariationalState,
     *,
     epsilon_floor: float = EPSILON_FLOOR,
-    h_tilde: np.ndarray | None = None,
-    recon: np.ndarray | None = None,
+    terms: BoundTerms | None = None,
 ) -> tuple[np.ndarray, VariationalState, int]:
     """One update of the Gamma-weight model; the rates ``b`` stay fixed.
 
-    ``h_tilde`` and ``recon`` are as for :func:`dp_vi_step`, with ``h~ =
-    exp(psi(beta)) / b`` (:func:`~simplexnmf.objectives.gap_elbo_terms`).
+    ``terms`` are as for :func:`dp_vi_step`, those of
+    :func:`~simplexnmf.objectives.gap_elbo`, with ``h~ = exp(psi(beta)) / b``
+    (:func:`~simplexnmf.objectives.gap_elbo_terms`).
     """
     if state.b_rate is None:
         raise ValueError("gap_vi_step requires a state with b_rate (fixed at 1 + rate_a)")
-    if h_tilde is None:
-        h_tilde = expected_log_h_gamma(state.beta, state.b_rate)
-    W, beta = _vi_update(X, W, priors, h_tilde, epsilon_floor, recon)
+    if terms is None:
+        terms = gap_elbo_terms(X, W, state)
+    W, beta = _vi_update(X, W, priors, terms, epsilon_floor)
     return W, VariationalState(beta, state.b_rate), 1
 
 
@@ -143,15 +140,15 @@ def initialize_variational(
 def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndarray, VariationalState, FitTrace]:
     """Run the configured variational stepper until the bound stalls.
 
-    The run starts from :func:`initialize_variational`.  The bound is
-    evaluated at every state from the two parts of the registry bound
-    (``lda_elbo_terms`` and ``lda_elbo_at``, or the ``gap_elbo`` pair) and
-    recorded in the trace; the terms' ``h~`` and ``(W h~)`` are the next
-    step's inputs.  The bound must not decrease
-    by more than ``DESCENT_SLACK`` relative, otherwise
+    The run starts from :func:`initialize_variational`.  Every state is
+    evaluated here: its :class:`~simplexnmf.objectives.BoundTerms`
+    (``lda_elbo_terms`` or ``gap_elbo_terms``), then the registry bound
+    (``lda_elbo``, ``gap_elbo``) with ``terms=``, recorded in the trace;
+    the terms, without ``E[log h]``, are the next step's input.  The bound
+    must not decrease by more than ``DESCENT_SLACK`` relative, otherwise
     ``MonotonicityError`` is raised, and a non-finite bound raises
-    ``NumericalError``.  Convergence is the same relative-change
-    rule as the multiplicative driver; both run :func:`descend`.
+    ``NumericalError``.  Convergence is the same relative-change rule as
+    the multiplicative driver; both run :func:`descend`.
 
     Returns ``(W, state, trace)``.
     """
@@ -159,18 +156,20 @@ def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndar
     if not spec.variational:
         raise ValueError(f"fit_vi handles methods {VI_METHODS}; use fit for {config.method!r}")
     stepper = spec.function(spec.stepper)
+    bound = spec.function(spec.objective)
     terms_of = spec.function(spec.objective + "_terms")
-    bound_at = spec.function(spec.objective + "_at")
 
     def evaluated(W, state):
         terms = terms_of(X, W, state)
-        return (W, state, terms.h_tilde, terms.recon), bound_at(X, W, priors, state, terms)
+        value = bound(X, W, priors, state, terms)
+        # E[log h] is the bound's alone: dropped here, it is freed before the step runs
+        return (W, state, terms._replace(elog=None)), value
 
     def step(current):
-        W, state, h_tilde, recon = current
-        W, state, recon_evals = stepper(X, W, priors, state, h_tilde=h_tilde, recon=recon)
+        W, state, terms = current
+        W, state, recon_evals = stepper(X, W, priors, state, terms=terms)
         return *evaluated(W, state), recon_evals
 
     # the start goes straight into its evaluation, so nothing holds it once the first step replaces it
-    (W, state, _, _), trace = descend(step, *evaluated(*initialize_variational(X, config, priors)), config, -1)
+    (W, state, _), trace = descend(step, *evaluated(*initialize_variational(X, config, priors)), config, -1)
     return W, state, trace

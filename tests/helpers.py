@@ -73,3 +73,15 @@ def refine_vi(X, step, W, state, residual_tol, max_iters=100000):
         if residual < residual_tol:
             break
     return W, state, residual
+
+
+def after_the_start(objective, value):
+    """A stand-in for a registry objective: ``objective`` itself at a fit's
+    start, ``value`` at every later state."""
+    calls = []
+
+    def evaluate(*args, **kwargs):
+        calls.append(None)
+        return objective(*args, **kwargs) if len(calls) == 1 else value
+
+    return evaluate

@@ -9,7 +9,7 @@ import simplexnmf as snf
 from simplexnmf.cli import _build_parser, main
 from simplexnmf.equivalence import PAIRS
 
-from helpers import random_count_matrix
+from helpers import after_the_start, random_count_matrix
 
 
 @pytest.fixture
@@ -262,9 +262,9 @@ def test_gap_fit_records_rates(tmp_path, matrix_file):
 
 
 def test_non_finite_objective_is_numerical_failure(tmp_path, matrix_file, monkeypatch, capsys):
-    from simplexnmf import mu
+    from simplexnmf import objectives
 
-    monkeypatch.setattr(mu, "mu_step_joint_wnorm", lambda X, f, **kwargs: mu.StepOutcome(f, float("nan"), 1))
+    monkeypatch.setattr(objectives, "kl_divergence", after_the_start(objectives.kl_divergence, float("nan")))
     rc = main([
         "fit", "--input", str(matrix_file), "--method", "mu-joint", "--topics", "2",
         "--output", str(tmp_path / "m.json"),

@@ -245,7 +245,7 @@ class TestGapElbo:
         terms = snf.objectives.gap_elbo_terms(X, W, state)
         tracemalloc.start()
         try:
-            value = snf.objectives.gap_elbo_at(X, W, priors, state, terms)
+            value = snf.gap_elbo(X, W, priors, state, terms=terms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

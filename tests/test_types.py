@@ -98,6 +98,23 @@ class TestFactorization:
         with pytest.raises(ValueError):
             f.W[0, 0] = 7.0
 
+    def test_read_only_arrays_are_shared_and_others_copied(self):
+        W, H = np.full((2, 1), 0.5), np.ones((1, 2))
+        W.setflags(write=False)
+        f = snf.Factorization(W, H, snf.ConstraintMode.W_SIMPLEX)
+        assert f.W is W
+        assert f.H is not H and H.flags.writeable and not f.H.flags.writeable
+        assert snf.Factorization(W[:, :1], H).W is not W  # a view does not own its data
+
+    def test_a_step_output_is_taken_without_a_copy(self):
+        from simplexnmf import mu
+
+        X = random_count_matrix(3, n_terms=8, n_docs=5)
+        f = snf.initialize_factorization(X, snf.FitConfig(n_topics=2, method="mu-joint"))
+        W, H = mu.joint_step(X, f.W, f.H, lambda raw: raw, mu.EPSILON_FLOOR)
+        g = snf.Factorization(W, H, snf.ConstraintMode.W_SIMPLEX)
+        assert g.W is W and g.H is H
+
 
 class TestConfigAndState:
     def test_fit_config_validation(self):
@@ -285,6 +302,21 @@ class TestFromArrays:
         with pytest.raises(EntryError, match=r"index not a finite whole number: \(1\.9, 0\)") as info:
             snf.TermDocMatrix.from_entries(2, 2, [(1, 1, 1.0), (1.9, 0, 1.0)])
         assert (info.value.fault, info.value.entry) == ("index", 1)
+
+    @pytest.mark.parametrize("n_terms", [2.5, float("inf"), float("nan"), True, "3", None, [3]])
+    def test_dimension_not_a_whole_number(self, n_terms):
+        with pytest.raises(DataError, match="matrix dimensions must be finite whole numbers"):
+            snf.TermDocMatrix.from_arrays(n_terms, 1, [2], [0], [1.0])
+        with pytest.raises(DataError, match="matrix dimensions must be finite whole numbers"):
+            snf.TermDocMatrix.from_arrays(3, n_terms, [0], [0], [1.0])
+
+    def test_whole_float_dimensions_are_integers(self):
+        X = snf.TermDocMatrix.from_arrays(3.0, np.float64(2.0), [2], [1], [1.0])
+        assert (X.n_terms, X.n_docs) == (3, 2) and type(X.n_terms) is int and type(X.n_docs) is int
+        with pytest.raises(EntryError, match=r"\(3, 0\) outside 3 x 2"):
+            snf.TermDocMatrix.from_arrays(3.0, 2.0, [3], [0], [1.0])
+        with pytest.raises(DataError, match="must be positive"):
+            snf.TermDocMatrix.from_arrays(0.0, 2, [], [], [])
 
     def test_whole_float_indices_are_accepted(self):
         X = snf.TermDocMatrix.from_arrays(2, 2, [1.0, 0.0], [0.0, 1.0], [2.0, 3.0])

@@ -221,7 +221,7 @@ def test_non_finite_bound_is_an_error(monkeypatch):
     from simplexnmf.errors import NumericalError
 
     X = random_count_matrix(13, n_terms=8, n_docs=5)
-    monkeypatch.setattr(objectives, "lda_elbo_at", lambda X_, W, priors, state, terms: float("nan"))
+    monkeypatch.setattr(objectives, "lda_elbo", lambda X_, W, priors, state, terms=None: float("nan"))
     config = snf.FitConfig(n_topics=2, method="lda", max_iters=5, seed=1)
     with pytest.raises(NumericalError, match="non-finite initial objective nan"):
         snf.fit_vi(X, config, snf.Priors(np.full(2, 0.9)))
