@@ -31,7 +31,7 @@ from .errors import DataError, EntryError
 from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
-_MM_CHUNK = 1 << 16  # MatrixMarket entry lines parsed per pass
+_MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -55,9 +55,10 @@ def load_matrix_market(path) -> TermDocMatrix:
     differs from the declared one, and every entry fault that
     ``TermDocMatrix.from_arrays`` finds (an index out of range, a negative
     or non-finite value, a duplicate coordinate) raise ``DataError``
-    naming the offending line, or for a duplicate its coordinate.  The
-    entry lines are parsed in one pass over the whole body; only a fault
-    looks up its line.
+    naming the offending line, or for a duplicate its coordinate.  Numbers
+    are read by ``np.loadtxt``; a digit separator (``1_5``) or a non-ASCII
+    character makes a line malformed.  The entry lines are parsed in one
+    call over the whole body; only a fault looks up its line.
     """
     lines = _read_text(path).splitlines()
     if not lines or " ".join(lines[0].split()).lower() != _MM_HEADER:
@@ -66,18 +67,18 @@ def load_matrix_market(path) -> TermDocMatrix:
     at = [i for i, line in enumerate(lines) if i and (text := line.lstrip()) and text[0] != "%"]
     if not at:
         raise DataError(f"missing size line in {path}")
-    try:
-        n_terms, n_docs, nnz = map(int, lines[at[0]].split())
-    except ValueError as exc:
-        raise DataError(f"malformed size line at line {at[0] + 1}") from exc
+    size = _mm_numbers([lines[at[0]]], np.int64)
+    if size is None or size.shape != (3,):
+        raise DataError(f"malformed size line at line {at[0] + 1}")
+    n_terms, n_docs, nnz = size.tolist()
     body = [lines[i] for i in at[1:]]
-    entries = _mm_entries(body)
+    entries = _mm_numbers(body, _MM_ENTRY)
     if entries is None:
-        bad = next(k for k, line in enumerate(body) if _mm_entries([line]) is None)
+        bad = next(k for k, line in enumerate(body) if _mm_numbers([line], _MM_ENTRY) is None)
         raise DataError(f"malformed entry at line {at[bad + 1] + 1}")
     if len(body) != nnz:
         raise DataError(f"{path} declares {nnz} entries but contains {len(body)}")
-    rows, cols, vals = entries
+    rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     try:
         return TermDocMatrix.from_arrays(n_terms, n_docs, rows, cols, vals)
     except EntryError as fault:
@@ -89,28 +90,20 @@ def load_matrix_market(path) -> TermDocMatrix:
         raise EntryError(message, fault.entry, fault.fault) from fault
 
 
-def _mm_entries(body: list[str]):
-    """0-based ``rows``, ``cols`` and the ``vals`` of entry lines, or ``None``
-    unless every line is two 64-bit integers and a number.
-
-    The lines are parsed ``_MM_CHUNK`` at a time into preallocated arrays,
-    so the per-field string objects alive at once stay few: split in one
-    piece, a 400k-entry body held about 70 MB of them, and the process's
-    peak memory then varied by tens of MB with how the allocator had
-    reused its heap in earlier calls."""
-    n = len(body)
-    rows, cols, vals = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
-    for start in range(0, n, _MM_CHUNK):
-        chunk = body[start:start + _MM_CHUNK]
-        if set(map(len, map(str.split, chunk))) - {3}:
-            return None
-        fields = "\n".join(chunk).split()
-        try:
-            for i, (out, parse) in enumerate(((rows, int), (cols, int), (vals, float))):
-                out[start:start + len(chunk)] = np.fromiter(map(parse, fields[i::3]), out.dtype, len(chunk))
-        except (ValueError, OverflowError):
-            return None
-    return rows - 1, cols - 1, vals
+def _mm_numbers(lines: list[str], dtype):
+    """The rows of ``lines`` read by ``np.loadtxt`` into ``dtype`` (empty for
+    no lines, where it would warn), or ``None`` unless every line is ASCII
+    and reads.  The ASCII check guards numpy's integer parser, whose C
+    ``isdigit`` reads out of bounds past code point 255: it takes some
+    characters for digits (``1\u01ff`` as 473) and crashes on others."""
+    if not lines:
+        return np.empty(0, dtype)
+    if not all(map(str.isascii, lines)):
+        return None
+    try:
+        return np.loadtxt(lines, dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def save_matrix_market(path, X: TermDocMatrix) -> None:

@@ -82,9 +82,10 @@ class StepOutcome:
 
 
 def _floor_columns(M: np.ndarray, epsilon_floor: float) -> np.ndarray:
+    """``M`` floored at ``epsilon_floor`` times its column maxima, in a new C-ordered array."""
     if M.size == 0:
         return M
-    return np.maximum(M, epsilon_floor * M.max(axis=0, keepdims=True))
+    return np.maximum(M, epsilon_floor * M.max(axis=0, keepdims=True), order="C")
 
 
 def _normalized(raw: np.ndarray, epsilon_floor: float, dead) -> np.ndarray:
@@ -127,11 +128,18 @@ def joint_step(
     sum_d r_vd h_kd))`` (``DeadTopicError`` when a topic's numerators all
     vanish) and ``H' = h_map(H * sum_v r_vd w_vk)`` with the pre-update ``W``.
     An infinite or NaN entry in either raises ``NumericalError``.
+
+    ``h_map`` gets that product in Fortran order (the transpose of SciPy's
+    documents x topics sums, multiplied in place so that no second K x D
+    array is live) and returns a new C-ordered array: later column sums
+    round according to the layout, and the iterates are those of C order.
     """
     ratio = X.vals / (_checked_reconstruction(X, W, H) if recon is None else recon)
     dead = partial(DeadTopicError, detail="all update numerators vanished")
     W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, dead)
-    return _finite_update(W_new, h_map(H * topic_doc_sums(X, ratio, W)))
+    raw = topic_doc_sums(X, ratio, W)
+    raw *= H
+    return _finite_update(W_new, h_map(raw))
 
 
 def mu_step_alternating(

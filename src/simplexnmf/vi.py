@@ -47,7 +47,7 @@ from .types import (
 
 def _vi_update(X: TermDocMatrix, W, priors: Priors, terms: BoundTerms, epsilon_floor: float):
     """:func:`~simplexnmf.mu.joint_step` on ``h~`` with the map ``alpha_k + (.)``; returns ``(W', beta')``."""
-    h_map = partial(np.add, priors.alpha[:, None])
+    h_map = partial(np.add, priors.alpha[:, None], order="C")
     return joint_step(X, np.asarray(W, dtype=float), terms.h_tilde, h_map, epsilon_floor, terms.recon)
 
 

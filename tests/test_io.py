@@ -90,17 +90,16 @@ def test_matrix_market_text_is_pinned(tmp_path):
     )
 
 
-def test_matrix_market_body_parsed_in_chunks(tmp_path, monkeypatch):
+def test_matrix_market_body_round_trip_and_fault_line(tmp_path):
     X = random_count_matrix(0, n_terms=9, n_docs=7)
     path = tmp_path / "m.mtx"
     snf.save_matrix_market(path, X)
-    monkeypatch.setattr("simplexnmf.io._MM_CHUNK", 3)
-    assert X.nnz > 3 * 3
+    assert X.nnz > 8
     again = snf.load_matrix_market(path)
     for name in ("rows", "cols", "vals"):
         assert np.array_equal(getattr(again, name), getattr(X, name))
     lines = path.read_text().splitlines()
-    lines[2 + 7] = "1 1"  # the 8th entry, in the third chunk
+    lines[2 + 7] = "1 1"  # the 8th entry
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="malformed entry at line 10"):
         snf.load_matrix_market(path)

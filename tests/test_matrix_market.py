@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,15 @@ FAULTS = {
     "size two fields": (_mm(size="3 2"), "malformed size line at line 3"),
     "size non-integer": (_mm(size="3 2 x"), "malformed size line at line 3"),
     "size four fields": (_mm(size="3 2 3 3"), "malformed size line at line 3"),
+    # numbers Python's int() and float() read but the format has no place for
+    "value 1_5": (_mm(entry="2 1 1_5"), "malformed entry at line 7"),
+    "index Arabic-Indic 2": (_mm(entry="\u0662 1 1.5"), "malformed entry at line 7"),
+    "value Arabic-Indic 3": (_mm(entry="2 1 \u0663"), "malformed entry at line 7"),
+    "size 3_0": (_mm(size="3_0 2 3"), "malformed size line at line 3"),
+    "size Arabic-Indic 3": (_mm(size="\u0663 2 3"), "malformed size line at line 3"),
+    # non-ASCII text that numpy's integer parser alone would read ("1\u01ff" as 473)
+    "index 1\u01ff": (_mm(entry="1\u01ff 1 1.5"), "malformed entry at line 7"),
+    "no-break space": (_mm(entry="2\u00a01 1.5"), "malformed entry at line 7"),
 }
 
 
@@ -67,6 +77,16 @@ def test_base_file_loads_past_comments_and_blank_lines(tmp_path):
     path.write_text(_mm(), encoding="utf-8")
     X = snf.load_matrix_market(path)
     assert np.array_equal(X.to_dense(), [[2.0, 0.0], [1.5, 0.0], [0.0, 4.0]])
+
+
+def test_empty_body_is_an_empty_matrix(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "3 2 0\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = snf.load_matrix_market(path)
+    assert (X.n_terms, X.n_docs, X.nnz) == (3, 2, 0)
+    assert np.array_equal(X.to_dense(), np.zeros((3, 2)))
 
 
 def test_entry_fault_keeps_its_position(tmp_path):

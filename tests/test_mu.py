@@ -167,6 +167,21 @@ def test_other_methods_fit_an_empty_document(method):
     assert np.all(np.isfinite(W)) and np.all(np.isfinite(trace.objectives))
 
 
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_every_fit_keeps_its_iterates_in_c_order(method):
+    # column sums round according to the layout, and the joint update's
+    # topic x document sums arrive transposed
+    X = random_count_matrix(4, n_terms=12, n_docs=9)
+    config = snf.FitConfig(n_topics=3, method=method, max_iters=2, lambda_sparsity=0.5 * (method == "sparse"))
+    if method in snf.VI_METHODS:
+        W, state, trace = snf.fit_vi(X, config, snf.Priors(np.ones(3), np.ones(3) if method == "gap" else None))
+        H = state.beta
+    else:
+        f, trace = snf.fit(X, config)
+        W, H = f.W, f.H
+    assert W.flags.c_contiguous and H.flags.c_contiguous
+
+
 def test_overflowing_update_is_a_numerical_failure():
     # each document total is finite, but W h < 1 makes the ratios 1e308 / (W h) overflow
     X = snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1e308), (1, 1, 1e308)])

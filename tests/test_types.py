@@ -1,5 +1,7 @@
 """Core containers and the reconstruction evaluator."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,7 +113,8 @@ class TestFactorization:
 
         X = random_count_matrix(3, n_terms=8, n_docs=5)
         f = snf.initialize_factorization(X, snf.FitConfig(n_topics=2, method="mu-joint"))
-        W, H = mu.joint_step(X, f.W, f.H, lambda raw: raw, mu.EPSILON_FLOOR)
+        h_map = partial(mu._floor_columns, epsilon_floor=mu.EPSILON_FLOOR)  # the mu-joint map
+        W, H = mu.joint_step(X, f.W, f.H, h_map, mu.EPSILON_FLOOR)
         g = snf.Factorization(W, H, snf.ConstraintMode.W_SIMPLEX)
         assert g.W is W and g.H is H
 
