@@ -20,6 +20,7 @@ import base64
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -92,17 +93,19 @@ def load_matrix_market(path) -> TermDocMatrix:
 
 def _mm_numbers(lines: list[str], dtype):
     """The rows of ``lines`` read by ``np.loadtxt`` into ``dtype`` (empty for
-    no lines, where it would warn), or ``None`` unless every line is ASCII
-    and reads.  The ASCII check guards numpy's integer parser, whose C
-    ``isdigit`` reads out of bounds past code point 255: it takes some
-    characters for digits (``1\u01ff`` as 473) and crashes on others."""
+    no lines, where it would warn), or ``None`` unless every line is ASCII and
+    reads.  ASCII guards numpy's integer parser, whose C ``isdigit`` misreads
+    (``1\u01ff`` as 473) or crashes past code point 255.  A ``DeprecationWarning``
+    from numpy releases that read an integer through a float fails too."""
     if not lines:
         return np.empty(0, dtype)
     if not all(map(str.isascii, lines)):
         return None
     try:
-        return np.loadtxt(lines, dtype, comments=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
 
 

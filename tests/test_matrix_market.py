@@ -112,6 +112,46 @@ def test_index_beyond_64_bits_is_malformed(tmp_path):
         snf.load_matrix_market(path)
 
 
+@pytest.mark.parametrize("size, entry, message", [
+    ("3 2 3", "1.5 1 1.5", "malformed entry at line 7"),
+    ("3 2 3", "2.9 1 1.5", "malformed entry at line 7"),
+    ("3 2 3", "nan 1 1.5", "malformed entry at line 7"),
+    ("3.5 2 3", "2 1 1.5", "malformed size line at line 3"),
+    ("1e3 2 3", "2 1 1.5", "malformed size line at line 3"),
+])
+def test_float_in_integer_field_is_malformed_with_default_warnings(tmp_path, size, entry, message):
+    # outside a test run numpy's DeprecationWarning is hidden, so a numpy
+    # that falls back to reading an integer through a float must not load it
+    path = tmp_path / "m.mtx"
+    path.write_text(_mm(size=size, entry=entry), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        with pytest.raises(DataError) as info:
+            snf.load_matrix_market(path)
+    assert str(info.value) == message
+
+
+def test_numpy_float_fallback_for_integers_is_malformed(tmp_path, monkeypatch):
+    # emulates the numpy releases whose loadtxt reads an integer field that
+    # fails to parse through a float, truncates it, and only warns
+    loadtxt = np.loadtxt
+
+    def fallback(lines, dtype, **kwargs):
+        if any(line.startswith("1.5 ") for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt([line.replace("1.5 1", "1 1") for line in lines], dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", fallback)
+    path = tmp_path / "m.mtx"
+    path.write_text(_mm(entry="1.5 1 1.5"), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        with pytest.raises(DataError, match="^malformed entry at line 7$"):
+            snf.load_matrix_market(path)
+
+
 @pytest.mark.parametrize("loader", [snf.load_matrix_market, snf.load_vocabulary])
 def test_non_utf8_file_is_data_error(tmp_path, loader):
     path = tmp_path / "bad"
