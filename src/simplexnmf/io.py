@@ -59,7 +59,7 @@ def load_matrix_market(path) -> TermDocMatrix:
     naming the offending line, or for a duplicate its coordinate.  Numbers
     are read by ``np.loadtxt``; a digit separator (``1_5``) or a non-ASCII
     character makes a line malformed.  The entry lines are parsed in one
-    call over the whole body; only a fault looks up its line.
+    call over the whole body; only a fault looks up its line, by bisection.
     """
     lines = _read_text(path).splitlines()
     if not lines or " ".join(lines[0].split()).lower() != _MM_HEADER:
@@ -75,7 +75,7 @@ def load_matrix_market(path) -> TermDocMatrix:
     body = [lines[i] for i in at[1:]]
     entries = _mm_numbers(body, _MM_ENTRY)
     if entries is None:
-        bad = next(k for k, line in enumerate(body) if _mm_numbers([line], _MM_ENTRY) is None)
+        bad = _first_malformed(body)
         raise DataError(f"malformed entry at line {at[bad + 1] + 1}")
     if len(body) != nnz:
         raise DataError(f"{path} declares {nnz} entries but contains {len(body)}")
@@ -89,6 +89,22 @@ def load_matrix_market(path) -> TermDocMatrix:
             "duplicate": f"duplicate entry ({v}, {d})",
         }.get(fault.fault, f"{fault.fault} count at line {line}")
         raise EntryError(message, fault.entry, fault.fault) from fault
+
+
+def _first_malformed(body: list[str]) -> int:
+    """The index of the first entry line that does not read, in a body that does not.
+
+    A run of lines reads only if each of its lines does, so halving the run
+    that holds the first fault finds it in about ``log2(len(body))`` calls
+    that parse about ``len(body)`` lines in all."""
+    lo, hi = 0, len(body)  # the lines before lo read; lo:hi holds a line that does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _mm_numbers(body[lo:mid], _MM_ENTRY) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def _mm_numbers(lines: list[str], dtype):

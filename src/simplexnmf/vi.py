@@ -144,7 +144,9 @@ def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndar
     evaluated here: its :class:`~simplexnmf.objectives.BoundTerms`
     (``lda_elbo_terms`` or ``gap_elbo_terms``), then the registry bound
     (``lda_elbo``, ``gap_elbo``) with ``terms=``, recorded in the trace;
-    the terms, without ``E[log h]``, are the next step's input.  The bound
+    the terms, without ``E[log h]``, are the next step's input, and the step
+    lets go of the previous state and its terms before the new state is
+    evaluated, where the fit's memory peaks.  The bound
     must not decrease by more than ``DESCENT_SLACK`` relative, otherwise
     ``MonotonicityError`` is raised, and a non-finite bound raises
     ``NumericalError``.  Convergence is the same relative-change rule as
@@ -163,11 +165,15 @@ def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndar
         terms = terms_of(X, W, state)
         value = bound(X, W, priors, state, terms)
         # E[log h] is the bound's alone: dropped here, it is freed before the step runs
-        return (W, state, terms._replace(elog=None)), value
+        return [W, state, terms._replace(elog=None)], value
 
     def step(current):
+        # emptied, so that neither descend nor this frame keeps the previous
+        # state, h~ and (W h~) alive while the next state is evaluated
         W, state, terms = current
+        current.clear()
         W, state, recon_evals = stepper(X, W, priors, state, terms=terms)
+        del terms
         return *evaluated(W, state), recon_evals
 
     # the start goes straight into its evaluation, so nothing holds it once the first step replaces it

@@ -9,9 +9,15 @@ include empty documents, unused terms (the last of each too, which the CSC
 view's shape alone accounts for), a single topic, a single entry and no
 entry.  ``objectives.joint_aux``, topic-major as well, is checked against
 the entry-by-topic form of its sum.  Each of them must work in memory
-linear in the entries, with no ``nnz x K`` temporary.
+linear in the entries, with no ``nnz x K`` temporary.  The reconstruction
+split into ranges of entries, one per CPU, must equal one plain loop over
+the topics bit for bit, whatever the CPU count; the CPU count and the work
+per range are lowered here so that tiny inputs split too.
 """
 
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -114,3 +120,113 @@ def test_kernel_memory_is_linear_in_the_entries(kernel):
     finally:
         tracemalloc.stop()
     assert peak < 4 * X.nnz * 8, f"{kernel} peaked at {peak / (X.nnz * 8):.1f} x nnz x 8 bytes"
+
+
+def _per_topic_loop(X, W, H):
+    """The reconstruction as one serial loop over the topics, the order every range keeps."""
+    out = np.zeros(X.nnz)
+    for k in range(W.shape[1]):
+        out += W[X.rows, k] * H[k, X.cols]
+    return out
+
+
+def _split(monkeypatch, cpus):
+    """Let the reconstruction use ``cpus`` CPUs and split work of any size."""
+    monkeypatch.setattr(types, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(types, "_RANGE_WORK", 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+@settings(max_examples=60, deadline=None)
+@given(sparse_counts(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(np.zeros((3, 2)), 2, 0)  # no entry
+@example(np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0]]), 1, 1)  # two empty documents, K = 1
+@example(np.arange(1.0, 50.0).reshape(7, 7), 1, 2)  # 49 entries: ranges of 24 and 25, of 16 and 17, of 7
+def test_split_reconstruction_equals_the_serial_loop(cpus, dense, n_topics, seed):
+    X = snf.TermDocMatrix.from_dense(dense)
+    rng = np.random.default_rng(seed)
+    W = rng.gamma(1.0, 1.0, size=(X.n_terms, n_topics))
+    H = rng.gamma(1.0, 1.0, size=(n_topics, X.n_docs))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split(monkeypatch, cpus)
+        got = types.reconstruct_nonzeros(X, W, H)
+    assert np.array_equal(got, _per_topic_loop(X, W, H))
+
+
+def _recording(ranges):
+    """``types._reconstruct_range`` that also records each range's term indices and whether the caller ran it."""
+    reconstruct_range = types._reconstruct_range
+
+    def record(rows, *args):
+        ranges.append((rows.tolist(), threading.current_thread() is threading.main_thread()))
+        reconstruct_range(rows, *args)
+    return record
+
+
+def test_ranges_are_contiguous_one_per_cpu_the_first_in_the_caller(monkeypatch):
+    X = snf.TermDocMatrix.from_dense(np.arange(1.0, 11.0).reshape(10, 1))
+    ranges = []
+    _split(monkeypatch, 3)
+    monkeypatch.setattr(types, "_reconstruct_range", _recording(ranges))
+    types.reconstruct_nonzeros(X, np.ones((10, 1)), np.ones((1, 1)))
+    # in storage order the terms are 0..9; the threads may record before the caller
+    assert sorted(ranges) == [([0, 1, 2], True), ([3, 4, 5], False), ([6, 7, 8, 9], False)]
+
+
+def test_one_range_per_cpu_of_the_affinity_mask(monkeypatch):
+    # under a one-CPU mask (taskset -c 0) this is the inline path with no thread at all
+    X = snf.TermDocMatrix.from_dense(np.ones((64, 2)))
+    ranges = []
+    monkeypatch.setattr(types, "_RANGE_WORK", 1)
+    monkeypatch.setattr(types, "_reconstruct_range", _recording(ranges))
+    types.reconstruct_nonzeros(X, np.ones((64, 1)), np.ones((1, 2)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert len(ranges) == min(cpus, X.nnz)
+
+
+def test_work_below_the_threshold_is_one_range_in_the_caller(monkeypatch):
+    rng = np.random.default_rng(0)
+    X = snf.TermDocMatrix.from_dense(rng.integers(1, 3, size=(40, 30)))
+    ranges = []
+    monkeypatch.setattr(types, "_usable_cpus", lambda: 7)
+    monkeypatch.setattr(types, "_reconstruct_range", _recording(ranges))
+    types.reconstruct_nonzeros(X, rng.random((40, 5)), rng.random((5, 30)))
+    assert X.nnz * 5 < types._RANGE_WORK and ranges == [(X.rows.tolist(), True)]
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    X = snf.TermDocMatrix.from_dense(np.ones((6, 4)))
+    reconstruct_range = types._reconstruct_range
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("range failed")
+        reconstruct_range(*args)
+
+    _split(monkeypatch, 3)
+    monkeypatch.setattr(types, "_reconstruct_range", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^range failed$"):
+        types.reconstruct_nonzeros(X, np.ones((6, 2)), np.ones((2, 4)))
+    assert threading.active_count() == threads  # every thread was joined
+
+
+def _reconstruct_or_fail(X, W, H, want):
+    if not np.array_equal(types.reconstruct_nonzeros(X, W, H), want):
+        raise SystemExit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+def test_a_forked_child_reconstructs_after_a_split(monkeypatch):
+    rng = np.random.default_rng(1)
+    X = snf.TermDocMatrix.from_dense(rng.integers(0, 3, size=(30, 20)))
+    W, H = rng.random((30, 4)), rng.random((4, 20))
+    _split(monkeypatch, 2)
+    want = types.reconstruct_nonzeros(X, W, H)
+    child = multiprocessing.get_context("fork").Process(target=_reconstruct_or_fail, args=(X, W, H, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():  # a hang, such as a lock held at the fork
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

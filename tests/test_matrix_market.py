@@ -7,6 +7,7 @@ blank lines between the entries, so a line number that counted entries
 instead of lines would show.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -87,6 +88,37 @@ def test_empty_body_is_an_empty_matrix(tmp_path):
         X = snf.load_matrix_market(path)
     assert (X.n_terms, X.n_docs, X.nnz) == (3, 2, 0)
     assert np.array_equal(X.to_dense(), np.zeros((3, 2)))
+
+
+def _column_file(path, entries):
+    """A file of one document whose entry lines, on lines 4 on, are ``entries``."""
+    n = len(entries)
+    path.write_text(HEADER + f"{n} 1 {n}\n" + "".join(line + "\n" for line in entries), encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [2**6, 2**10, 2**14])
+def test_fault_search_is_logarithmic_in_the_lines(tmp_path, monkeypatch, n):
+    # a fault on the last line, which a search line by line finds only after n calls
+    calls = []
+    numbers = snf.io._mm_numbers
+    monkeypatch.setattr(snf.io, "_mm_numbers", lambda lines, dtype: calls.append(len(lines)) or numbers(lines, dtype))
+    _column_file(tmp_path / "m.mtx", [f"{v} 1 1" for v in range(1, n)] + [f"{n} 1 x"])
+    with pytest.raises(DataError, match=f"^malformed entry at line {n + 3}$"):
+        snf.load_matrix_market(tmp_path / "m.mtx")
+    # the size line, the whole body, then one call per halving, which read n - 1 lines in all
+    assert len(calls) <= math.log2(n) + 2
+    assert sum(calls) <= 2 * n
+
+
+@pytest.mark.parametrize("first", [0, 1, 5, 31, 62])
+def test_fault_search_reports_the_first_malformed_line(tmp_path, first):
+    entries = [f"{v} 1 1" for v in range(1, 64)]
+    entries[first] = f"{first + 1} 1"
+    if first < 62:
+        entries[62] = "63 1 x"
+    _column_file(tmp_path / "m.mtx", entries)
+    with pytest.raises(DataError, match=f"^malformed entry at line {first + 4}$"):
+        snf.load_matrix_market(tmp_path / "m.mtx")
 
 
 def test_entry_fault_keeps_its_position(tmp_path):

@@ -1,6 +1,7 @@
 """Variational steppers: expectations, updates, and the fit driver."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -214,6 +215,23 @@ class TestFitVi:
         assert np.array_equal(W1, W2)
         assert np.array_equal(s1.beta, s2.beta)
         assert t1.objectives == t2.objectives
+
+    @pytest.mark.parametrize("method", ["lda", "gap"])
+    def test_previous_state_is_freed_before_the_next_is_evaluated(self, method):
+        # 20 x 4000 cells against about 16k entries, so the peak is counted in K x D float64 arrays:
+        # keeping the previous beta, h~ and (W h~) through the next bound took it past 10 of them
+        rng = np.random.default_rng(0)
+        rows, cols = np.nonzero(rng.random((400, 4000)) < 0.01)
+        X = snf.TermDocMatrix.from_arrays(400, 4000, rows, cols, rng.integers(1, 4, size=rows.size))
+        config = snf.FitConfig(n_topics=20, method=method, max_iters=3, rel_tolerance=1e-300)
+        tracemalloc.start()
+        try:
+            _, _, trace = snf.fit_vi(X, config, snf.Priors(np.ones(20), np.ones(20)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_iterations == 3
+        assert peak < 8.5 * 20 * 4000 * 8, f"peaked at {peak / (20 * 4000 * 8):.2f} x K x D x 8 bytes"
 
 
 def test_non_finite_bound_is_an_error(monkeypatch):
