@@ -29,10 +29,9 @@ from .io import (
     save_trace_csv,
     save_vocabulary,
 )
-from .mu import fit
+from .mu import _fit
 from .objectives import kl_divergence
 from .types import FitConfig, METHOD_SPECS, METHODS, Priors, VariationalState
-from .vi import fit_vi
 
 
 class UsageError(Exception):
@@ -131,30 +130,20 @@ def _cmd_fit(args) -> int:
             raise UsageError(f"{flag} does not apply to --method {args.method}")
     X = load_matrix_market(args.input)
     config = FitConfig(
-        n_topics=args.topics,
-        method=args.method,
-        max_iters=args.max_iter,
-        rel_tolerance=args.tol,
-        seed=args.seed,
-        lambda_sparsity=args.lambda_sparsity or 0.0,
+        n_topics=args.topics, method=args.method, max_iters=args.max_iter, rel_tolerance=args.tol,
+        seed=args.seed, lambda_sparsity=args.lambda_sparsity or 0.0,
     )
-    if not spec.variational:
-        factorization, trace = fit(X, config)
-        fields = dict(W=factorization.W, H=factorization.H, lambda_sparsity=config.lambda_sparsity)
-    else:
+    priors = None
+    if spec.variational:
         alpha = _parse_vector(args.alpha, config.n_topics, "alpha", 1.0)
         rate_a = _parse_vector(args.rate_a, config.n_topics, "rate-a", 1.0) if spec.uses_rates else None
         priors = Priors(alpha, rate_a)
-        W, state, trace = fit_vi(X, config, priors)
-        fields = dict(W=W, beta=state.beta, b_rate=state.b_rate, alpha=priors.alpha, rate_a=priors.rate_a)
+    state, trace = _fit(X, config, priors)
     model = ModelFile(
-        method=args.method,
-        n_terms=X.n_terms,
-        n_docs=X.n_docs,
-        n_topics=config.n_topics,
-        constraint_mode=spec.mode.tag,
-        final_objective=trace.objectives[-1],
-        **fields,
+        method=args.method, n_terms=X.n_terms, n_docs=X.n_docs, n_topics=config.n_topics,
+        constraint_mode=spec.mode.tag, lambda_sparsity=config.lambda_sparsity,
+        final_objective=trace.objectives[-1], **spec.family(X, priors).arrays(state),
+        **(vars(priors) if priors else {}),  # alpha and rate_a
     )
     save_model(args.output, model)
     if args.trace:

@@ -161,15 +161,9 @@ def fixed_point_residual(
     spec = METHOD_SPECS.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}")
-    step = spec.function(spec.stepper)
-    if spec.variational:
-        if priors is None:
-            raise ValueError("variational residuals require priors")
-        W, state = np.asarray(model[0], dtype=float), model[1]
-        W_new, state_new, _ = step(X, W, priors, state)
-        return float(max(np.abs(W_new - W).max(), np.abs(state_new.beta - state.beta).max()))
-    g = step(X, model, **spec.penalty(lambda_sparsity)).factorization
-    return float(max(np.abs(g.W - model.W).max(), np.abs(g.H - model.H).max()))
+    family = spec.family(X, priors, lambda_sparsity)  # the variational family requires priors
+    before, after = family.arrays(model), family.arrays(family.step(model, None)[0])
+    return float(max(np.abs(after[name] - M).max() for name, M in before.items() if M is not None))
 
 
 # ---------------------------------------------------------------------------

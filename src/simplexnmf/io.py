@@ -34,6 +34,7 @@ from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+_MM_RUN = 65536  # entry lines per write of save_matrix_market
 
 
 def _read_text(path) -> str:
@@ -126,15 +127,17 @@ def _mm_numbers(lines: list[str], dtype):
 
 
 def save_matrix_market(path, X: TermDocMatrix) -> None:
-    """Write the canonical text form; round trips through load are bit-identical."""
+    """Write the canonical text form; round trips through load are bit-identical.
+    The lines are joined and written a run of ``_MM_RUN`` at a time, not all at once."""
     finite = np.isfinite(X.vals)
     if not finite.all():
         raise DataError(f"non-finite value cannot be serialized: {X.vals[np.argmin(finite)]!r}")
-    body = "".join(
-        f"{v} {d} {x:.17g}\n" for v, d, x in zip((X.rows + 1).tolist(), (X.cols + 1).tolist(), X.vals.tolist())
-    )
-    header = f"%%MatrixMarket matrix coordinate real general\n{X.n_terms} {X.n_docs} {X.nnz}\n"
-    Path(path).write_text(header + body, encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(f"%%MatrixMarket matrix coordinate real general\n{X.n_terms} {X.n_docs} {X.nnz}\n")
+        for at in range(0, X.nnz, _MM_RUN):
+            run = slice(at, at + _MM_RUN)
+            rows, cols, vals = (X.rows[run] + 1).tolist(), (X.cols[run] + 1).tolist(), X.vals[run].tolist()
+            out.write("".join(f"{v} {d} {x:.17g}\n" for v, d, x in zip(rows, cols, vals)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ against one for the joint methods.
 
 A step only maps: it takes the reconstruction at its input state as
 ``recon`` (computed when it is ``None``) and returns the new factors,
-without evaluating them.  The drivers evaluate every state in one place,
-the checked reconstruction and then the registry objective with
-``recon=``, and pass that reconstruction into the next step, so one
+without evaluating them.  The fit driver evaluates every state in one
+place, the checked reconstruction and then the registry objective with
+``recon=``, and passes that reconstruction into the next step, so one
 reconstruction per state serves both the monitoring and the next update: a
 fit of ``n`` iterations computes ``sum(trace.recon_evals) + 1``
 reconstructions (``n + 1`` for a joint method, ``2n + 1`` for ``mu``), the
@@ -33,10 +33,10 @@ without disturbing healthy entries; because it is relative to the column
 maximum it also commutes with the columnwise rescalings that relate the
 constrained solvers to each other.
 
-:func:`descend` is the one iteration loop: :func:`fit` runs it on the
-objective and :func:`simplexnmf.vi.fit_vi` on the negated bound.  Which
-stepper, constraint mode and objective a method uses is read from its
-record in ``types.METHOD_SPECS``.
+:func:`_fit` runs every fit, :func:`fit` and :func:`simplexnmf.vi.fit_vi`
+alike; what differs between their states is in two family records,
+:class:`_Factorizations` and ``vi._Variational``.  Which family, stepper,
+constraint mode and objective a method uses is read from ``types.METHOD_SPECS``.
 """
 
 from __future__ import annotations
@@ -253,23 +253,83 @@ def mu_step_sparse(
 # Driver
 
 
-def descend(step, state, initial: float, config: FitConfig, sign: int):
-    """The iteration loop of every fit: ``state, value, recon_evals = step(state)``.
+def _seeded_start(X: TermDocMatrix, config: FitConfig, random_split: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The draw of every seeded start: ``W`` with flat-Dirichlet columns, and a K x D
+    split with unit column sums, normalized Gamma(1, 1) entries (even without ``random_split``)."""
+    rng = np.random.default_rng(config.seed)
+    W = rng.dirichlet(np.ones(X.n_terms), size=config.n_topics).T
+    if not random_split:
+        return W, np.full((config.n_topics, X.n_docs), 1.0 / config.n_topics)
+    split = rng.gamma(1.0, 1.0, size=(config.n_topics, X.n_docs))
+    return W, split / split.sum(axis=0, keepdims=True)
 
-    Works on ``f = sign * value``: +1 minimizes an objective, -1 maximizes
-    a bound (negation is exact, so both take the same decisions).  Stops
-    when ``|f_n - f_{n-1}| / max(1, |f_{n-1}|) < config.rel_tolerance`` or
-    after ``config.max_iters`` steps; returns the final state and the trace.
-    A rise of ``f`` by more than ``DESCENT_SLACK`` relative raises
-    ``MonotonicityError``, a non-finite value (``initial`` too) ``NumericalError``.
+
+def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorization:
+    """Seeded random start matching the method's constraint mode.
+
+    Columns of ``W`` are drawn from a flat Dirichlet; ``H`` entries from
+    Gamma(1, 1), scaled per document so that ``sum_k h_kd`` matches the
+    document total (or one, when ``H`` is constrained to the simplex).
     """
+    spec = METHOD_SPECS[config.method]
+    if spec.variational:
+        raise ValueError(f"initialize_factorization handles methods {MU_METHODS}")
+    W, H = _seeded_start(X, config)
+    if spec.mode != ConstraintMode.BOTH_SIMPLEX:
+        H = H * X.col_sums[None, :]
+    return Factorization(W, H, spec.mode)
+
+
+class _Factorizations:
+    """The fit driver's record for :class:`Factorization` states: the
+    objective is minimized, and a state's carry into its step is its
+    checked reconstruction."""
+
+    sign = +1
+
+    def __init__(self, X: TermDocMatrix, spec, priors=None, lambda_sparsity: float = 0.0):
+        self.X, self.penalty = X, spec.penalty(lambda_sparsity)
+        self.stepper, self.objective = spec.function(spec.stepper), spec.function(spec.objective)
+
+    def start(self, config: FitConfig) -> Factorization:
+        return initialize_factorization(self.X, config)
+
+    def evaluate(self, f: Factorization):
+        recon = _checked_reconstruction(self.X, f.W, f.H)
+        return self.objective(self.X, f.W, f.H, recon=recon, **self.penalty), recon
+
+    def step(self, f: Factorization, recon):
+        out = self.stepper(self.X, f, recon=recon, **self.penalty)
+        return out.factorization, out.recon_evals
+
+    @staticmethod
+    def arrays(f: Factorization) -> dict:
+        return {"W": f.W, "H": f.H}
+
+
+def _fit(X: TermDocMatrix, config: FitConfig, priors=None):
+    """The one fit loop of every method: ``(final state, trace)``.
+
+    It works on ``f = sign * value`` of the method's family record: +1 minimizes
+    an objective, -1 maximizes a bound (negation is exact, so both take the same
+    decisions).  It stops when ``|f_n - f_{n-1}| / max(1, |f_{n-1}|) < config.rel_tolerance``
+    or after ``config.max_iters`` steps.  A rise of ``f`` by more than ``DESCENT_SLACK``
+    relative raises ``MonotonicityError``, a non-finite value (the start's too) ``NumericalError``.
+    """
+    family = METHOD_SPECS[config.method].family(X, priors, config.lambda_sparsity)
+    state = family.start(config)
+    initial, carry = family.evaluate(state)
     if not math.isfinite(initial):
         raise NumericalError(f"non-finite initial objective {initial!r}")
+    sign = family.sign
     previous = sign * initial
     trace = FitTrace()
     for iteration in range(1, config.max_iters + 1):
         started = time.perf_counter()
-        state, value, recon_evals = step(state)
+        state, recon_evals = family.step(state, carry)
+        # nothing of the previous state is left while the new one is evaluated, where a fit's memory peaks
+        del carry
+        value, carry = family.evaluate(state)
         trace.append(value, recon_evals, time.perf_counter() - started)
         if not math.isfinite(value):
             raise NumericalError(f"non-finite objective {value!r} after {iteration} iterations")
@@ -284,53 +344,10 @@ def descend(step, state, initial: float, config: FitConfig, sign: int):
     return state, trace
 
 
-def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorization:
-    """Seeded random start matching the method's constraint mode.
-
-    Columns of ``W`` are drawn from a flat Dirichlet; ``H`` entries from
-    Gamma(1, 1), scaled per document so that ``sum_k h_kd`` matches the
-    document total (or one, when ``H`` is constrained to the simplex).
-    """
-    spec = METHOD_SPECS[config.method]
-    if spec.variational:
-        raise ValueError(f"initialize_factorization handles methods {MU_METHODS}")
-    rng = np.random.default_rng(config.seed)
-    W = rng.dirichlet(np.ones(X.n_terms), size=config.n_topics).T
-    H = rng.gamma(1.0, 1.0, size=(config.n_topics, X.n_docs))
-    H = H / H.sum(axis=0, keepdims=True)
-    if spec.mode != ConstraintMode.BOTH_SIMPLEX:
-        H = H * X.col_sums[None, :]
-    return Factorization(W, H, spec.mode)
-
-
 def fit(X: TermDocMatrix, config: FitConfig) -> tuple[Factorization, FitTrace]:
-    """Minimize the method's objective with its stepper under :func:`descend`.
-
-    The run starts from :func:`initialize_factorization`.  Every state,
-    the initial one included, is evaluated here: its checked
-    reconstruction, then the registry objective (``kl_divergence``,
-    ``sparse_objective``) with ``recon=``; the next step is given that
-    reconstruction.  The run is fully determined by ``config``.
-
-    Returns the final factorization together with the per-iteration trace.
-    """
-    spec = METHOD_SPECS[config.method]
-    if spec.variational:
+    """Minimize the method's objective from :func:`initialize_factorization`, evaluating
+    every state once (see the module notes); returns the final factorization and the
+    per-iteration trace.  The run is fully determined by ``config``."""
+    if METHOD_SPECS[config.method].variational:
         raise ValueError(f"fit handles methods {MU_METHODS}; use fit_vi for {config.method!r}")
-    f = initialize_factorization(X, config)
-
-    stepper = spec.function(spec.stepper)
-    objective = spec.function(spec.objective)
-    penalty = spec.penalty(config.lambda_sparsity)
-
-    def evaluated(f):
-        recon = _checked_reconstruction(X, f.W, f.H)
-        return (f, recon), objective(X, f.W, f.H, recon=recon, **penalty)
-
-    def step(current):
-        f, recon = current
-        out = stepper(X, f, recon=recon, **penalty)
-        return *evaluated(out.factorization), out.recon_evals
-
-    (f, _), trace = descend(step, *evaluated(f), config, +1)
-    return f, trace
+    return _fit(X, config)

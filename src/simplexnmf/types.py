@@ -315,7 +315,8 @@ class MethodSpec:
     ``uses_lambda`` they and the ``eval_lines`` (``(label, function)``
     printed after the KL divergence) also take ``lambda_sparsity``.
     ``uses_rates`` methods need Gamma rates, and ``model_fields`` are the
-    model-file fields besides ``W``.
+    model-file fields besides ``W``.  :meth:`family` builds the fit
+    driver's record for the method's kind of state.
     """
 
     mode: ConstraintMode
@@ -332,6 +333,11 @@ class MethodSpec:
         """Resolve a ``"module.function"`` name inside this package."""
         module, _, attr = name.partition(".")
         return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+
+    def family(self, X, priors=None, lambda_sparsity: float = 0.0):
+        """The fit driver's record over ``X``: ``vi._Variational`` or ``mu._Factorizations``."""
+        family = self.function("vi._Variational" if self.variational else "mu._Factorizations")
+        return family(X, self, priors, lambda_sparsity)
 
     def penalty(self, lambda_sparsity: float) -> dict:
         """Keyword arguments that pass the l1 weight to the method's functions."""
@@ -380,18 +386,19 @@ class FitConfig:
     lambda_sparsity: float = 0.0
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValueError("n_topics must be at least 1")
+        # the seed must fit in an unsigned 64-bit integer; a Python int is whole past 64 bits too
+        for name, least, bound in (("n_topics", 1, np.inf), ("max_iters", 1, np.inf), ("seed", 0, 2 ** 64)):
+            value = getattr(self, name)
+            whole = type(value) is int or np.ndim(value) == 0 and _whole(np.asarray(value))
+            if not (whole and least <= int(value) < bound):
+                raise ValueError(f"{name} must be a whole number in [{least}, {bound}), got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.method not in METHOD_SPECS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if not self.rel_tolerance > 0:
             raise ValueError("rel_tolerance must be positive")
         if not 0 <= self.lambda_sparsity < np.inf:
             raise ValueError("lambda_sparsity must be non-negative and finite")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass

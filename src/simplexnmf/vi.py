@@ -14,12 +14,12 @@ reconstruction count is 1.  A step only maps: it takes the
 :class:`~simplexnmf.objectives.BoundTerms` of its bound at its input state
 as ``terms`` (computed by ``lda_elbo_terms`` or ``gap_elbo_terms`` when
 ``None``, so ``h~`` is formed in one place) and returns the new state
-without evaluating it.  :func:`fit_vi` computes the terms at every state
-(one ``digamma`` pass over ``beta``, ``h~`` and the checked ``(W h~)``),
-evaluates the registry bound with ``terms=`` and hands the terms to the
-next step, so each state's one reconstruction and one ``digamma`` pass
-serve both the bound and the update: ``n + 1`` of each in a fit of ``n``
-iterations.  The Gamma variant keeps its rate parameters
+without evaluating it.  The fit driver's :class:`_Variational` computes the
+terms at every state (one ``digamma`` pass over ``beta``, ``h~`` and the
+checked ``(W h~)``), evaluates the registry bound with ``terms=`` and hands
+the terms to the next step, so each state's one reconstruction and one
+``digamma`` pass serve both the bound and the update: ``n + 1`` of each in
+a fit of ``n`` iterations.  The Gamma variant keeps its rate parameters
 pinned at ``b = 1 + a``, which is the stationary value of the bound in
 ``b``; with a uniform rate vector its iterates coincide with the
 Dirichlet ones because the two ``h~`` differ only by a per-document
@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .mu import EPSILON_FLOOR, descend, joint_step
+from .mu import EPSILON_FLOOR, _fit, _seeded_start, joint_step
 from .objectives import BoundTerms, gap_elbo_terms, lda_elbo_terms
 from .types import (
     FitConfig,
@@ -100,15 +100,6 @@ def gap_vi_step(
 # Driver
 
 
-def _pinned_rates(method: str, priors: Priors, shape) -> np.ndarray | None:
-    """The Gamma rates ``b = 1 + rate_a`` for a method that has them, else ``None``."""
-    if not METHOD_SPECS[method].uses_rates:
-        return None
-    if priors.rate_a is None:
-        raise ValueError(f"the {method} method requires priors with rate_a")
-    return np.broadcast_to((1.0 + priors.rate_a)[:, None], shape).copy()
-
-
 def initialize_variational(
     X: TermDocMatrix,
     config: FitConfig,
@@ -118,64 +109,58 @@ def initialize_variational(
     """Seeded start: Dirichlet columns for ``W``; ``beta = alpha + lambda_d / K``.
 
     With ``perturb`` the per-document mass ``lambda_d`` is split across
-    topics at random instead of evenly.  The Gamma method also pins
-    ``b = 1 + rate_a``.
+    topics at random instead of evenly, by the draw of the multiplicative
+    methods' ``H``.  The Gamma method also pins ``b = 1 + rate_a``.
     """
     if not METHOD_SPECS[config.method].variational:
         raise ValueError(f"initialize_variational handles methods {VI_METHODS}")
-    K = config.n_topics
-    if priors.n_topics != K:
-        raise ValueError(f"priors have {priors.n_topics} topics, config expects {K}")
-    rng = np.random.default_rng(config.seed)
-    W = rng.dirichlet(np.ones(X.n_terms), size=K).T
-    if perturb:
-        split = rng.gamma(1.0, 1.0, size=(K, X.n_docs))
-        split = split / split.sum(axis=0, keepdims=True)
-    else:
-        split = np.full((K, X.n_docs), 1.0 / K)
+    if priors.n_topics != config.n_topics:
+        raise ValueError(f"priors have {priors.n_topics} topics, config expects {config.n_topics}")
+    W, split = _seeded_start(X, config, perturb)
     beta = priors.alpha[:, None] + X.col_sums[None, :] * split
-    return W, VariationalState(beta, _pinned_rates(config.method, priors, beta.shape))
+    b_rate = None
+    if METHOD_SPECS[config.method].uses_rates:
+        if priors.rate_a is None:
+            raise ValueError(f"the {config.method} method requires priors with rate_a")
+        b_rate = np.broadcast_to((1.0 + priors.rate_a)[:, None], beta.shape).copy()
+    return W, VariationalState(beta, b_rate)
+
+
+class _Variational:
+    """The fit driver's record for ``(W, VariationalState)`` states: the
+    bound is maximized, and a state's carry into its step is its
+    :class:`~simplexnmf.objectives.BoundTerms` without ``E[log h]``."""
+
+    sign = -1
+
+    def __init__(self, X: TermDocMatrix, spec, priors: Priors | None, lambda_sparsity: float = 0.0):
+        if priors is None:
+            raise ValueError("variational fits and residuals require priors")
+        self.X, self.priors, self.terms_of = X, priors, spec.function(spec.objective + "_terms")
+        self.stepper, self.bound = spec.function(spec.stepper), spec.function(spec.objective)
+
+    def start(self, config: FitConfig):
+        return initialize_variational(self.X, config, self.priors)
+
+    def evaluate(self, state):
+        terms = self.terms_of(self.X, *state)
+        # E[log h] is the bound's alone: dropped here, it is freed before the step runs
+        return self.bound(self.X, state[0], self.priors, state[1], terms), terms._replace(elog=None)
+
+    def step(self, state, terms):
+        W, vstate, recon_evals = self.stepper(self.X, state[0], self.priors, state[1], terms=terms)
+        return (W, vstate), recon_evals
+
+    @staticmethod
+    def arrays(state) -> dict:
+        return {"W": state[0], "beta": state[1].beta, "b_rate": state[1].b_rate}
 
 
 def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndarray, VariationalState, FitTrace]:
-    """Run the configured variational stepper until the bound stalls.
-
-    The run starts from :func:`initialize_variational`.  Every state is
-    evaluated here: its :class:`~simplexnmf.objectives.BoundTerms`
-    (``lda_elbo_terms`` or ``gap_elbo_terms``), then the registry bound
-    (``lda_elbo``, ``gap_elbo``) with ``terms=``, recorded in the trace;
-    the terms, without ``E[log h]``, are the next step's input, and the step
-    lets go of the previous state and its terms before the new state is
-    evaluated, where the fit's memory peaks.  The bound
-    must not decrease by more than ``DESCENT_SLACK`` relative, otherwise
-    ``MonotonicityError`` is raised, and a non-finite bound raises
-    ``NumericalError``.  Convergence is the same relative-change rule as
-    the multiplicative driver; both run :func:`descend`.
-
-    Returns ``(W, state, trace)``.
-    """
-    spec = METHOD_SPECS[config.method]
-    if not spec.variational:
+    """Maximize the method's bound from :func:`initialize_variational`, evaluating every
+    state once (see the module notes), by the rules of :func:`simplexnmf.mu.fit`;
+    returns ``(W, state, trace)``."""
+    if not METHOD_SPECS[config.method].variational:
         raise ValueError(f"fit_vi handles methods {VI_METHODS}; use fit for {config.method!r}")
-    stepper = spec.function(spec.stepper)
-    bound = spec.function(spec.objective)
-    terms_of = spec.function(spec.objective + "_terms")
-
-    def evaluated(W, state):
-        terms = terms_of(X, W, state)
-        value = bound(X, W, priors, state, terms)
-        # E[log h] is the bound's alone: dropped here, it is freed before the step runs
-        return [W, state, terms._replace(elog=None)], value
-
-    def step(current):
-        # emptied, so that neither descend nor this frame keeps the previous
-        # state, h~ and (W h~) alive while the next state is evaluated
-        W, state, terms = current
-        current.clear()
-        W, state, recon_evals = stepper(X, W, priors, state, terms=terms)
-        del terms
-        return *evaluated(W, state), recon_evals
-
-    # the start goes straight into its evaluation, so nothing holds it once the first step replaces it
-    (W, state, _), trace = descend(step, *evaluated(*initialize_variational(X, config, priors)), config, -1)
+    (W, state), trace = _fit(X, config, priors)
     return W, state, trace

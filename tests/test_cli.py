@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import simplexnmf as snf
-from simplexnmf.cli import _build_parser, main
+from simplexnmf.cli import _build_parser, _fmt, main
 from simplexnmf.equivalence import PAIRS
 
 from helpers import after_the_start, random_count_matrix
@@ -67,6 +67,27 @@ def test_eval_reports_by_method(tmp_path, matrix_file, capsys):
         assert main(["eval", "--model", str(model), "--input", str(matrix_file)]) == 0
         out = capsys.readouterr().out
         assert expected in out and absent not in out
+
+
+# the eval line of each method's registry objective, the value its fits monitor
+REGISTRY_LINE = {
+    "mu": "kl_divergence", "mu-joint": "kl_divergence", "plsa": "kl_divergence",
+    "sparse": "penalized_objective", "lda": "elbo", "gap": "elbo",
+}
+
+
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_eval_prints_the_final_objective(tmp_path, matrix_file, capsys, method):
+    model = tmp_path / "m.json"
+    extra = ["--lambda", "0.5"] if method == "sparse" else []
+    assert main([
+        "fit", "--input", str(matrix_file), "--method", method, "--topics", "3",
+        "--max-iter", "30", "--seed", "2", *extra, "--output", str(model),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--input", str(matrix_file)]) == 0
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines[REGISTRY_LINE[method]] == _fmt(snf.load_model(model).final_objective)
 
 
 def test_sparse_requires_lambda(tmp_path, matrix_file, capsys):

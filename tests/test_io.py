@@ -3,12 +3,14 @@
 import base64
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simplexnmf as snf
+from simplexnmf import io as snf_io
 from simplexnmf.errors import DataError
 from simplexnmf.io import ModelFile, save_trace_csv
 
@@ -88,6 +90,25 @@ def test_matrix_market_text_is_pinned(tmp_path):
         b"%%MatrixMarket matrix coordinate real general\n3 2 4\n"
         b"1 1 2\n2 1 0.30000000000000004\n1 2 0.33333333333333331\n3 2 4.9406564584124654e-324\n"
     )
+
+
+def test_matrix_market_writer_holds_one_run_of_lines(tmp_path, monkeypatch):
+    """The writer's peak memory is that of one run of entry lines, not of the whole file."""
+    run = 2048
+    monkeypatch.setattr(snf_io, "_MM_RUN", run, raising=False)
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n_runs in (1, 16):
+        cells = rng.choice(500 * 400, size=n_runs * run, replace=False)
+        X = snf.TermDocMatrix.from_arrays(500, 400, cells % 500, cells // 500, rng.random(cells.size) + 0.5)
+        tracemalloc.start()
+        try:
+            snf.save_matrix_market(tmp_path / "m.mtx", X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert snf.load_matrix_market(tmp_path / "m.mtx").nnz == X.nnz
+    assert peaks[1] < 2 * peaks[0], f"16 runs peaked at {peaks[1] / peaks[0]:.1f} x one run"
 
 
 def test_matrix_market_body_round_trip_and_fault_line(tmp_path):

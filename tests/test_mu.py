@@ -1,6 +1,7 @@
 """Multiplicative-update steppers and the fit driver."""
 
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -317,15 +318,53 @@ class TestDescend:
         with pytest.raises(NumericalError, match="non-finite initial objective inf"):
             mu.fit(X, config)
 
-    def test_sign_selects_the_direction(self):
-        config = snf.FitConfig(n_topics=1, max_iters=3, rel_tolerance=1e-12)
-
-        def rising(state):
-            return state + 1, float(state + 1), 1
-
-        state, trace = mu.descend(rising, 0, 0.0, config, -1)
-        assert state == 3 and trace.objectives == [1.0, 2.0, 3.0] and trace.recon_evals == [1, 1, 1]
-        with pytest.raises(MonotonicityError, match="objective rose from 0.0 to 1.0"):
-            mu.descend(rising, 0, 0.0, config, +1)
+    def test_sign_selects_the_direction(self, monkeypatch):
+        """One loop minimizes the objectives and maximizes the bounds."""
+        X = random_count_matrix(18, n_terms=10, n_docs=6)
+        priors = snf.Priors(np.ones(2))
+        config = snf.FitConfig(n_topics=2, method="lda", max_iters=3, rel_tolerance=1e-12, seed=4)
+        monkeypatch.setattr(objectives, "lda_elbo", _in_turn(0.0, 1.0, 2.0, 3.0))
+        W, state, trace = snf.fit_vi(X, config, priors)
+        assert trace.objectives == [1.0, 2.0, 3.0] and trace.recon_evals == [1, 1, 1]
+        # the returned state is the third step's
+        W_ref, state_ref = snf.initialize_variational(X, config, priors)
+        for _ in range(3):
+            W_ref, state_ref, _ = snf.dp_vi_step(X, W_ref, priors, state_ref)
+        assert np.array_equal(W, W_ref) and np.array_equal(state.beta, state_ref.beta)
+        monkeypatch.setattr(objectives, "lda_elbo", _in_turn(0.0, -1.0))
         with pytest.raises(MonotonicityError, match="bound fell from 0.0 to -1.0"):
-            mu.descend(lambda s: (s, -1.0, 1), 0, 0.0, config, -1)
+            snf.fit_vi(X, config, priors)
+        monkeypatch.setattr(objectives, "kl_divergence", _in_turn(0.0, 1.0))
+        with pytest.raises(MonotonicityError, match="objective rose from 0.0 to 1.0"):
+            snf.fit(X, snf.FitConfig(n_topics=2, method="mu-joint", max_iters=3, rel_tolerance=1e-12, seed=4))
+
+
+def _in_turn(*values):
+    """A stand-in for a registry objective that returns ``values`` in turn, one per state."""
+    values = iter(values)
+    return lambda *args, **kwargs: next(values)
+
+
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_every_fit_lets_go_of_earlier_states(monkeypatch, method):
+    """While a fit evaluates a state, where its memory peaks, no earlier state's ``W`` is alive."""
+    n = 4
+    name = METHOD_SPECS[method].objective.partition(".")[2]
+    objective, seen, alive = getattr(objectives, name), [], []
+
+    def watching(X_, W, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in seen))
+        seen.append(weakref.ref(W))
+        return objective(X_, W, *args, **kwargs)
+
+    monkeypatch.setattr(objectives, name, watching)
+    X = random_count_matrix(19, n_terms=12, n_docs=8)
+    config = snf.FitConfig(
+        n_topics=3, method=method, max_iters=n, rel_tolerance=1e-300, seed=2,
+        lambda_sparsity=0.4 if method == "sparse" else 0.0,
+    )
+    if method in snf.VI_METHODS:
+        snf.fit_vi(X, config, snf.Priors(np.full(3, 0.8), np.full(3, 1.3) if method == "gap" else None))
+    else:
+        snf.fit(X, config)
+    assert alive == [0] * (n + 1)

@@ -134,7 +134,16 @@ class TestConfigAndState:
             snf.FitConfig(n_topics=2, method="nope")
         with pytest.raises(ValueError):
             snf.FitConfig(n_topics=0)
+        # non-whole numbers and bools are refused by name, not deep in numpy
+        for name, bad in (
+            ("n_topics", 2.5), ("n_topics", True), ("seed", 1.5), ("seed", "3"), ("seed", True),
+            ("max_iters", 2.5), ("seed", -1), ("seed", 2 ** 64),
+        ):
+            with pytest.raises(ValueError, match=name):
+                snf.FitConfig(**{"n_topics": 2, name: bad})
         snf.FitConfig(n_topics=2, max_iters=1)
+        config = snf.FitConfig(n_topics=np.int64(2), max_iters=np.int64(3), seed=np.uint64(2 ** 64 - 1))
+        assert (config.n_topics, config.max_iters, config.seed) == (2, 3, 2 ** 64 - 1)
 
     def test_priors_validation(self):
         with pytest.raises(ValueError):
