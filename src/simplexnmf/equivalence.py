@@ -150,18 +150,24 @@ def fixed_point_residual(
     method: str,
     model,
     priors: Priors | None = None,
-    lambda_sparsity: float = 0.0,
+    lambda_sparsity: float | None = None,
 ) -> float:
     """Max-norm parameter change under one step of the named solver, with its
     default floor ``mu.EPSILON_FLOOR``.
 
     ``model`` is a :class:`Factorization` for the multiplicative methods
     and a ``(W, VariationalState)`` pair for ``lda`` / ``gap``.
+    ``lambda_sparsity`` is the ``sparse`` model's weight, required for
+    ``sparse`` and refused for every other method (``ValueError`` each).
     """
     spec = METHOD_SPECS.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}")
-    family = spec.family(X, priors, lambda_sparsity)  # the variational family requires priors
+    if spec.uses_lambda and lambda_sparsity is None:
+        raise ValueError(f"method {method!r} requires lambda_sparsity")
+    if not spec.uses_lambda and lambda_sparsity is not None:
+        raise ValueError(f"method {method!r} takes no lambda_sparsity")
+    family = spec.family(X, priors, lambda_sparsity or 0.0)  # the variational family requires priors
     before, after = family.arrays(model), family.arrays(family.step(model, None)[0])
     return float(max(np.abs(after[name] - M).max() for name, M in before.items() if M is not None))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import re
 import warnings
 from collections import Counter
@@ -35,6 +36,7 @@ _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 _MM_RUN = 65536  # entry lines per write of save_matrix_market
+_READ_SIZE = 65536  # bytes per os.read of a corpus file
 
 
 def _read_text(path) -> str:
@@ -169,33 +171,60 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def _is_document(entry: os.DirEntry) -> bool:
+    """Whether a corpus directory entry is a regular file or a symlink to one."""
+    try:
+        return entry.is_file()
+    except OSError:  # its target cannot be looked up (a symlink loop): skipped as a broken symlink is
+        return False
+
+
+def _read_document(path: str) -> str:
+    """The text of one corpus file: its bytes decoded as strict UTF-8."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8")
+
+
 def ingest_corpus(directory, min_count: int = 1) -> tuple[TermDocMatrix, Vocabulary]:
     """Read one UTF-8 document per file; build the count matrix and vocabulary.
 
-    Terms occurring fewer than ``min_count`` times corpus-wide are
-    dropped.  Documents left without any countable term are rejected with
-    a listing, so every document column of the result has a positive
-    total.
+    The documents are the directory's regular files and symlinks to them;
+    subdirectories (which are not searched), broken symlinks and other
+    entries are skipped.  Document columns follow the code-point order of
+    the file names (``"10.txt"`` before ``"2.txt"`` before ``"B.txt"``
+    before ``"a.txt"``), not natural order.  Each file is decoded as strict
+    UTF-8; a file that cannot be read or decoded is a ``DataError``
+    naming it.  Line endings (LF, CRLF, CR) separate tokens alike.  Terms
+    occurring fewer than ``min_count`` times corpus-wide are dropped.
+    Documents left without any countable term are rejected with a listing,
+    so every document column of the result has a positive total.
     """
     root = Path(directory)
     if not root.is_dir():
         raise DataError(f"not a directory: {directory}")
-    files = sorted(p for p in root.iterdir() if p.is_file())
+    with os.scandir(root) as scan:
+        files = sorted(entry.name for entry in scan if _is_document(entry))
     if not files:
         raise DataError(f"empty corpus: no files in {directory}")
     docs = []
-    for p in files:
+    for name in files:
         try:
-            docs.append(tokenize(p.read_text(encoding="utf-8")))
+            docs.append(tokenize(_read_document(os.path.join(root, name))))
         except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"unreadable file {p}: {exc}") from exc
+            raise DataError(f"unreadable file {root / name}: {exc}") from exc
     tokens = list(chain.from_iterable(docs))
     totals = Counter(tokens)
     vocab = Vocabulary(tuple(sorted(t for t, c in totals.items() if c >= min_count)))
     term = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), np.int64, len(tokens))
     counted = term >= 0
     doc = np.repeat(np.arange(len(files)), list(map(len, docs)))[counted]
-    empty = [p.name for p, n in zip(files, np.bincount(doc, minlength=len(files))) if n == 0]
+    empty = [name for name, n in zip(files, np.bincount(doc, minlength=len(files))) if n == 0]
     if empty:
         raise DataError(f"documents with no countable terms: {', '.join(empty)}")
     # one key per (document, term) pair in document-major order, with its count

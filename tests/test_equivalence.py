@@ -195,6 +195,28 @@ class TestFixedPointResidual:
         with pytest.raises(ValueError, match="unknown method"):
             snf.fixed_point_residual(X, "bogus", None)
 
+    def test_sparse_requires_its_weight(self):
+        X = random_count_matrix(13, n_terms=6, n_docs=4)
+        _, f = shared_inits(X, 13, n_topics=2)
+        with pytest.raises(ValueError, match="'sparse' requires lambda_sparsity"):
+            snf.fixed_point_residual(X, "sparse", f)
+
+    @pytest.mark.parametrize("method", ["mu", "mu-joint", "plsa", "lda", "gap"])
+    def test_weight_refused_for_other_methods(self, method):
+        X = random_count_matrix(14, n_terms=6, n_docs=4)
+        with pytest.raises(ValueError, match=f"'{method}' takes no lambda_sparsity"):
+            snf.fixed_point_residual(X, method, None, lambda_sparsity=0.0)
+
+    def test_converged_sparse_fit_reads_small_residual_with_its_weight(self):
+        lam = 0.5
+        X = planted_matrix(15, n_terms=20, n_docs=15, n_topics=3)
+        config = snf.FitConfig(
+            n_topics=3, method="sparse", lambda_sparsity=lam, max_iters=4000, rel_tolerance=1e-12, seed=1
+        )
+        f, _ = snf.fit(X, config)
+        f, _ = refine_mu(X, lambda X_, m: snf.mu_step_sparse(X_, m, lam), f, 1e-12)
+        assert snf.fixed_point_residual(X, "sparse", f, lambda_sparsity=lam) < 1e-10
+
     def test_transfer_between_constrained_solvers(self):
         # refine each constrained solver to a near-fixed point, rescale the
         # topic weights by the document totals, and verify the mapped model

@@ -11,6 +11,7 @@ import pytest
 
 import simplexnmf as snf
 from simplexnmf import io as snf_io
+from simplexnmf.cli import main
 from simplexnmf.errors import DataError
 from simplexnmf.io import ModelFile, save_trace_csv
 
@@ -157,6 +158,61 @@ class TestIngest:
         self._write(tmp_path, {"ok.txt": "word word", "bad.txt": "...", "worse.txt": "!!"})
         with pytest.raises(DataError, match="bad.txt, worse.txt"):
             snf.ingest_corpus(tmp_path, min_count=1)
+
+    def test_documents_in_code_point_order_of_names(self, tmp_path):
+        self._write(tmp_path, {"a.txt": "ay", "B.txt": "bee", "2.txt": "two", "10.txt": "ten"})
+        X, vocab = snf.ingest_corpus(tmp_path)
+        order = ["ten", "two", "bee", "ay"]  # "10.txt", "2.txt", "B.txt", "a.txt"
+        assert [vocab.terms[t] for t in X.to_dense().argmax(axis=0)] == order
+
+    def test_subdirectory_and_broken_symlinks_skipped(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        (corpus / "sub").mkdir(parents=True)
+        (corpus / "sub" / "nested.txt").write_text("nested", encoding="utf-8")
+        (corpus / "plain.txt").write_text("plain", encoding="utf-8")
+        (tmp_path / "outside.txt").write_text("linked", encoding="utf-8")
+        (corpus / "link.txt").symlink_to(tmp_path / "outside.txt")
+        (corpus / "broken.txt").symlink_to(tmp_path / "missing.txt")
+        (corpus / "loop1.txt").symlink_to(corpus / "loop2.txt")
+        (corpus / "loop2.txt").symlink_to(corpus / "loop1.txt")
+        X, vocab = snf.ingest_corpus(corpus)
+        assert vocab.terms == ("linked", "plain")
+        assert np.array_equal(X.to_dense(), np.eye(2))
+
+    def test_line_endings_give_the_same_matrix(self, tmp_path):
+        lines = ["The cat sat", "on the mat", "", "cat and dog"]
+        results = []
+        for label, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            corpus = tmp_path / label
+            corpus.mkdir()
+            (corpus / "a.txt").write_bytes(newline.join(lines).encode("utf-8"))
+            (corpus / "b.txt").write_bytes(("dog" + newline + "food" + newline).encode("utf-8"))
+            results.append(snf.ingest_corpus(corpus))
+        (X, vocab), *others = results
+        assert vocab.terms == ("and", "cat", "dog", "food", "mat", "on", "sat", "the")
+        for Y, other in others:
+            assert other.terms == vocab.terms
+            for name in ("rows", "cols", "vals", "col_sums", "doc_ptr"):
+                assert np.array_equal(getattr(Y, name), getattr(X, name))
+
+    def _bad_corpus(self, corpus):
+        corpus.mkdir(exist_ok=True)
+        self._write(corpus, {"good.txt": "word"})
+        (corpus / "bad.txt").write_bytes("café".encode("latin-1"))
+        return corpus
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="unreadable file .*bad.txt"):
+            snf.ingest_corpus(self._bad_corpus(tmp_path))
+
+    def test_non_utf8_file_exits_2_from_ingest(self, tmp_path, capsys):
+        corpus = self._bad_corpus(tmp_path / "corpus")
+        rc = main([
+            "ingest", "--corpus", str(corpus),
+            "--out-matrix", str(tmp_path / "m.mtx"), "--out-vocab", str(tmp_path / "v.txt"),
+        ])
+        assert rc == 2
+        assert "unreadable file" in capsys.readouterr().err
 
     def test_vocabulary_round_trip(self, tmp_path):
         vocab = snf.Vocabulary(("alpha", "beta", "gamma"))

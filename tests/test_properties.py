@@ -8,12 +8,22 @@ nonzero; single-entry documents, single terms, single documents and a
 single topic all occur.  The last properties check ``digamma`` and
 ``log_gamma`` on random 2-d arrays (empty and 1 x 1 ones included) with
 values log-uniform in [1e-8, 1e6], at the tolerances of ``test_specfun``.
+The ingestion property compares ``ingest_corpus`` on small random corpora
+(CR and LF characters included) with a plain-Python count of
+``tokenize`` over the files in name order.
 """
 
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplexnmf as snf
+from simplexnmf.errors import DataError
+from simplexnmf.io import tokenize
 
 NO_FLOOR = 0.0
 MATCH_TOL = 1e-12
@@ -43,6 +53,17 @@ def special_arguments(draw):
     shape = (draw(st.integers(0, 4)), draw(st.integers(0, 5)))
     exponents = draw(st.lists(st.floats(-8.0, 6.0), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
     return (10.0 ** np.array(exponents, dtype=float)).reshape(shape)
+
+
+# file names that sort differently by code point than by case or number
+NAME = st.text(st.sampled_from("aAbB019_-."), min_size=1, max_size=3).filter(lambda name: name not in (".", ".."))
+TEXT = st.text(st.sampled_from("abcXYZéΣ0129 .,;-!'\r\n"), max_size=30)
+
+
+@st.composite
+def corpora(draw):
+    """1 to 6 files as ``{name: text}`` and a ``min_count``."""
+    return draw(st.dictionaries(NAME, TEXT, min_size=1, max_size=6)), draw(st.integers(1, 3))
 
 
 def _special_tolerance(values):
@@ -170,3 +191,23 @@ def test_digamma_increases_along_sorted_draws(xs):
     assert np.all(rise >= -(tolerance[1:] + tolerance[:-1]))
     resolved = np.log(ordered[1:] / ordered[:-1]) > tolerance[1:] + tolerance[:-1]
     assert np.all(rise[resolved] > 0.0)
+
+
+@SETTINGS
+@given(corpora())
+def test_ingest_matches_a_counter_over_files_in_name_order(corpus):
+    docs, min_count = corpus
+    counts = [Counter(tokenize(docs[name])) for name in sorted(docs)]
+    totals = sum(counts, Counter())
+    terms = tuple(sorted(t for t, c in totals.items() if c >= min_count))
+    expected = np.array([[doc[t] for doc in counts] for t in terms], dtype=float).reshape(len(terms), len(docs))
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in docs.items():
+            (Path(directory) / name).write_bytes(text.encode("utf-8"))
+        if not expected.any(axis=0).all():
+            with pytest.raises(DataError, match="documents with no countable terms"):
+                snf.ingest_corpus(directory, min_count)
+            return
+        X, vocab = snf.ingest_corpus(directory, min_count)
+    assert vocab.terms == terms
+    assert np.array_equal(X.to_dense(), expected)
