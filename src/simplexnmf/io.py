@@ -1,10 +1,15 @@
 """Corpus ingestion, matrix interchange, and model persistence.
 
 Matrices travel as 1-indexed MatrixMarket coordinate files, models as JSON
-from ``json.dumps`` with one top-level key per line.  A model's matrices
-(``W``, ``H``, ``beta``, ``b_rate``) are stored exactly, as the base64 of
-their little-endian float64 bytes (``format_version`` 2); scalars and the
+with one top-level key per line.  A model's matrices (``W``, ``H``,
+``beta``, ``b_rate``) are stored exactly, as the base64 of their
+little-endian float64 bytes (``format_version`` 2); scalars and the
 per-topic vectors stay plain JSON numbers in shortest round-trip form.
+Keys, numbers and matrix headers come from ``json.dumps``; the base64 text,
+which needs no JSON escaping, is written as it is, and the bytes are those
+of earlier version 2 files.  Both writers end lines in ``\\n`` on every
+platform: models are written in binary mode, MatrixMarket text with
+``newline="\\n"``.
 Save/load round trips are value-exact and files byte-deterministic, but the
 matrix entries cannot be read in a text editor: ``topics`` and ``eval`` are
 the readers.  Version 1 files, whose matrices are JSON rows of numbers,
@@ -17,6 +22,7 @@ lowercase, split on runs of non-alphanumerics.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import os
@@ -130,16 +136,23 @@ def _mm_numbers(lines: list[str], dtype):
 
 def save_matrix_market(path, X: TermDocMatrix) -> None:
     """Write the canonical text form; round trips through load are bit-identical.
-    The lines are joined and written a run of ``_MM_RUN`` at a time, not all at once."""
+
+    Each entry line is ``row col value``, 1-indexed, the value in ``%.17g``.
+    A run of ``_MM_RUN`` lines is formatted by one ``%`` operation and
+    written at once, so memory holds one run, not the whole file.  Lines
+    end in ``\\n`` on every platform."""
     finite = np.isfinite(X.vals)
     if not finite.all():
         raise DataError(f"non-finite value cannot be serialized: {X.vals[np.argmin(finite)]!r}")
-    with Path(path).open("w", encoding="utf-8") as out:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as out:
         out.write(f"%%MatrixMarket matrix coordinate real general\n{X.n_terms} {X.n_docs} {X.nnz}\n")
         for at in range(0, X.nnz, _MM_RUN):
-            run = slice(at, at + _MM_RUN)
-            rows, cols, vals = (X.rows[run] + 1).tolist(), (X.cols[run] + 1).tolist(), X.vals[run].tolist()
-            out.write("".join(f"{v} {d} {x:.17g}\n" for v, d, x in zip(rows, cols, vals)))
+            run, n = slice(at, at + _MM_RUN), min(_MM_RUN, X.nnz - at)
+            flat = [0] * (3 * n)  # the row, column and value of each line in turn
+            flat[0::3] = (X.rows[run] + 1).tolist()
+            flat[1::3] = (X.cols[run] + 1).tolist()
+            flat[2::3] = X.vals[run].tolist()
+            out.write(("%d %d %.17g\n" * n) % tuple(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +350,15 @@ def _json_array(values) -> list:
     return a.tolist()
 
 
-def _encoded(M) -> dict:
-    """A matrix as the ``format_version`` 2 object: dtype, shape and base64 of its bytes."""
+def _array_pieces(M) -> list[bytes]:
+    """A matrix as the ``format_version`` 2 object, in three pieces: the JSON
+    of its dtype and shape up to the opening quote of ``"data"``, the base64
+    of its little-endian float64 bytes in row-major order, and the closing
+    ``"}``.  The base64 alphabet needs no JSON escaping, so the encoded
+    buffer goes into the file as it is."""
     M = np.ascontiguousarray(M, dtype="<f8")
-    return {"dtype": "<f8", "shape": list(M.shape), "data": base64.b64encode(M.tobytes()).decode("ascii")}
+    head = json.dumps({"dtype": "<f8", "shape": list(M.shape), "data": ""})[:-2]  # drop the closing '"}'
+    return [head.encode("ascii"), binascii.b2a_base64(M, newline=False), b'"}']
 
 
 def _decoded(value: dict) -> np.ndarray:
@@ -362,10 +380,13 @@ def save_model(path, model: ModelFile) -> None:
     cols], "data": "<base64>"}``, the standard base64 alphabet without line
     breaks over the little-endian float64 bytes in row-major order, so they
     load bit for bit.  Scalars, ``alpha`` and ``rate_a`` are JSON numbers:
-    shortest round-trip floats, all-whole lists as integers.
+    shortest round-trip floats, all-whole lists as integers.  Keys, numbers
+    and matrix headers come from ``json.dumps``; the base64 text is written
+    as it is.  The file is written in binary mode, so lines end in ``\\n``
+    on every platform.
     """
     model.validate()
-    doc: dict = {
+    scalars = {
         "format_version": FORMAT_VERSION,
         "method": model.method,
         "n_terms": int(model.n_terms),
@@ -374,21 +395,25 @@ def save_model(path, model: ModelFile) -> None:
         "constraint_mode": model.constraint_mode,
         "lambda_sparsity": float(model.lambda_sparsity),
         "final_objective": float(model.final_objective),
-        "W": _encoded(model.W),
     }
-    for name in METHOD_SPECS[model.method].model_fields:
-        value = getattr(model, name)
-        doc[name] = _json_array(value) if name in _PER_TOPIC_FIELDS else _encoded(value)
     # every value is serialized before the file is opened; the pieces are
     # written one by one, never joined into one copy of the whole file
-    pieces = ["{\n"]
+    pieces = [b"{\n"]
     try:
-        for key, value in doc.items():
-            pieces += f"  {json.dumps(key)}: ", json.dumps(value, allow_nan=False), ",\n"
+        for key, value in scalars.items():
+            pieces.append(f"  {json.dumps(key)}: {json.dumps(value, allow_nan=False)},\n".encode("ascii"))
     except ValueError as exc:
         raise DataError(f"non-finite value cannot be serialized at {key}: {exc}") from exc
-    pieces[-1] = "\n}\n"
-    with Path(path).open("w", encoding="utf-8") as out:
+    for name in ("W", *METHOD_SPECS[model.method].model_fields):
+        value = getattr(model, name)
+        pieces.append(f"  {json.dumps(name)}: ".encode("ascii"))
+        if name in _PER_TOPIC_FIELDS:
+            pieces.append(json.dumps(_json_array(value)).encode("ascii"))
+        else:
+            pieces += _array_pieces(value)
+        pieces.append(b",\n")
+    pieces[-1] = b"\n}\n"
+    with Path(path).open("wb") as out:
         out.writelines(pieces)
 
 

@@ -342,6 +342,31 @@ class TestVersion1Files:
         assert "topic 1:" in capsys.readouterr().out
 
 
+# format_version 2 files that the earlier writer (json.dumps of the whole base64
+# string) made from the version 1 fixtures; the current writer must repeat their bytes
+V2 = Path(__file__).parent / "data" / "v2"
+GOLDEN_METHODS = ("mu-joint", "plsa", "lda", "gap")
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("method", GOLDEN_METHODS)
+    def test_a_version_1_fixture_saves_as_the_golden_file(self, tmp_path, method):
+        path = tmp_path / "m.json"
+        snf.save_model(path, snf.load_model(V1 / f"{method}.json"))
+        assert path.read_bytes() == (V2 / f"{method}.json").read_bytes()
+
+    @pytest.mark.parametrize("method", GOLDEN_METHODS)
+    def test_a_golden_file_saves_as_itself(self, tmp_path, method):
+        path = tmp_path / "m.json"
+        snf.save_model(path, snf.load_model(V2 / f"{method}.json"))
+        assert path.read_bytes() == (V2 / f"{method}.json").read_bytes()
+
+    def test_the_counts_fixture_saves_as_itself(self, tmp_path):
+        path = tmp_path / "counts.mtx"
+        snf.save_matrix_market(path, snf.load_matrix_market(V1 / "counts.mtx"))
+        assert path.read_bytes() == (V1 / "counts.mtx").read_bytes()
+
+
 class TestModelFiles:
     def test_round_trip_value_identical(self, tmp_path):
         model = _mu_model()

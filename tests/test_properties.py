@@ -10,20 +10,28 @@ single topic all occur.  The last properties check ``digamma`` and
 values log-uniform in [1e-8, 1e6], at the tolerances of ``test_specfun``.
 The ingestion property compares ``ingest_corpus`` on small random corpora
 (CR and LF characters included) with a plain-Python count of
-``tokenize`` over the files in name order.
+``tokenize`` over the files in name order.  The writer properties compare
+the bytes of ``save_model`` and ``save_matrix_market`` with plain
+formulations kept here as oracles: ``json.dumps`` of the whole model with
+each matrix's base64 as a string, and one formatted string per entry line.
 """
 
+import base64
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplexnmf as snf
+from simplexnmf import io as snf_io
 from simplexnmf.errors import DataError
-from simplexnmf.io import tokenize
+from simplexnmf.io import ModelFile, tokenize
+from simplexnmf.types import METHOD_SPECS
 
 NO_FLOOR = 0.0
 MATCH_TOL = 1e-12
@@ -211,3 +219,109 @@ def test_ingest_matches_a_counter_over_files_in_name_order(corpus):
         X, vocab = snf.ingest_corpus(directory, min_count)
     assert vocab.terms == terms
     assert np.array_equal(X.to_dense(), expected)
+
+
+# values the writers must carry bit for bit: the smallest subnormal, the
+# largest float, a fraction without a short decimal form, and random ones
+EXTREMES = [5e-324, 1.7976931348623157e308, 1 / 3]
+POSITIVE = st.one_of(st.sampled_from(EXTREMES), st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+NON_NEGATIVE = st.one_of(st.just(0.0), POSITIVE)
+
+
+@st.composite
+def matrices(draw, n_rows, n_cols, values):
+    """An ``n_rows`` x ``n_cols`` float64 array of ``values`` laid out in C or
+    Fortran order or as a strided view."""
+    M = np.array(draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    M = M.reshape(n_rows, n_cols)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(M)
+    if layout == "strided":
+        wide = np.zeros((n_rows, 2 * n_cols))
+        wide[:, ::2] = M
+        return wide[:, ::2]
+    return M
+
+
+@st.composite
+def models(draw):
+    """A valid model of any method with 1 to 6 terms, documents and topics."""
+    method = draw(st.sampled_from(snf.METHODS))
+    spec = METHOD_SPECS[method]
+    n_terms, n_docs, n_topics = (draw(st.integers(1, 6)) for _ in range(3))
+    fields = {"W": draw(matrices(n_terms, n_topics, NON_NEGATIVE))}
+    for name in spec.model_fields:
+        if name in ("alpha", "rate_a"):
+            fields[name] = np.array(draw(st.lists(POSITIVE, min_size=n_topics, max_size=n_topics)))
+        else:
+            fields[name] = draw(matrices(n_topics, n_docs, NON_NEGATIVE if name == "H" else POSITIVE))
+    return ModelFile(
+        method=method, n_terms=n_terms, n_docs=n_docs, n_topics=n_topics, constraint_mode=spec.mode.tag,
+        lambda_sparsity=draw(st.sampled_from([0.0, 0.25, 1 / 3])) if spec.uses_lambda else 0.0,
+        final_objective=draw(st.just(-1 / 3) | st.floats(allow_nan=False, allow_infinity=False)),
+        **fields,
+    )
+
+
+def _model_oracle(model) -> bytes:
+    """The model file as one ``json.dumps`` per top-level value, each matrix's base64 a ``str``."""
+
+    def encoded(M):
+        M = np.ascontiguousarray(M, dtype="<f8")
+        return {"dtype": "<f8", "shape": list(M.shape), "data": base64.b64encode(M.tobytes()).decode("ascii")}
+
+    doc = {
+        "format_version": 2,
+        "method": model.method,
+        "n_terms": model.n_terms,
+        "n_docs": model.n_docs,
+        "n_topics": model.n_topics,
+        "constraint_mode": model.constraint_mode,
+        "lambda_sparsity": float(model.lambda_sparsity),
+        "final_objective": float(model.final_objective),
+        "W": encoded(model.W),
+    }
+    for name in METHOD_SPECS[model.method].model_fields:
+        value = getattr(model, name)
+        doc[name] = snf_io._json_array(value) if name in ("alpha", "rate_a") else encoded(value)
+    return ("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}\n").encode()
+
+
+# fractional counts, and whole ones at and past 2**53 where float64 skips integers
+COUNTS = st.one_of(
+    st.sampled_from([5e-324, 0.1, 1 / 3, 2.0, 2.0**53, 2.0**53 + 2, 2.0**64]),
+    st.integers(1, 2**70).map(float),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+
+
+@st.composite
+def count_matrices(draw):
+    """A count matrix of 1 to 6 terms and documents, empty documents included."""
+    n_terms, n_docs = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.sets(st.integers(0, n_terms * n_docs - 1), max_size=n_terms * n_docs))
+    cells = np.array(sorted(cells), dtype=np.int64)
+    vals = draw(st.lists(COUNTS, min_size=cells.size, max_size=cells.size))
+    return snf.TermDocMatrix.from_arrays(n_terms, n_docs, cells % n_terms, cells // n_terms, vals)
+
+
+@SETTINGS
+@given(models())
+def test_save_model_writes_the_oracle_bytes(model):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.json"
+        snf.save_model(path, model)
+        assert path.read_bytes() == _model_oracle(model)
+
+
+@SETTINGS
+@given(count_matrices(), st.integers(1, 4))
+def test_save_matrix_market_writes_the_oracle_bytes(X, run):
+    entries = zip((X.rows + 1).tolist(), (X.cols + 1).tolist(), X.vals.tolist())
+    lines = [f"{v} {d} {x:.17g}\n" for v, d, x in entries]
+    expected = f"%%MatrixMarket matrix coordinate real general\n{X.n_terms} {X.n_docs} {X.nnz}\n" + "".join(lines)
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(snf_io, "_MM_RUN", run):
+        path = Path(directory) / "counts.mtx"
+        snf.save_matrix_market(path, X)
+        assert path.read_bytes() == expected.encode("ascii")
