@@ -179,12 +179,16 @@ def _cmd_eval(args) -> int:
     if spec.variational:
         priors = Priors(model.alpha, model.rate_a)
         state = VariationalState(model.beta, model.b_rate)
-        print(f"elbo {_fmt(spec.function(spec.objective)(X, model.W, priors, state))}")
-        return 0
-    print(f"kl_divergence {_fmt(kl_divergence(X, model.W, model.H))}")
-    penalty = spec.penalty(model.lambda_sparsity)
-    for label, name in spec.eval_lines:
-        print(f"{label} {_fmt(spec.function(name)(X, model.W, model.H, **penalty))}")
+        lines = [("elbo", spec.function(spec.objective)(X, model.W, priors, state))]
+    else:
+        penalty = spec.penalty(model.lambda_sparsity)
+        lines = [("kl_divergence", kl_divergence(X, model.W, model.H))]
+        lines += [(label, spec.function(name)(X, model.W, model.H, **penalty)) for label, name in spec.eval_lines]
+    for label, value in lines:
+        print(f"{label} {_fmt(value)}")
+    for label, value in lines:
+        if not np.isfinite(value):
+            raise NumericalError(f"non-finite {label}")
     return 0
 
 
@@ -197,14 +201,12 @@ def _cmd_compare(args) -> int:
     deviations, lines = PAIRS[args.pair]
     worst = np.zeros(len(lines))
     failure = None
-    # a non-finite value is reported as a failed line below, not as a warning
-    with np.errstate(all="ignore"):
-        try:
-            for _, current in zip(range(args.iters), deviations(X, args.seed)):
-                worst = np.maximum(worst, current)  # unlike max(), keeps a NaN
-        except NumericalError as exc:  # the pair's deviations are undefined from here on
-            failure = exc
-            worst[:] = np.nan
+    try:
+        for _, current in zip(range(args.iters), deviations(X, args.seed)):
+            worst = np.maximum(worst, current)  # unlike max(), keeps a NaN
+    except NumericalError as exc:  # the pair's deviations are undefined from here on
+        failure = exc
+        worst[:] = np.nan
     ok = True
     for (name, tol), value in zip(lines, worst):
         tol = args.tol if tol is None else tol
@@ -226,7 +228,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # a non-finite value is reported as a numerical failure, not as a numpy warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, ValueError) as exc:
         # ValueError here means a precondition violation driven by the flags
         print(f"usage error: {exc}", file=sys.stderr)

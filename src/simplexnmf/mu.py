@@ -307,6 +307,7 @@ class _Factorizations:
         return {"W": f.W, "H": f.H}
 
 
+@np.errstate(all="ignore")
 def _fit(X: TermDocMatrix, config: FitConfig, priors=None):
     """The one fit loop of every method: ``(final state, trace)``.
 
@@ -315,6 +316,9 @@ def _fit(X: TermDocMatrix, config: FitConfig, priors=None):
     decisions).  It stops when ``|f_n - f_{n-1}| / max(1, |f_{n-1}|) < config.rel_tolerance``
     or after ``config.max_iters`` steps.  A rise of ``f`` by more than ``DESCENT_SLACK``
     relative raises ``MonotonicityError``, a non-finite value (the start's too) ``NumericalError``.
+    It runs with numpy's floating-point warnings off: an overflow or invalid value that
+    matters reaches a checked objective or iterate (``_finite_update``) and is raised as
+    ``NumericalError``, not as a ``RuntimeWarning``.
     """
     family = METHOD_SPECS[config.method].family(X, priors, config.lambda_sparsity)
     state = family.start(config)

@@ -12,8 +12,9 @@ The three kernels on the stored entries never form an ``nnz x K`` array.
 The reconstruction, a dense product evaluated only at the stored entries,
 adds one gathered product per topic into an ``nnz``-vector.  It splits the
 entries into contiguous ranges, one per CPU of the process's affinity mask
-when the work is large enough, and runs each range in a thread of its own
-(numpy releases the GIL in the gathers and the arithmetic); every entry
+when the work is large enough; the caller runs the first range and a
+``concurrent.futures`` thread pool opened for the call the others (numpy
+releases the GIL in the gathers and the arithmetic); every entry
 still adds its topics in the same order, so the result is bit-identical
 to one serial pass, and there is no option for it.  The two
 accumulations are sparse-times-dense products of SciPy: the entry weights
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import importlib
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -468,13 +469,15 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     The entries are split into contiguous ranges, at most one per CPU of
     the process's affinity mask (``taskset`` limits them) and at most one
     per ``_RANGE_WORK`` entries x topics, so a small input is one range
-    run in the caller.  The caller runs the first range and a thread
-    started for this call each of the others; all are joined before the
-    return, and the first exception of a thread is raised here.  Each entry
-    adds its topics in the same order whatever the ranges, so the result is
-    bit-identical to a serial pass.  The threads call only
-    :func:`_reconstruct_range`, never a public (traced) function.  Gathering
-    into buffers handed to ``np.take(..., out=)`` was slower.
+    run in the caller.  The caller runs the first range and a
+    ``ThreadPoolExecutor`` opened for this call the others, one thread per
+    submitted range (none for a single range); leaving its ``with`` block
+    joins every worker, even when the caller's range raises, and then the
+    exception of the first failed range is raised here.  No pool outlives
+    the call.  Each entry adds its topics in the same order whatever the
+    ranges, so the result is bit-identical to a serial pass.  The threads
+    call only :func:`_reconstruct_range`, never a public (traced) function.
+    Gathering into buffers handed to ``np.take(..., out=)`` was slower.
     """
     W = np.asarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -483,24 +486,11 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     n_ranges = max(1, min(_usable_cpus(), X.nnz * H.shape[0] // _RANGE_WORK))
     bounds = [X.nnz * i // n_ranges for i in range(n_ranges + 1)]
     ranges = [(X.rows[a:b], X.cols[a:b], WT, H, out[a:b]) for a, b in zip(bounds, bounds[1:])]
-    failures = []
-
-    def run(*args):
-        try:
-            _reconstruct_range(*args)
-        except BaseException as exc:
-            failures.append(exc)
-
-    threads = [threading.Thread(target=run, args=args) for args in ranges[1:]]
-    for thread in threads:
-        thread.start()
-    try:
+    with ThreadPoolExecutor(max(1, n_ranges - 1)) as pool:
+        futures = [pool.submit(_reconstruct_range, *args) for args in ranges[1:]]
         _reconstruct_range(*ranges[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+    for future in futures:
+        future.result()
     return out
 
 

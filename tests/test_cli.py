@@ -326,3 +326,74 @@ def test_non_utf8_files_are_data_errors(tmp_path, fitted_topics, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"data error: {bad} is not UTF-8 text")
+
+
+# each document total is finite, but a fit's objective overflows at its start
+OVERFLOWING = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n2 2 1e308\n"
+
+
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_fit_numerical_failure_is_one_stderr_line(tmp_path, capsys, method):
+    path = tmp_path / "two.mtx"
+    path.write_text(OVERFLOWING)
+    lam = ["--lambda", "0.5"] if method == "sparse" else []
+    rc = main(["fit", "--input", str(path), "--method", method, "--topics", "2", *lam,
+               "--output", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+def test_eval_non_finite_value_is_numerical_failure_after_every_line(tmp_path, capsys):
+    small, two, model = tmp_path / "small.mtx", tmp_path / "two.mtx", tmp_path / "plsa.json"
+    small.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3\n2 2 4\n")
+    two.write_text(OVERFLOWING)
+    assert main(["fit", "--input", str(small), "--method", "plsa", "--topics", "2", "--output", str(model)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--input", str(two)])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert rc == 3
+    assert [line.split()[0] for line in lines] == ["kl_divergence", "plsa_log_likelihood"]
+    assert "kl_divergence inf" in lines
+    assert captured.err == "numerical failure: non-finite kl_divergence\n"
+
+
+def test_eval_on_a_matrix_of_other_dimensions_is_data_error(tmp_path, matrix_file, capsys):
+    model, other = tmp_path / "m.json", tmp_path / "other.mtx"
+    assert main(["fit", "--input", str(matrix_file), "--method", "mu", "--topics", "2", "--max-iter", "3",
+                 "--output", str(model)]) == 0
+    other.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3\n")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--input", str(other)]) == 2
+    assert capsys.readouterr().err == "data error: matrix is 2 x 2 but the model was fit on 18 x 12\n"
+
+
+def test_topics_with_a_vocabulary_of_the_wrong_length_is_data_error(tmp_path, fitted_topics, capsys):
+    model, vocab = fitted_topics
+    short = tmp_path / "short.txt"
+    short.write_text("cat\ndog\n")
+    n_terms = len(vocab.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["topics", "--model", str(model), "--vocab", str(short)]) == 2
+    assert capsys.readouterr().err == f"data error: vocabulary has 2 terms, model expects {n_terms}\n"
+
+
+@pytest.mark.parametrize("method, flag, value, message", [
+    ("lda", "--alpha", "x", "--alpha expects a float or a comma-separated list"),
+    ("gap", "--rate-a", "1,2,3", "--rate-a expects 1 or 2 values, got 3"),
+])
+def test_malformed_prior_vector_is_usage_error(tmp_path, matrix_file, capsys, method, flag, value, message):
+    rc = main(["fit", "--input", str(matrix_file), "--method", method, "--topics", "2", flag, value,
+               "--output", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_ingest_of_a_regular_file_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat\n")
+    rc = main(["ingest", "--corpus", str(corpus), "--out-matrix", str(tmp_path / "m.mtx"),
+               "--out-vocab", str(tmp_path / "v.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"data error: not a directory: {corpus}\n"

@@ -459,6 +459,12 @@ class TestModelFiles:
         with pytest.raises(DataError, match="schema violation at method"):
             snf.load_model(path)
 
+    def test_top_level_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="^schema violation at top level: expected an object$"):
+            snf.load_model(path)
+
     def test_missing_factor_for_method(self, tmp_path):
         model = _mu_model()
         model.H = None

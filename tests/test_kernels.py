@@ -18,6 +18,7 @@ per range are lowered here so that tiny inputs split too.
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -209,6 +210,27 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="^range failed$"):
         types.reconstruct_nonzeros(X, np.ones((6, 2)), np.ones((2, 4)))
     assert threading.active_count() == threads  # every thread was joined
+
+
+def test_a_caller_exception_joins_every_worker_first(monkeypatch):
+    X = snf.TermDocMatrix.from_dense(np.ones((6, 4)))
+    reconstruct_range = types._reconstruct_range
+    finished = []
+
+    def failing(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("first range failed")
+        time.sleep(0.05)  # still running when the caller's range fails
+        reconstruct_range(*args)
+        finished.append(args[0].tolist())
+
+    _split(monkeypatch, 3)
+    monkeypatch.setattr(types, "_reconstruct_range", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^first range failed$"):
+        types.reconstruct_nonzeros(X, np.ones((6, 2)), np.ones((2, 4)))
+    assert len(finished) == 2  # both workers ran to the end before the error left
+    assert threading.active_count() == threads  # and were joined
 
 
 def _reconstruct_or_fail(X, W, H, want):

@@ -51,6 +51,7 @@ FAULTS = {
     "size two fields": (_mm(size="3 2"), "malformed size line at line 3"),
     "size non-integer": (_mm(size="3 2 x"), "malformed size line at line 3"),
     "size four fields": (_mm(size="3 2 3 3"), "malformed size line at line 3"),
+    "no size line": (HEADER + "\n% nothing after the comments\n", "missing size line in {path}"),
     # numbers Python's int() and float() read but the format has no place for
     "value 1_5": (_mm(entry="2 1 1_5"), "malformed entry at line 7"),
     "index Arabic-Indic 2": (_mm(entry="\u0662 1 1.5"), "malformed entry at line 7"),

@@ -192,6 +192,20 @@ def test_overflowing_update_is_a_numerical_failure():
             snf.mu_step_joint_bothnorm(X, f)
 
 
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_an_overflowing_fit_is_a_numerical_failure_not_a_warning(method):
+    # under the suite's warnings-as-errors filter, with no errstate here: the
+    # overflow reaches the objective and is raised as NumericalError, never as
+    # numpy's RuntimeWarning
+    X = snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1e308), (1, 1, 1e308)])
+    config = snf.FitConfig(n_topics=2, method=method, lambda_sparsity=0.5 * (method == "sparse"))
+    with pytest.raises(NumericalError, match="^non-finite initial objective"):
+        if method in snf.VI_METHODS:
+            snf.fit_vi(X, config, snf.Priors(np.ones(2), np.ones(2) if method == "gap" else None))
+        else:
+            snf.fit(X, config)
+
+
 class TestSparse:
     def test_lambda_zero_is_plain_update(self):
         X = random_count_matrix(8, n_terms=10, n_docs=6)
