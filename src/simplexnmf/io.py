@@ -30,7 +30,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # the line boundaries of str.splitlines
 _MM_RUN = 65536  # entry lines per write of save_matrix_market
 _READ_SIZE = 65536  # bytes per os.read of a corpus file
 
@@ -67,32 +68,51 @@ def load_matrix_market(path) -> TermDocMatrix:
     or non-finite value, a duplicate coordinate) raise ``DataError``
     naming the offending line, or for a duplicate its coordinate.  Numbers
     are read by ``np.loadtxt``; a digit separator (``1_5``) or a non-ASCII
-    character makes a line malformed.  The entry lines are parsed in one
-    call over the whole body; only a fault looks up its line, by bisection.
+    character makes a line malformed.  Lines are split as ``str.splitlines``
+    splits them.
+
+    Only the lines up to the size line are scanned one by one; the body is
+    every line after it, parsed in one ``np.loadtxt`` call, which skips
+    blank lines itself.  Comment lines (and lines of blanks that are not
+    ASCII) are emptied first, and only when the body text holds a ``%`` or
+    is not ASCII; the body text is checked for ASCII once, line by line
+    only when it is not ASCII as a whole.  The line of a fault is looked up
+    only when there is one: a malformed line by bisection, an entry fault
+    by counting the non-blank lines before it.
     """
-    lines = _read_text(path).splitlines()
-    if not lines or " ".join(lines[0].split()).lower() != _MM_HEADER:
+    text = _read_text(path)
+    lines = _lines(text)
+    header, _ = next(lines, ("", 0))
+    if " ".join(header.split()).lower() != _MM_HEADER:
         raise DataError(f"malformed header in {path}: expected MatrixMarket coordinate real general")
-    # positions of the lines that are neither blank nor a comment: the size line, then the entries
-    at = [i for i, line in enumerate(lines) if i and (text := line.lstrip()) and text[0] != "%"]
-    if not at:
+    for number, (line, after) in enumerate(lines, start=2):
+        if (stripped := line.lstrip()) and stripped[0] != "%":
+            break
+    else:
         raise DataError(f"missing size line in {path}")
-    size = _mm_numbers([lines[at[0]]], np.int64)
+    size = _mm_numbers([line], np.int64) if line.isascii() else None
     if size is None or size.shape != (3,):
-        raise DataError(f"malformed size line at line {at[0] + 1}")
+        raise DataError(f"malformed size line at line {number}")
     n_terms, n_docs, nnz = size.tolist()
-    body = [lines[i] for i in at[1:]]
-    entries = _mm_numbers(body, _MM_ENTRY)
+    body_text = text[after:]
+    body = body_text.splitlines()  # body[i] is line number + 1 + i
+    is_ascii = body_text.isascii()
+    if "%" in body_text or not is_ascii:
+        # comment and blank lines emptied, not dropped, so that an index into body still counts lines
+        body = [line if (stripped := line.lstrip()) and stripped[0] != "%" else "" for line in body]
+        is_ascii = all(map(str.isascii, body))
+    entries = _mm_numbers(body, _MM_ENTRY) if is_ascii else None
     if entries is None:
-        bad = _first_malformed(body)
-        raise DataError(f"malformed entry at line {at[bad + 1] + 1}")
-    if len(body) != nnz:
-        raise DataError(f"{path} declares {nnz} entries but contains {len(body)}")
+        raise DataError(f"malformed entry at line {number + 1 + _first_malformed(body)}")
+    if entries.size != nnz:
+        raise DataError(f"{path} declares {nnz} entries but contains {entries.size}")
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     try:
         return TermDocMatrix.from_arrays(n_terms, n_docs, rows, cols, vals)
     except EntryError as fault:
-        v, d, line = rows[fault.entry] + 1, cols[fault.entry] + 1, at[fault.entry + 1] + 1
+        # the entry's line: the fault.entry-th line of the body that is not blank
+        line = number + 1 + next(islice((i for i, entry in enumerate(body) if entry.strip()), fault.entry, None))
+        v, d = rows[fault.entry] + 1, cols[fault.entry] + 1
         message = {
             "range": f"index overflow at line {line}: ({v}, {d}) outside {n_terms} x {n_docs}",
             "duplicate": f"duplicate entry ({v}, {d})",
@@ -100,13 +120,25 @@ def load_matrix_market(path) -> TermDocMatrix:
         raise EntryError(message, fault.entry, fault.fault) from fault
 
 
+def _lines(text: str):
+    """Each line of ``text`` in turn, split as ``str.splitlines`` splits, with the offset of the line after it."""
+    start = 0
+    while start < len(text):
+        brk = _LINE_BREAK.search(text, start)
+        end, after = brk.span() if brk else (len(text), len(text))
+        yield text[start:end], after
+        start = after
+
+
 def _first_malformed(body: list[str]) -> int:
     """The index of the first entry line that does not read, in a body that does not.
 
-    A run of lines reads only if each of its lines does, so halving the run
-    that holds the first fault finds it in about ``log2(len(body))`` calls
-    that parse about ``len(body)`` lines in all."""
-    lo, hi = 0, len(body)  # the lines before lo read; lo:hi holds a line that does not
+    A non-ASCII line does not read, so the search ends at the first one.  A
+    run of ASCII lines reads only if each of its lines does, so halving the
+    run that holds the first fault finds it in about ``log2(len(body))``
+    calls that parse about ``len(body)`` lines in all."""
+    # the lines before lo read; lo:hi holds a line that does not
+    lo, hi = 0, next((i + 1 for i, line in enumerate(body) if not line.isascii()), len(body))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _mm_numbers(body[lo:mid], _MM_ENTRY) is None:
@@ -117,18 +149,16 @@ def _first_malformed(body: list[str]) -> int:
 
 
 def _mm_numbers(lines: list[str], dtype):
-    """The rows of ``lines`` read by ``np.loadtxt`` into ``dtype`` (empty for
-    no lines, where it would warn), or ``None`` unless every line is ASCII and
-    reads.  ASCII guards numpy's integer parser, whose C ``isdigit`` misreads
-    (``1\u01ff`` as 473) or crashes past code point 255.  A ``DeprecationWarning``
-    from numpy releases that read an integer through a float fails too."""
-    if not lines:
-        return np.empty(0, dtype)
-    if not all(map(str.isascii, lines)):
-        return None
+    """The rows of ``lines``, which must be ASCII, read by ``np.loadtxt`` into
+    ``dtype``, or ``None`` unless every line reads.  Blank lines are skipped,
+    and no lines or only blank ones read as no rows.  ASCII guards numpy's
+    integer parser, whose C ``isdigit`` misreads (``1\u01ff`` as 473) or
+    crashes past code point 255.  A ``DeprecationWarning`` from numpy
+    releases that read an integer through a float fails too."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)  # numpy's warning that the input holds no data
             return np.loadtxt(lines, dtype, comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None

@@ -27,6 +27,7 @@ order, so a fit is deterministic.
 
 from __future__ import annotations
 
+import contextvars
 import importlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -124,7 +125,12 @@ class TermDocMatrix:
         its first entry on.  A document whose counts sum past the float64
         range raises a plain ``DataError`` naming the first such document.
         One stable sort into document-major order also finds the duplicates
-        as adjacent equal pairs; zeros are dropped after it.
+        as adjacent equal pairs; zeros are dropped after it.  The sort is an
+        ``argsort(kind="stable")`` of the key ``cols * n_terms + rows``,
+        which is exact in int64 while ``n_terms * n_docs <= 2**63`` and costs
+        one pass over input already in document-major order; larger shapes
+        sort with ``np.lexsort``.  Both keep equal pairs in input order, so
+        the order, and the duplicate reported, is the same either way.
         """
         if not all(np.ndim(n) == 0 and _whole(np.asarray(n)) for n in (n_terms, n_docs)):
             raise DataError(f"matrix dimensions must be finite whole numbers, got {n_terms!r} x {n_docs!r}")
@@ -149,7 +155,10 @@ class TermDocMatrix:
             e = int(np.argmax(bad))
             kind = "negative" if vals[e] < 0 else "non-finite"
             raise EntryError(f"{kind} count at entry ({rows[e]}, {cols[e]})", e, kind)
-        order = np.lexsort((rows, cols))
+        if n_terms * n_docs <= 2**63:  # the largest key, n_terms * n_docs - 1, fits in int64
+            order = np.argsort(cols * n_terms + rows, kind="stable")
+        else:
+            order = np.lexsort((rows, cols))
         repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
         if repeat.any():
             e = int(order[1:][repeat].min())
@@ -474,9 +483,12 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     submitted range (none for a single range); leaving its ``with`` block
     joins every worker, even when the caller's range raises, and then the
     exception of the first failed range is raised here.  No pool outlives
-    the call.  Each entry adds its topics in the same order whatever the
-    ranges, so the result is bit-identical to a serial pass.  The threads
-    call only :func:`_reconstruct_range`, never a public (traced) function.
+    the call.  Each submitted range runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` (a context variable since numpy 2)
+    holds in the workers too.  Each entry adds its topics in the same order
+    whatever the ranges, so the result is bit-identical to a serial pass.
+    The threads call only :func:`_reconstruct_range`, never a public
+    (traced) function.
     Gathering into buffers handed to ``np.take(..., out=)`` was slower.
     """
     W = np.asarray(W, dtype=float)
@@ -487,7 +499,7 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     bounds = [X.nnz * i // n_ranges for i in range(n_ranges + 1)]
     ranges = [(X.rows[a:b], X.cols[a:b], WT, H, out[a:b]) for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max(1, n_ranges - 1)) as pool:
-        futures = [pool.submit(_reconstruct_range, *args) for args in ranges[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, _reconstruct_range, *args) for args in ranges[1:]]
         _reconstruct_range(*ranges[0])
     for future in futures:
         future.result()

@@ -20,6 +20,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def test_a_caller_exception_joins_every_worker_first(monkeypatch):
         types.reconstruct_nonzeros(X, np.ones((6, 2)), np.ones((2, 4)))
     assert len(finished) == 2  # both workers ran to the end before the error left
     assert threading.active_count() == threads  # and were joined
+
+
+def test_the_callers_errstate_holds_in_the_workers(monkeypatch):
+    # every product overflows, in the caller's range and in the worker's
+    X = snf.TermDocMatrix.from_dense(np.ones((4, 4)))
+    W, H = np.full((4, 2), 1e200), np.full((2, 4), 1e200)
+    _split(monkeypatch, 2)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = types.reconstruct_nonzeros(X, W, H)
+    assert np.all(out == np.inf)
 
 
 def _reconstruct_or_fail(X, W, H, want):

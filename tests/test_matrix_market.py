@@ -4,7 +4,9 @@ The messages in ``FAULTS`` are the loader's messages from before the
 entry checks moved into ``TermDocMatrix.from_arrays``; they must stay
 byte-identical, line numbers included.  The base file has comment and
 blank lines between the entries, so a line number that counted entries
-instead of lines would show.
+instead of lines would show.  A body with blank lines but no comment line
+is read without the comment filter, and must report the same lines, with
+every line break of ``str.splitlines``.
 """
 
 import math
@@ -74,6 +76,53 @@ def test_fault_message_is_pinned(tmp_path, case):
     assert str(info.value) == message.format(path=path)
 
 
+def _without_body_comment(text):
+    """``text`` with the comment among its entries made a line of blanks, so
+    that no ``%`` follows the size line; every line keeps its number."""
+    return text.replace("   % indented comment", " \t ")
+
+
+# a fault of each kind that a body without comment lines (read as it is,
+# blank lines left to numpy) must report as the body with one does
+@pytest.mark.parametrize("case", [
+    "two fields", "value abc", "value -1", "value nan", "term index n+1", "doc index 0", "duplicate",
+    "one fewer", "one more", "index 1\u01ff", "no-break space",
+])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\x0c", "\u2028"])  # line breaks of str.splitlines
+def test_a_body_without_comments_reports_the_same_fault_and_line(tmp_path, case, newline):
+    text, message = FAULTS[case]
+    plain = _without_body_comment(text)
+    assert "%" not in plain.split("\n", 3)[3]
+    path = tmp_path / "m.mtx"
+    path.write_bytes(plain.replace("\n", newline).encode("utf-8"))
+    with pytest.raises(DataError) as info:
+        snf.load_matrix_market(path)
+    assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("text", [
+    _mm(),
+    _without_body_comment(_mm()),
+    _mm().replace("% a comment", "% caf\u00e9, a comment that is not ASCII"),
+    _mm().replace("% indented comment", "% caf\u00e9"),
+    _without_body_comment(_mm()).replace(" \t ", "\u3000\u00a0"),  # blanks that are not ASCII
+    _mm().replace("\n", "\r\n") + "\r\n\n",
+])
+def test_a_body_loads_whatever_its_comments_and_blanks(tmp_path, text):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(text.encode("utf-8"))
+    X = snf.load_matrix_market(path)
+    assert np.array_equal(X.to_dense(), [[2.0, 0.0], [1.5, 0.0], [0.0, 4.0]])
+
+
+def test_a_non_ascii_entry_after_a_header_comment_is_malformed(tmp_path):
+    # the header holds a comment, the body none: the body text alone is checked for ASCII
+    path = tmp_path / "m.mtx"
+    path.write_text(_without_body_comment(_mm(entry="2 1 1.5\u00e9")), encoding="utf-8")
+    with pytest.raises(DataError, match="^malformed entry at line 7$"):
+        snf.load_matrix_market(path)
+
+
 def test_base_file_loads_past_comments_and_blank_lines(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(_mm(), encoding="utf-8")
@@ -89,6 +138,16 @@ def test_empty_body_is_an_empty_matrix(tmp_path):
         X = snf.load_matrix_market(path)
     assert (X.n_terms, X.n_docs, X.nnz) == (3, 2, 0)
     assert np.array_equal(X.to_dense(), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("body", ["\n", "\n \t\n\n", "% no entries\n\n"])
+def test_a_body_of_blank_lines_is_an_empty_matrix(tmp_path, body):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "3 2 0\n" + body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = snf.load_matrix_market(path)
+    assert (X.n_terms, X.n_docs, X.nnz) == (3, 2, 0)
 
 
 def _column_file(path, entries):

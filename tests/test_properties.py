@@ -14,6 +14,9 @@ The ingestion property compares ``ingest_corpus`` on small random corpora
 the bytes of ``save_model`` and ``save_matrix_market`` with plain
 formulations kept here as oracles: ``json.dumps`` of the whole model with
 each matrix's base64 as a string, and one formatted string per entry line.
+The MatrixMarket loader's scan of the lines up to the size line must
+split a text as ``str.splitlines`` does, every line break it knows
+included.
 """
 
 import base64
@@ -325,3 +328,16 @@ def test_save_matrix_market_writes_the_oracle_bytes(X, run):
         path = Path(directory) / "counts.mtx"
         snf.save_matrix_market(path, X)
         assert path.read_bytes() == expected.encode("ascii")
+
+
+LINE_TEXT = st.text(st.sampled_from(["a", " ", "\t", "%", "\xa0", *"\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"]),
+                    max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINE_TEXT)
+def test_the_loaders_line_scan_splits_as_splitlines(text):
+    lines = list(snf_io._lines(text))
+    assert [line for line, _ in lines] == text.splitlines()
+    for i, (_, after) in enumerate(lines):  # the rest of the text starts at the next line
+        assert text[after:].splitlines() == text.splitlines()[i + 1:]

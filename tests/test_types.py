@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import simplexnmf as snf
 from simplexnmf.errors import DataError, DegenerateColumnError, EntryError
@@ -249,8 +249,70 @@ def shuffled_cells(draw):
     return dense, rows, cols, dense[rows, cols]
 
 
+@st.composite
+def permuted_entries(draw):
+    """Distinct ``(term, doc)`` pairs with positive counts in document-major
+    order, and a permutation of them.  The term dimension reaches past
+    ``2**63 / n_docs``, where the sort key ``cols * n_terms + rows`` no
+    longer fits in int64."""
+    n_docs = draw(st.integers(1, 8))
+    n_terms = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**62)))
+    pairs = sorted(draw(st.lists(st.tuples(st.integers(0, n_terms - 1), st.integers(0, n_docs - 1)),
+                                 unique=True, max_size=30)), key=lambda pair: pair[::-1])
+    rows, cols = (np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1))
+    vals = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=len(pairs), max_size=len(pairs))))
+    return n_terms, n_docs, rows, cols, vals, np.array(draw(st.permutations(range(len(pairs)))), dtype=np.int64)
+
+
+def _lexsort_duplicate(rows, cols) -> int:
+    """The duplicate entry that a ``np.lexsort`` into document-major order finds first in input order."""
+    order = np.lexsort((rows, cols))
+    repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+    return int(order[1:][repeat].min())
+
+
+# the largest key, 2**63 - 1, still fits in int64
+_KEY_EDGE = (2**61, 4, np.array([0, 2**61 - 1, 5, 2**61 - 1]), np.array([0, 1, 3, 3]), np.ones(4), np.arange(4)[::-1])
+# the keys of documents 2 and 3 would wrap to negative int64s and sort first
+_PAST_KEY = (2**62, 4, np.array([0, 2**62 - 1, 5, 2**62 - 1]), np.array([0, 1, 2, 3]), np.ones(4), np.arange(4)[::-1])
+
+
 class TestFromArrays:
     """``TermDocMatrix.from_arrays``, the one check of every entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(permuted_entries())
+    @example(_KEY_EDGE)
+    @example(_PAST_KEY)
+    def test_any_entry_order_builds_the_matrix_of_the_sorted_entries(self, problem):
+        n_terms, n_docs, rows, cols, vals, perm = problem
+        X = snf.TermDocMatrix.from_arrays(n_terms, n_docs, rows[perm], cols[perm], vals[perm])
+        Y = snf.TermDocMatrix.from_arrays(n_terms, n_docs, rows, cols, vals)
+        assert np.array_equal(Y.rows, rows) and np.array_equal(Y.cols, cols)
+        for name in ("rows", "cols", "vals", "col_sums", "doc_ptr"):
+            assert np.array_equal(getattr(X, name), getattr(Y, name)), name
+            assert getattr(X, name).dtype == getattr(Y, name).dtype
+
+    @settings(max_examples=150, deadline=None)
+    @given(permuted_entries(), st.data())
+    def test_a_duplicate_is_the_one_lexsort_finds(self, problem, data):
+        n_terms, n_docs, rows, cols, vals, perm = problem
+        assume(rows.size > 0)
+        rows, cols, vals = rows[perm], cols[perm], vals[perm]
+        copy, at = data.draw(st.integers(0, rows.size - 1)), data.draw(st.integers(0, rows.size))
+        rows, cols, vals = (np.insert(a, at, a[copy]) for a in (rows, cols, vals))
+        with pytest.raises(EntryError, match="duplicate entry") as info:
+            snf.TermDocMatrix.from_arrays(n_terms, n_docs, rows, cols, vals)
+        assert (info.value.fault, info.value.entry) == ("duplicate", _lexsort_duplicate(rows, cols))
+
+    def test_a_duplicate_in_a_shape_past_the_int64_key(self):
+        # n_terms * n_docs = 2**64 sorts with np.lexsort; 2**32 documents are
+        # too many to build, but a duplicate is found before any per-document array
+        last = 2**32 - 1
+        rows, cols = np.array([last, 0, 7, last, 0, 7]), np.array([last, 0, last, last, 0, 0])
+        with pytest.raises(EntryError, match=rf"^duplicate entry \({last}, {last}\)$") as info:
+            snf.TermDocMatrix.from_arrays(2**32, 2**32, rows, cols, np.ones(6))
+        assert (info.value.fault, info.value.entry) == ("duplicate", _lexsort_duplicate(rows, cols)) == ("duplicate", 3)
 
     @settings(max_examples=150, deadline=None)
     @given(shuffled_cells())
