@@ -30,8 +30,7 @@ from .io import (
     save_vocabulary,
 )
 from .mu import _fit
-from .objectives import kl_divergence
-from .types import FitConfig, METHOD_SPECS, METHODS, Priors, VariationalState
+from .types import FitConfig, METHOD_SPECS, METHODS, Priors
 
 
 class UsageError(Exception):
@@ -110,6 +109,8 @@ def _parse_vector(raw: str | None, n_topics: int, name: str, default: float) -> 
 
 
 def _cmd_ingest(args) -> int:
+    if args.min_count < 1:
+        raise UsageError(f"--min-count must be at least 1, got {args.min_count}")
     matrix, vocab = ingest_corpus(args.corpus, args.min_count)
     save_matrix_market(args.out_matrix, matrix)
     save_vocabulary(args.out_vocab, vocab)
@@ -175,15 +176,8 @@ def _cmd_eval(args) -> int:
             f"matrix is {X.n_terms} x {X.n_docs} but the model was fit on "
             f"{model.n_terms} x {model.n_docs}"
         )
-    spec = METHOD_SPECS[model.method]
-    if spec.variational:
-        priors = Priors(model.alpha, model.rate_a)
-        state = VariationalState(model.beta, model.b_rate)
-        lines = [("elbo", spec.function(spec.objective)(X, model.W, priors, state))]
-    else:
-        penalty = spec.penalty(model.lambda_sparsity)
-        lines = [("kl_divergence", kl_divergence(X, model.W, model.H))]
-        lines += [(label, spec.function(name)(X, model.W, model.H, **penalty)) for label, name in spec.eval_lines]
+    family, state = METHOD_SPECS[model.method].rebuild(X, model)
+    lines = family.eval_lines(state)
     for label, value in lines:
         print(f"{label} {_fmt(value)}")
     for label, value in lines:

@@ -282,14 +282,23 @@ def initialize_factorization(X: TermDocMatrix, config: FitConfig) -> Factorizati
 
 class _Factorizations:
     """The fit driver's record for :class:`Factorization` states: the
-    objective is minimized, and a state's carry into its step is its
-    checked reconstruction."""
+    objective is minimized, and a state's carry into its step, and into
+    every ``eval`` line, is its checked reconstruction."""
 
     sign = +1
 
     def __init__(self, X: TermDocMatrix, spec, priors=None, lambda_sparsity: float = 0.0):
-        self.X, self.penalty = X, spec.penalty(lambda_sparsity)
+        self.X, self.spec, self.penalty = X, spec, spec.penalty(lambda_sparsity)
         self.stepper, self.objective = spec.function(spec.stepper), spec.function(spec.objective)
+
+    @classmethod
+    def rebuild(cls, X: TermDocMatrix, spec, fields: dict, lambda_sparsity: float = 0.0):
+        """The inverse of :meth:`arrays`: ``(record, state)`` of a model's ``fields``.
+
+        The state is unconstrained, so its columns are not checked against the
+        method's simplex: a rebuilt state is evaluated, never stepped.
+        """
+        return cls(X, spec, None, lambda_sparsity), Factorization(fields["W"], fields["H"])
 
     def start(self, config: FitConfig) -> Factorization:
         return initialize_factorization(self.X, config)
@@ -301,6 +310,15 @@ class _Factorizations:
     def step(self, f: Factorization, recon):
         out = self.stepper(self.X, f, recon=recon, **self.penalty)
         return out.factorization, out.recon_evals
+
+    def eval_lines(self, f: Factorization) -> list[tuple[str, float]]:
+        """The method's ``eval_lines`` at ``f``, every one from one checked reconstruction."""
+        recon = _checked_reconstruction(self.X, f.W, f.H)
+        return [
+            (label, self.spec.function(name)(
+                self.X, f.W, f.H, recon=recon, **(self.penalty if name == self.spec.objective else {})))
+            for label, name in self.spec.eval_lines
+        ]
 
     @staticmethod
     def arrays(f: Factorization) -> dict:

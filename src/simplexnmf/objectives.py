@@ -9,9 +9,10 @@ through reconstruction totals.
 
 The objectives and bounds that fits monitor take their costly part as an
 optional last argument, computed when it is ``None``, so that a fit
-computes it once per state and hands it on to the next step:
-``kl_divergence`` and ``sparse_objective`` take the checked reconstruction
-``recon``, ``lda_elbo`` and ``gap_elbo`` the :class:`BoundTerms`
+computes it once per state and hands it on to the next step, and ``eval``
+computes it once for all of its lines: ``kl_divergence``,
+``plsa_log_likelihood`` and ``sparse_objective`` take the checked
+reconstruction ``recon``, ``lda_elbo`` and ``gap_elbo`` the :class:`BoundTerms`
 (``E[log h]``, ``h~`` and ``(W h~)``) of ``lda_elbo_terms`` and
 ``gap_elbo_terms`` as ``terms``.  The variational steppers form ``h~``
 through the same ``*_elbo_terms``, so it is computed in one place.
@@ -57,14 +58,15 @@ def kl_divergence(X: TermDocMatrix, W, H, recon: np.ndarray | None = None) -> fl
     return float(np.sum(x * np.log(x / recon) - x) + reconstruction_total(W, H))
 
 
-def plsa_log_likelihood(X: TermDocMatrix, W, H) -> float:
-    """Count-weighted log reconstruction ``sum x log (WH)``.
+def plsa_log_likelihood(X: TermDocMatrix, W, H, recon: np.ndarray | None = None) -> float:
+    """Count-weighted log reconstruction ``sum x log (WH)``; ``recon`` as for :func:`kl_divergence`.
 
     This is the document/word log-likelihood of the mixture model when both
     factors are column-normalized, but the formula is evaluated for any
     non-negative pair.
     """
-    recon = _checked_reconstruction(X, W, H)
+    if recon is None:
+        recon = _checked_reconstruction(X, W, H)
     return float(np.sum(X.vals * np.log(recon)))
 
 

@@ -322,11 +322,15 @@ class MethodSpec:
     tracer) is the one that runs.  Multiplicative steppers take ``(X, f)``
     and objectives ``(X, W, H)`` (the fit adds ``recon=``), variational
     ones ``(X, W, priors, state)`` (the fit adds ``terms=``); with
-    ``uses_lambda`` they and the ``eval_lines`` (``(label, function)``
-    printed after the KL divergence) also take ``lambda_sparsity``.
+    ``uses_lambda`` the stepper and the objective also take
+    ``lambda_sparsity``.  ``eval_lines`` are the ``(label, function)``
+    pairs that ``eval`` prints, in order; each function has an objective's
+    signature and is given the carry (``recon=`` or ``terms=``) of one
+    evaluation, and the penalty only if it is the method's objective.
     ``uses_rates`` methods need Gamma rates, and ``model_fields`` are the
     model-file fields besides ``W``.  :meth:`family` builds the fit
-    driver's record for the method's kind of state.
+    driver's record for the method's kind of state, and :meth:`rebuild`
+    that record with the state of a saved model.
     """
 
     mode: ConstraintMode
@@ -334,7 +338,7 @@ class MethodSpec:
     stepper: str
     objective: str
     model_fields: tuple[str, ...]
-    eval_lines: tuple[tuple[str, str], ...] = ()
+    eval_lines: tuple[tuple[str, str], ...]
     uses_lambda: bool = False
     uses_rates: bool = False
 
@@ -344,10 +348,18 @@ class MethodSpec:
         module, _, attr = name.partition(".")
         return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
 
+    def _family_type(self):
+        return self.function("vi._Variational" if self.variational else "mu._Factorizations")
+
     def family(self, X, priors=None, lambda_sparsity: float = 0.0):
         """The fit driver's record over ``X``: ``vi._Variational`` or ``mu._Factorizations``."""
-        family = self.function("vi._Variational" if self.variational else "mu._Factorizations")
-        return family(X, self, priors, lambda_sparsity)
+        return self._family_type()(X, self, priors, lambda_sparsity)
+
+    def rebuild(self, X, model):
+        """``(record, state)`` of a saved model over ``X``, read from its ``W``, its
+        ``model_fields`` and its ``lambda_sparsity`` alone: any other field is ignored."""
+        fields = {name: getattr(model, name) for name in ("W", *self.model_fields)}
+        return self._family_type().rebuild(X, self, fields, model.lambda_sparsity)
 
     def penalty(self, lambda_sparsity: float) -> dict:
         """Keyword arguments that pass the l1 weight to the method's functions."""
@@ -355,22 +367,26 @@ class MethodSpec:
 
 
 _KL = "objectives.kl_divergence"
+_KL_LINE = ("kl_divergence", _KL)
 
 METHOD_SPECS = {
-    "mu": MethodSpec(ConstraintMode.UNCONSTRAINED, False, "mu.mu_step_alternating", _KL, ("H",)),
-    "mu-joint": MethodSpec(ConstraintMode.W_SIMPLEX, False, "mu.mu_step_joint_wnorm", _KL, ("H",)),
+    "mu": MethodSpec(ConstraintMode.UNCONSTRAINED, False, "mu.mu_step_alternating", _KL, ("H",), (_KL_LINE,)),
+    "mu-joint": MethodSpec(ConstraintMode.W_SIMPLEX, False, "mu.mu_step_joint_wnorm", _KL, ("H",), (_KL_LINE,)),
     "plsa": MethodSpec(
         ConstraintMode.BOTH_SIMPLEX, False, "mu.mu_step_joint_bothnorm", _KL, ("H",),
-        eval_lines=(("plsa_log_likelihood", "objectives.plsa_log_likelihood"),),
+        (_KL_LINE, ("plsa_log_likelihood", "objectives.plsa_log_likelihood")),
     ),
     "sparse": MethodSpec(
         ConstraintMode.W_SIMPLEX, False, "mu.mu_step_sparse", "objectives.sparse_objective", ("H",),
-        eval_lines=(("penalized_objective", "objectives.sparse_objective"),), uses_lambda=True,
+        (_KL_LINE, ("penalized_objective", "objectives.sparse_objective")), uses_lambda=True,
     ),
-    "lda": MethodSpec(ConstraintMode.W_SIMPLEX, True, "vi.dp_vi_step", "objectives.lda_elbo", ("beta", "alpha")),
+    "lda": MethodSpec(
+        ConstraintMode.W_SIMPLEX, True, "vi.dp_vi_step", "objectives.lda_elbo", ("beta", "alpha"),
+        (("elbo", "objectives.lda_elbo"),),
+    ),
     "gap": MethodSpec(
         ConstraintMode.W_SIMPLEX, True, "vi.gap_vi_step", "objectives.gap_elbo",
-        ("beta", "b_rate", "alpha", "rate_a"), uses_rates=True,
+        ("beta", "b_rate", "alpha", "rate_a"), (("elbo", "objectives.gap_elbo"),), uses_rates=True,
     ),
 }
 

@@ -129,15 +129,22 @@ def initialize_variational(
 class _Variational:
     """The fit driver's record for ``(W, VariationalState)`` states: the
     bound is maximized, and a state's carry into its step is its
-    :class:`~simplexnmf.objectives.BoundTerms` without ``E[log h]``."""
+    :class:`~simplexnmf.objectives.BoundTerms` without ``E[log h]``; its
+    ``eval`` lines take the whole terms."""
 
     sign = -1
 
     def __init__(self, X: TermDocMatrix, spec, priors: Priors | None, lambda_sparsity: float = 0.0):
         if priors is None:
             raise ValueError("variational fits and residuals require priors")
-        self.X, self.priors, self.terms_of = X, priors, spec.function(spec.objective + "_terms")
+        self.X, self.spec, self.priors, self.terms_of = X, spec, priors, spec.function(spec.objective + "_terms")
         self.stepper, self.bound = spec.function(spec.stepper), spec.function(spec.objective)
+
+    @classmethod
+    def rebuild(cls, X: TermDocMatrix, spec, fields: dict, lambda_sparsity: float = 0.0):
+        """The inverse of :meth:`arrays` and of the priors' fields: ``(record, state)`` of a model's ``fields``."""
+        priors = Priors(fields["alpha"], fields.get("rate_a"))
+        return cls(X, spec, priors), (fields["W"], VariationalState(fields["beta"], fields.get("b_rate")))
 
     def start(self, config: FitConfig):
         return initialize_variational(self.X, config, self.priors)
@@ -150,6 +157,14 @@ class _Variational:
     def step(self, state, terms):
         W, vstate, recon_evals = self.stepper(self.X, state[0], self.priors, state[1], terms=terms)
         return (W, vstate), recon_evals
+
+    def eval_lines(self, state) -> list[tuple[str, float]]:
+        """The method's ``eval_lines`` at ``state``, every one from one computation of the bound's terms."""
+        terms = self.terms_of(self.X, *state)
+        return [
+            (label, self.spec.function(name)(self.X, state[0], self.priors, state[1], terms=terms))
+            for label, name in self.spec.eval_lines
+        ]
 
     @staticmethod
     def arrays(state) -> dict:

@@ -1,6 +1,8 @@
 """Command-line surface: flags, exit codes, files, determinism."""
 
 import argparse
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from simplexnmf.cli import _build_parser, _fmt, main
 from simplexnmf.equivalence import PAIRS
 
 from helpers import after_the_start, random_count_matrix
+
+DATA = Path(__file__).parent / "data"
+COUNTS = str(DATA / "v1" / "counts.mtx")
 
 
 @pytest.fixture
@@ -397,3 +402,71 @@ def test_ingest_of_a_regular_file_is_data_error(tmp_path, capsys):
                "--out-vocab", str(tmp_path / "v.txt")])
     assert rc == 2
     assert capsys.readouterr().err == f"data error: not a directory: {corpus}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_ingest_min_count_below_one_is_usage_error(tmp_path, capsys, value):
+    # the corpus does not exist: the flag is refused before it is read
+    rc = main(["ingest", "--corpus", str(tmp_path / "absent"), "--min-count", value,
+               "--out-matrix", str(tmp_path / "m.mtx"), "--out-vocab", str(tmp_path / "v.txt")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"usage error: --min-count must be at least 1, got {value}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "m.mtx").exists()
+
+
+# what eval prints for every committed model on the committed counts
+EVAL_OUTPUT = {
+    "v1/gap.json": "elbo -19.001920252922822\n",
+    "v1/lda.json": "elbo -21.910276730498726\n",
+    "v1/mu-joint.json": "kl_divergence 4.7269257565181597\n",
+    "v1/mu.json": "kl_divergence 3.0560764761406887\n",
+    "v1/plsa.json": "kl_divergence 17.438651688864475\nplsa_log_likelihood -17.825048656140808\n",
+    "v1/sparse.json": "kl_divergence 5.0740790262313062\npenalized_objective 8.0740790262313062\n",
+    "v2/gap.json": "elbo -19.001920252922822\n",
+    "v2/lda.json": "elbo -21.910276730498726\n",
+    "v2/mu-joint.json": "kl_divergence 4.7269257565181597\n",
+    "v2/plsa.json": "kl_divergence 17.438651688864475\nplsa_log_likelihood -17.825048656140808\n",
+}
+
+
+def test_eval_output_covers_every_committed_model():
+    assert sorted(EVAL_OUTPUT) == sorted(str(p.relative_to(DATA)) for p in DATA.glob("v*/*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_OUTPUT))
+def test_eval_output_of_committed_models(capsys, name):
+    assert main(["eval", "--model", str(DATA / name), "--input", COUNTS]) == 0
+    assert capsys.readouterr() == (EVAL_OUTPUT[name], "")
+
+
+@pytest.mark.parametrize("method, field, value", [
+    ("lda", "rate_a", [1.0]),  # of the wrong length
+    ("lda", "rate_a", [-1.0, -1.0]),
+    ("lda", "b_rate", [[1.0]]),  # of the wrong shape
+    ("lda", "H", [[1.0]]),
+    ("mu-joint", "beta", [[-1.0]]),
+])
+def test_eval_ignores_fields_the_method_does_not_use(tmp_path, capsys, method, field, value):
+    doc = json.loads((DATA / "v1" / f"{method}.json").read_text())
+    doc[field] = value
+    model = tmp_path / "stray.json"
+    model.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(model), "--input", COUNTS]) == 0
+    assert capsys.readouterr() == (EVAL_OUTPUT[f"v1/{method}.json"], "")
+
+
+@pytest.mark.parametrize("method", ["mu-joint", "plsa"])
+def test_eval_of_a_model_slightly_off_the_simplex(tmp_path, capsys, method):
+    # eval never steps, so it does not check the columns of W against the method's simplex
+    doc = json.loads((DATA / "v1" / f"{method}.json").read_text())
+    for row in doc["W"]:
+        row[0] *= 1 + 1e-9
+    model = tmp_path / "off.json"
+    model.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(model), "--input", COUNTS]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    labels = [line.split()[0] for line in EVAL_OUTPUT[f"v1/{method}.json"].splitlines()]
+    assert [line.split()[0] for line in captured.out.splitlines()] == labels

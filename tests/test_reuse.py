@@ -5,6 +5,7 @@ import pytest
 
 import simplexnmf as snf
 from simplexnmf import objectives
+from simplexnmf.cli import main
 from simplexnmf.types import METHOD_SPECS
 
 from helpers import random_count_matrix
@@ -65,6 +66,25 @@ def test_one_reconstruction_per_state(monkeypatch, method):
     assert recon.calls == (2 * n + 1 if method == "mu" else n + 1)
     assert recon.calls == sum(trace.recon_evals) + 1
     assert digamma.calls == (n + 1 if method in snf.VI_METHODS else 0)
+
+
+@pytest.mark.parametrize("method", snf.METHODS)
+def test_one_reconstruction_per_eval(tmp_path, monkeypatch, capsys, method):
+    """Every line ``eval`` prints comes from one reconstruction of the saved model."""
+    X, _, _ = _setup(method, 1)
+    matrix, model = tmp_path / "m.mtx", tmp_path / "model.json"
+    snf.save_matrix_market(matrix, X)
+    extra = ["--lambda", "0.4"] if method == "sparse" else []
+    assert main(["fit", "--input", str(matrix), "--method", method, "--topics", str(N_TOPICS),
+                 "--max-iter", "3", *extra, "--output", str(model)]) == 0
+    recon = _Counter(objectives.reconstruct_nonzeros)
+    monkeypatch.setattr(objectives, "reconstruct_nonzeros", recon)
+    capsys.readouterr()
+
+    assert main(["eval", "--model", str(model), "--input", str(matrix)]) == 0
+
+    assert capsys.readouterr().out
+    assert recon.calls == 1
 
 
 @pytest.mark.parametrize("method", snf.METHODS)
