@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DeadTopicError, DegenerateColumnError, MonotonicityError, NumericalError
-from .objectives import _checked_reconstruction
+from .objectives import _checked_reconstruction, _expected_counts
 from .types import (
     ConstraintMode,
     Factorization,
@@ -124,22 +124,21 @@ def joint_step(
     """The joint update of every method but ``mu``; returns ``(W', H')``.
 
     With ``r = x / (WH)`` from one checked reconstruction at the nonzeros
-    (``recon``, computed when ``None``), ``W' = normalize_k(floor(W *
-    sum_d r_vd h_kd))`` (``DeadTopicError`` when a topic's numerators all
-    vanish) and ``H' = h_map(H * sum_v r_vd w_vk)`` with the pre-update ``W``.
-    An infinite or NaN entry in either raises ``NumericalError``.
+    (``recon``, computed when ``None``), the numerators are the expected
+    counts of :func:`~simplexnmf.objectives._expected_counts`: ``W' =
+    normalize_k(floor(W * sum_d r_vd h_kd))`` (``DeadTopicError`` when a
+    topic's numerators all vanish) and ``H' = h_map(H * sum_v r_vd w_vk)``
+    with the pre-update ``W``.  An infinite or NaN entry in either raises
+    ``NumericalError``.
 
     ``h_map`` gets that product in Fortran order (the transpose of SciPy's
     documents x topics sums, multiplied in place so that no second K x D
     array is live) and returns a new C-ordered array: later column sums
     round according to the layout, and the iterates are those of C order.
     """
-    ratio = X.vals / (_checked_reconstruction(X, W, H) if recon is None else recon)
+    term_counts, doc_counts = _expected_counts(X, W, H, recon)
     dead = partial(DeadTopicError, detail="all update numerators vanished")
-    W_new = _normalized(W * term_topic_sums(X, ratio, H), epsilon_floor, dead)
-    raw = topic_doc_sums(X, ratio, W)
-    raw *= H
-    return _finite_update(W_new, h_map(raw))
+    return _finite_update(_normalized(term_counts, epsilon_floor, dead), h_map(doc_counts))
 
 
 def mu_step_alternating(

@@ -16,6 +16,14 @@ reconstruction ``recon``, ``lda_elbo`` and ``gap_elbo`` the :class:`BoundTerms`
 (``E[log h]``, ``h~`` and ``(W h~)``) of ``lda_elbo_terms`` and
 ``gap_elbo_terms`` as ``terms``.  The variational steppers form ``h~``
 through the same ``*_elbo_terms``, so it is computed in one place.
+
+Every sum over the stored entries goes through the kernels of
+:mod:`simplexnmf.types`.  The data term ``sum x log (WH)`` is written
+once, in :func:`plsa_log_likelihood`: the bounds' data term is that
+log-likelihood at ``h~``, and :func:`joint_aux` takes it at its anchor.
+The majorizer's other sums are over the anchor's expected counts
+(:func:`_expected_counts`), which are also the numerators of the joint
+update (:func:`simplexnmf.mu.joint_step`).
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from .types import (
     VariationalState,
     reconstruct_nonzeros,
     reconstruction_total,
+    term_topic_sums,
+    topic_doc_sums,
 )
 
 
@@ -75,6 +85,24 @@ def sparse_objective(X: TermDocMatrix, W, H, lambda_sparsity: float, recon: np.n
     return kl_divergence(X, W, H, recon) + float(lambda_sparsity) * float(np.sum(np.abs(H)))
 
 
+def _expected_counts(X: TermDocMatrix, W, H, recon: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The expected counts ``sum_d x phi`` (terms x topics) and ``sum_v x phi`` (topics x documents).
+
+    ``phi_vkd = w_vk h_kd / (WH)_vd`` are the responsibilities at ``(W, H)``;
+    with ``r = x / (WH)`` from the checked reconstruction ``recon``
+    (computed when ``None``) the counts are ``W * sum_d r h`` and ``H *
+    sum_v r w``.  The second is SciPy's documents x topics sums transposed
+    and multiplied in place by ``H``, so it is in Fortran order.  They are
+    the numerators of the joint update and the weights of :func:`joint_aux`.
+    """
+    if recon is None:
+        recon = _checked_reconstruction(X, W, H)
+    ratio = X.vals / recon
+    doc_counts = topic_doc_sums(X, ratio, W)
+    doc_counts *= H
+    return W * term_topic_sums(X, ratio, H), doc_counts
+
+
 def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
     """Majorizer of the KL objective in both factors jointly.
 
@@ -86,35 +114,28 @@ def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
     At ``candidate == anchor`` this equals the KL divergence up to the
     dropped count-only constant ``sum x log x - sum x``.
 
-    Topic-major: one topic at a time, ``phi_k`` is formed at the stored
-    entries and ``log(w h / phi)`` is split into ``log w + log h - log phi``,
-    each gathered in turn and weighted by ``x phi_k`` in its own dot
-    product.  No ``nnz x K`` array is formed; the working memory is three
-    ``nnz``-vectors.  An entry with ``phi_k <= 0`` adds nothing.
+    The sum is taken on the anchor's expected counts ``A = sum_d x phi``
+    and ``B = sum_v x phi``, those of the joint update
+    (:func:`_expected_counts`):
+
+        - [ sum x log (W'H') + sum_{A>0} A log(W/W') + sum_{B>0} B log(H/H') ] + sum WH,
+
+    so it needs one reconstruction and two accumulations at the anchor and
+    no ``nnz x K`` array.  A candidate of other shapes than the anchor's
+    raises ``ValueError``.
     """
     W, H = (np.asarray(m, dtype=float) for m in candidate)
     Wa, Ha = (np.asarray(m, dtype=float) for m in anchor)
-    recon_anchor = _checked_reconstruction(X, Wa, Ha)
-    total = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(W.shape[1]):
-            phi = Wa[X.rows, k]
-            phi *= Ha[k, X.cols]
-            phi /= recon_anchor
-            unheld = ~(phi > 0)
-            log_phi = np.log(phi)
-            phi *= X.vals
-            total -= _masked_dot(phi, log_phi, unheld)
-            del log_phi  # freed before the next gather, so at most three nnz-vectors live
-            total += _masked_dot(phi, np.log(W[:, k])[X.rows], unheld)
-            total += _masked_dot(phi, np.log(H[k])[X.cols], unheld)
-    return float(-total + reconstruction_total(W, H))
-
-
-def _masked_dot(weights: np.ndarray, logs: np.ndarray, unheld: np.ndarray) -> float:
-    """``weights @ logs`` with the ``unheld`` entries of ``logs`` (modified in place) taken as 0."""
-    logs[unheld] = 0.0
-    return weights @ logs
+    if (W.shape, H.shape) != (Wa.shape, Ha.shape):
+        raise ValueError(f"candidate factors of shapes {W.shape} and {H.shape} do not match "
+                         f"the anchor's {Wa.shape} and {Ha.shape}")
+    recon = _checked_reconstruction(X, Wa, Ha)
+    total = plsa_log_likelihood(X, Wa, Ha, recon)
+    with np.errstate(divide="ignore"):
+        for counts, M, M_anchor in zip(_expected_counts(X, Wa, Ha, recon), (W, H), (Wa, Ha)):
+            held = counts > 0
+            total += float(counts[held] @ np.log(M[held] / M_anchor[held]))
+    return -total + reconstruction_total(W, H)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +167,11 @@ def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Variational lower bounds
+
+
+def _require_prior_topics(priors: Priors, n_topics: int) -> None:
+    if priors.n_topics != n_topics:
+        raise ValueError(f"priors have {priors.n_topics} topics, the state has {n_topics}")
 
 
 class BoundTerms(NamedTuple):
@@ -181,11 +207,12 @@ def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
 
     ``terms`` are the :class:`BoundTerms` at ``(W, state)``, computed when ``None``.
     """
+    _require_prior_topics(priors, state.n_topics)
     if terms is None:
         terms = lda_elbo_terms(X, W, state)
     beta = state.beta
     alpha = priors.alpha
-    mixture = float(np.sum(X.vals * np.log(terms.recon)))
+    mixture = plsa_log_likelihood(X, W, terms.h_tilde, terms.recon)
     per_doc = log_gamma(float(alpha.sum())) - log_gamma(beta.sum(axis=0))
     per_cell = log_gamma(beta) - log_gamma(alpha)[:, None] + (alpha[:, None] - beta) * terms.elog
     return mixture + float(per_doc.sum()) + float(per_cell.sum())
@@ -216,13 +243,14 @@ def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
 
     ``terms`` are the :class:`BoundTerms` at ``(W, state)``, computed when ``None``.
     """
+    _require_prior_topics(priors, state.n_topics)
     if terms is None:
         terms = gap_elbo_terms(X, W, state)
     if priors.rate_a is None:
         raise ValueError("gap_elbo requires priors with rate_a")
     beta, b = state.beta, state.b_rate
     alpha, a = priors.alpha, priors.rate_a
-    mixture = float(np.sum(X.vals * np.log(terms.recon)))
+    mixture = plsa_log_likelihood(X, W, terms.h_tilde, terms.recon)
     # each K x D term is formed as in the formula, and added into one array in place
     per_cell = log_gamma(beta)
     per_cell -= log_gamma(alpha)[:, None]

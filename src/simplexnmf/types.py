@@ -506,9 +506,17 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     The threads call only :func:`_reconstruct_range`, never a public
     (traced) function.
     Gathering into buffers handed to ``np.take(..., out=)`` was slower.
+
+    Factors whose shapes do not multiply to the shape of ``X`` raise
+    ``ValueError``: every objective, bound and step reconstructs through
+    here, so none of them reads a misshapen factor.
     """
     W = np.asarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
+    if W.ndim != 2 or H.ndim != 2 or W.shape != (X.n_terms, H.shape[0]) or H.shape[1] != X.n_docs:
+        raise ValueError(
+            f"factors of shapes {W.shape} and {H.shape} do not reconstruct a {X.n_terms} x {X.n_docs} matrix"
+        )
     WT = np.ascontiguousarray(W.T)
     out = np.zeros(X.nnz)
     n_ranges = max(1, min(_usable_cpus(), X.nnz * H.shape[0] // _RANGE_WORK))

@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .mu import EPSILON_FLOOR, _fit, _seeded_start, joint_step
-from .objectives import BoundTerms, gap_elbo_terms, lda_elbo_terms
+from .objectives import BoundTerms, _require_prior_topics, gap_elbo_terms, lda_elbo_terms
 from .types import (
     FitConfig,
     FitTrace,
@@ -46,7 +46,11 @@ from .types import (
 
 
 def _vi_update(X: TermDocMatrix, W, priors: Priors, terms: BoundTerms, epsilon_floor: float):
-    """:func:`~simplexnmf.mu.joint_step` on ``h~`` with the map ``alpha_k + (.)``; returns ``(W', beta')``."""
+    """:func:`~simplexnmf.mu.joint_step` on ``h~`` with the map ``alpha_k + (.)``; returns ``(W', beta')``.
+
+    Priors of another topic count than ``h~`` raise ``ValueError``.
+    """
+    _require_prior_topics(priors, terms.h_tilde.shape[0])
     h_map = partial(np.add, priors.alpha[:, None], order="C")
     return joint_step(X, np.asarray(W, dtype=float), terms.h_tilde, h_map, epsilon_floor, terms.recon)
 

@@ -427,7 +427,9 @@ EVAL_OUTPUT = {
     "v2/gap.json": "elbo -19.001920252922822\n",
     "v2/lda.json": "elbo -21.910276730498726\n",
     "v2/mu-joint.json": "kl_divergence 4.7269257565181597\n",
+    "v2/mu.json": "kl_divergence 3.0560764761406887\n",
     "v2/plsa.json": "kl_divergence 17.438651688864475\nplsa_log_likelihood -17.825048656140808\n",
+    "v2/sparse.json": "kl_divergence 5.0740790262313062\npenalized_objective 8.0740790262313062\n",
 }
 
 

@@ -345,7 +345,7 @@ class TestVersion1Files:
 # format_version 2 files that the earlier writer (json.dumps of the whole base64
 # string) made from the version 1 fixtures; the current writer must repeat their bytes
 V2 = Path(__file__).parent / "data" / "v2"
-GOLDEN_METHODS = ("mu-joint", "plsa", "lda", "gap")
+GOLDEN_METHODS = ("mu", "mu-joint", "plsa", "sparse", "lda", "gap")
 
 
 class TestGoldenBytes:

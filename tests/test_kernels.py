@@ -7,8 +7,9 @@ the entry weights.  Each adds in its own order, so they are checked against
 matrix of the entry weights) within 1e-12 relative, over random shapes that
 include empty documents, unused terms (the last of each too, which the CSC
 view's shape alone accounts for), a single topic, a single entry and no
-entry.  ``objectives.joint_aux``, topic-major as well, is checked against
-the entry-by-topic form of its sum.  Each of them must work in memory
+entry.  ``objectives.joint_aux``, a sum over the anchor's expected counts
+(those of the joint update), is checked against the entry-by-topic form of
+its sum, which shares no code with it.  Each of them must work in memory
 linear in the entries, with no ``nnz x K`` temporary.  The reconstruction
 split into ranges of entries, one per CPU, must equal one plain loop over
 the topics bit for bit, whatever the CPU count; the CPU count and the work

@@ -2,6 +2,7 @@
 
 import inspect
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -204,6 +205,35 @@ def test_an_overflowing_fit_is_a_numerical_failure_not_a_warning(method):
             snf.fit_vi(X, config, snf.Priors(np.ones(2), np.ones(2) if method == "gap" else None))
         else:
             snf.fit(X, config)
+
+
+def _simplex_columns(M):
+    return M / M.sum(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("method", ["mu-joint", "plsa", "sparse"])
+def test_each_joint_step_minimizes_the_joint_majorizer(method):
+    # the joint update is the minimizer of joint_aux(., anchor) (plus lambda * sum H
+    # for sparse) over the method's simplex constraints: no log-normal perturbation
+    # of the step's output that keeps those constraints may lower it
+    X = random_count_matrix(11, n_terms=10, n_docs=7)
+    lam = 0.5 if method == "sparse" else 0.0
+    anchor = snf.initialize_factorization(X, snf.FitConfig(n_topics=3, method=method, seed=11))
+    step = {"mu-joint": snf.mu_step_joint_wnorm, "plsa": snf.mu_step_joint_bothnorm,
+            "sparse": partial(snf.mu_step_sparse, lambda_sparsity=lam)}[method]
+    out = step(X, anchor, epsilon_floor=0.0).factorization
+
+    def majorizer(W, H):
+        return snf.joint_aux(X, (W, H), (anchor.W, anchor.H)) + lam * float(H.sum())
+
+    least = majorizer(out.W, out.H)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        W = _simplex_columns(out.W * rng.lognormal(0.0, 1e-3, size=out.W.shape))
+        H = out.H * rng.lognormal(0.0, 1e-3, size=out.H.shape)
+        if method == "plsa":
+            H = _simplex_columns(H)
+        assert majorizer(W, H) >= least - 1e-12 * abs(least)
 
 
 class TestSparse:

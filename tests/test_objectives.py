@@ -112,6 +112,41 @@ class TestJointAux:
             snf.joint_aux(X, ([[1.0]], [[1.0]]), ([[0.0]], [[1.0]]))
 
 
+def _half(*shape):
+    return np.full(shape, 0.5)
+
+
+# X = [[1, 2], [0, 3]] with a factor a row, a column or a topic off, which an evaluator
+# would otherwise read past (an extra row counted in the totals, a topic dropped)
+_TWO_TOPIC_PRIORS = snf.Priors(np.ones(2), np.ones(2))
+_TWO_TOPIC_STATE = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0))
+MISSHAPEN = {
+    "kl_divergence, a row too many in W": lambda X: snf.kl_divergence(X, _half(3, 2), _half(2, 2)),
+    "kl_divergence, a column too many in H": lambda X: snf.kl_divergence(X, _half(2, 2), _half(2, 3)),
+    "kl_divergence, a row too few in W": lambda X: snf.kl_divergence(X, _half(1, 2), _half(2, 2)),
+    "sparse_objective": lambda X: snf.sparse_objective(X, _half(3, 2), _half(2, 2), 0.5),
+    "plsa_log_likelihood, a topic too few in H": lambda X: snf.plsa_log_likelihood(X, _half(2, 2), _half(1, 2)),
+    "joint_aux": lambda X: snf.joint_aux(X, (_half(3, 2), _half(2, 2)), (_half(3, 2), _half(2, 2))),
+    "lda_elbo": lambda X: snf.lda_elbo(X, _half(3, 2), _TWO_TOPIC_PRIORS, _TWO_TOPIC_STATE),
+    "gap_elbo": lambda X: snf.gap_elbo(X, _half(3, 2), _TWO_TOPIC_PRIORS, _TWO_TOPIC_STATE),
+}
+
+
+@pytest.mark.parametrize("evaluate", MISSHAPEN.values(), ids=MISSHAPEN.keys())
+def test_misshapen_factors_are_refused(evaluate):
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    with pytest.raises(ValueError, match=r"^factors of shapes \(.*\) and \(.*\) do not reconstruct a 2 x 2 matrix$"):
+        evaluate(X)
+
+
+@pytest.mark.parametrize("candidate", [(_half(3, 2), _half(2, 2)), (_half(2, 2), _half(2, 3)),
+                                       (_half(2, 1), _half(1, 2))])
+def test_joint_aux_refuses_a_candidate_unlike_its_anchor(candidate):
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    with pytest.raises(ValueError, match=r"do not match the anchor's \(2, 2\) and \(2, 2\)$"):
+        snf.joint_aux(X, candidate, (_half(2, 2), _half(2, 2)))
+
+
 def _elbo_explicit(X_dense, W, alpha, beta):
     """Brute-force bound with materialized responsibilities and mpmath specials."""
     elog = psi(beta) - psi(beta.sum(axis=0, keepdims=True))

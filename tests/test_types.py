@@ -171,6 +171,14 @@ class TestSparseEvaluator:
         dense = (W @ H)[X.rows, X.cols]
         assert np.allclose(snf.reconstruct_nonzeros(X, W, H), dense, rtol=1e-14)
 
+    @pytest.mark.parametrize("w_shape, h_shape", [((3, 2), (2, 2)), ((1, 2), (2, 2)), ((2, 2), (2, 3)),
+                                                  ((2, 2), (1, 2)), ((2,), (1, 2)), ((2, 1), (2,))])
+    def test_misshapen_factors_are_refused(self, w_shape, h_shape):
+        X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(ValueError) as info:
+            snf.reconstruct_nonzeros(X, np.full(w_shape, 0.5), np.full(h_shape, 0.5))
+        assert str(info.value) == f"factors of shapes {w_shape} and {h_shape} do not reconstruct a 2 x 2 matrix"
+
     def test_column_sum_closed_form(self):
         rng = np.random.default_rng(3)
         W = rng.gamma(1.0, 1.0, size=(9, 3))

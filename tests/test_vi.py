@@ -259,3 +259,33 @@ def test_unrepresentable_term_fails_as_in_the_bound(method):
         step(X, W, priors, state)
     with pytest.raises(UnrepresentableTermError, match="term 0"):
         snf.fixed_point_residual(X, method, (W, state), priors)
+
+
+# one-topic priors on a two-topic state, whose alpha would otherwise broadcast over both topics
+ONE_TOPIC_PRIORS = snf.Priors(np.ones(1), np.ones(1))
+OTHER_TOPIC_COUNT = {
+    "lda_elbo": lambda X, W, state: snf.lda_elbo(X, W, ONE_TOPIC_PRIORS, state),
+    "gap_elbo": lambda X, W, state: snf.gap_elbo(X, W, ONE_TOPIC_PRIORS, state),
+    "dp_vi_step": lambda X, W, state: snf.dp_vi_step(X, W, ONE_TOPIC_PRIORS, state),
+    "gap_vi_step": lambda X, W, state: snf.gap_vi_step(X, W, ONE_TOPIC_PRIORS, state),
+    "fixed_point_residual lda": lambda X, W, state: snf.fixed_point_residual(X, "lda", (W, state), ONE_TOPIC_PRIORS),
+    "fixed_point_residual gap": lambda X, W, state: snf.fixed_point_residual(X, "gap", (W, state), ONE_TOPIC_PRIORS),
+}
+
+
+@pytest.mark.parametrize("call", OTHER_TOPIC_COUNT.values(), ids=OTHER_TOPIC_COUNT.keys())
+def test_priors_of_another_topic_count_are_refused(call):
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    W = np.array([[0.25, 0.5], [0.75, 0.5]])
+    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0))
+    with pytest.raises(ValueError, match=r"^priors have 1 topics, the state has 2$"):
+        call(X, W, state)
+
+
+@pytest.mark.parametrize("step", [snf.dp_vi_step, snf.gap_vi_step])
+def test_a_misshapen_w_is_refused_by_the_step(step):
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    W = np.full((3, 2), 1.0 / 3.0)  # a term too many
+    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0))
+    with pytest.raises(ValueError, match=r"^factors of shapes \(3, 2\) and \(2, 2\) do not reconstruct a 2 x 2 matrix$"):
+        step(X, W, snf.Priors(np.ones(2), np.ones(2)), state)
