@@ -31,7 +31,7 @@ from .types import (
     VariationalState,
     normalize_columns,
 )
-from .vi import dp_vi_step, gap_vi_step, initialize_variational
+from .vi import _pinned_rates, dp_vi_step, gap_vi_step, initialize_variational
 
 
 def absorb_scaling(W, H) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +101,7 @@ def map_gap_lda_state(state: VariationalState, priors: Priors, direction: str) -
                 UserWarning,
                 stacklevel=2,
             )
-        b = np.broadcast_to((1.0 + priors.rate_a)[:, None], state.beta.shape).copy()
-        return VariationalState(state.beta, b)
+        return VariationalState(state.beta, _pinned_rates(priors.rate_a, state.beta.shape))
     if direction == "to_lda":
         return VariationalState(state.beta, None)
     raise ValueError(f"direction must be 'to_gap' or 'to_lda', got {direction!r}")

@@ -1,8 +1,9 @@
 """Corpus ingestion, matrix interchange, and model persistence.
 
-Matrices travel as 1-indexed MatrixMarket coordinate files, models as JSON
-with one top-level key per line.  A model's matrices (``W``, ``H``,
-``beta``, ``b_rate``) are stored exactly, as the base64 of their
+Matrices travel as 1-indexed MatrixMarket coordinate files, whose lines
+are split as ``str.splitlines`` splits them, models as JSON with one
+top-level key per line.  A model's matrices (``W``, ``H``, ``beta``,
+``b_rate``) are stored exactly, as the base64 of their
 little-endian float64 bytes (``format_version`` 2); scalars and the
 per-topic vectors stay plain JSON numbers in shortest round-trip form.
 Keys, numbers and matrix headers come from ``json.dumps``; the base64 text,
@@ -13,9 +14,10 @@ platform: models are written in binary mode, MatrixMarket text with
 Save/load round trips are value-exact and files byte-deterministic, but the
 matrix entries cannot be read in a text editor: ``topics`` and ``eval`` are
 the readers.  Version 1 files, whose matrices are JSON rows of numbers,
-still load.  Loading checks every field's type and ignores keys it does not
-know, such as the ``trace`` of earlier files; a fit's trace is written only
-as CSV (:func:`save_trace_csv`).  The tokenizer is deliberately naive:
+still load.  Loading reads ``W`` and the fields its method uses, checks their
+types, and ignores every other key, such as the ``trace`` of earlier files
+or a field of another method; a fit's trace is written only as CSV
+(:func:`save_trace_csv`).  The tokenizer is deliberately naive:
 lowercase, split on runs of non-alphanumerics.
 """
 
@@ -41,7 +43,6 @@ from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # the line boundaries of str.splitlines
 _MM_RUN = 65536  # entry lines per write of save_matrix_market
 _READ_SIZE = 65536  # bytes per os.read of a corpus file
 
@@ -72,20 +73,20 @@ def load_matrix_market(path) -> TermDocMatrix:
     splits them.
 
     Only the lines up to the size line are scanned one by one; the body is
-    every line after it, parsed in one ``np.loadtxt`` call, which skips
-    blank lines itself.  Comment lines (and lines of blanks that are not
-    ASCII) are emptied first, and only when the body text holds a ``%`` or
-    is not ASCII; the body text is checked for ASCII once, line by line
-    only when it is not ASCII as a whole.  The line of a fault is looked up
-    only when there is one: a malformed line by bisection, an entry fault
-    by counting the non-blank lines before it.
+    the rest of the one list that ``str.splitlines`` gives, parsed in one
+    ``np.loadtxt`` call, which skips blank lines itself.  Comment lines
+    (and lines of blanks that are not ASCII) are emptied first, and only
+    when the body holds a ``%`` (the text holds more than the lines up to
+    the size line) or is not ASCII; the body is checked for ASCII line by
+    line only when the text is not ASCII as a whole.  The line of a fault
+    is looked up only when there is one: a malformed line by bisection, an
+    entry fault by counting the non-blank lines before it.
     """
     text = _read_text(path)
-    lines = _lines(text)
-    header, _ = next(lines, ("", 0))
-    if " ".join(header.split()).lower() != _MM_HEADER:
+    lines = text.splitlines() or [""]
+    if " ".join(lines[0].split()).lower() != _MM_HEADER:
         raise DataError(f"malformed header in {path}: expected MatrixMarket coordinate real general")
-    for number, (line, after) in enumerate(lines, start=2):
+    for number, line in enumerate(islice(lines, 1, None), start=2):
         if (stripped := line.lstrip()) and stripped[0] != "%":
             break
     else:
@@ -94,10 +95,11 @@ def load_matrix_market(path) -> TermDocMatrix:
     if size is None or size.shape != (3,):
         raise DataError(f"malformed size line at line {number}")
     n_terms, n_docs, nnz = size.tolist()
-    body_text = text[after:]
-    body = body_text.splitlines()  # body[i] is line number + 1 + i
-    is_ascii = body_text.isascii()
-    if "%" in body_text or not is_ascii:
+    percent_in_body = text.count("%") > sum(line.count("%") for line in islice(lines, number))
+    body = lines
+    del body[:number]  # body[i] is line number + 1 + i
+    is_ascii = text.isascii() or all(map(str.isascii, body))
+    if percent_in_body or not is_ascii:
         # comment and blank lines emptied, not dropped, so that an index into body still counts lines
         body = [line if (stripped := line.lstrip()) and stripped[0] != "%" else "" for line in body]
         is_ascii = all(map(str.isascii, body))
@@ -118,16 +120,6 @@ def load_matrix_market(path) -> TermDocMatrix:
             "duplicate": f"duplicate entry ({v}, {d})",
         }.get(fault.fault, f"{fault.fault} count at line {line}")
         raise EntryError(message, fault.entry, fault.fault) from fault
-
-
-def _lines(text: str):
-    """Each line of ``text`` in turn, split as ``str.splitlines`` splits, with the offset of the line after it."""
-    start = 0
-    while start < len(text):
-        brk = _LINE_BREAK.search(text, start)
-        end, after = brk.span() if brk else (len(text), len(text))
-        yield text[start:end], after
-        start = after
 
 
 def _first_malformed(body: list[str]) -> int:
@@ -453,7 +445,11 @@ def load_model(path) -> ModelFile:
     Reads ``format_version`` 2, whose matrices are base64 float64 objects
     (see ``save_model``), and version 1, whose matrices are JSON lists of
     equal-length rows of numbers.  The arrays come back as writable native
-    float64 arrays either way.
+    float64 arrays either way.  Only ``W`` and the fields the method's
+    registry record names are read; the other keys are ignored, malformed
+    or not, and a method that is not in the registry reads none of them.
+    Each field's JSON type is checked as it is read, the values of the
+    matrices and per-topic vectors once, by :meth:`ModelFile.validate`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -465,8 +461,10 @@ def load_model(path) -> ModelFile:
     if version not in _MATRIX_KIND:
         raise DataError(f"unsupported format_version: {version}")
     matrix = _MATRIX_KIND[version]
+    method = _field(doc, "method", "string")
+    fields = METHOD_SPECS[method].model_fields if method in METHOD_SPECS else ()  # validate refuses the unknown
     model = ModelFile(
-        method=_field(doc, "method", "string"),
+        method=method,
         n_terms=_field(doc, "n_terms", "integer"),
         n_docs=_field(doc, "n_docs", "integer"),
         n_topics=_field(doc, "n_topics", "integer"),
@@ -474,7 +472,7 @@ def load_model(path) -> ModelFile:
         W=_field(doc, "W", matrix),
         **{
             name: _field(doc, name, "numbers" if name in _PER_TOPIC_FIELDS else matrix, None)
-            for name in ("H", "beta", "b_rate", "alpha", "rate_a")
+            for name in fields
         },
         lambda_sparsity=_field(doc, "lambda_sparsity", "number", 0.0),
         final_objective=_field(doc, "final_objective", "number", 0.0),
@@ -509,9 +507,11 @@ _KINDS = {  # kind: (what a schema error says is expected, check of the value js
 def _field(doc: dict, name: str, kind: str, default=_REQUIRED):
     """``doc[name]`` checked to be of ``kind`` (a key of ``_KINDS``), or ``default`` if absent.
 
-    A number comes back as a ``float``, lists of numbers and matrices (rows
-    of numbers or base64 objects) as float arrays of finite entries; entry
-    types are checked in one pass over the whole list.
+    A number comes back as a finite ``float``, lists of numbers and
+    matrices (rows of numbers or base64 objects) as float arrays; entry
+    types are checked in one pass over the whole list, and the entries'
+    values are left to :meth:`ModelFile.validate`, which names the sign
+    rule they break.
     """
     if name not in doc and default is not _REQUIRED:
         return default
@@ -522,14 +522,13 @@ def _field(doc: dict, name: str, kind: str, default=_REQUIRED):
         try:
             if kind == "number":
                 value = float(value)
+                ok = math.isfinite(value)
             elif kind == "array":
                 value = _decoded(value)
             else:
                 value = np.asarray(value, dtype=float)
         except (OverflowError, ValueError):  # an integer beyond the float range; bad base64 or byte count
             ok = False
-        else:
-            ok = bool(np.all(np.isfinite(value)))
     if not ok:
         raise DataError(f"schema violation at {name}: expected {expected}")
     return value

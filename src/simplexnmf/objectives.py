@@ -121,14 +121,16 @@ def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
         - [ sum x log (W'H') + sum_{A>0} A log(W/W') + sum_{B>0} B log(H/H') ] + sum WH,
 
     so it needs one reconstruction and two accumulations at the anchor and
-    no ``nnz x K`` array.  A candidate of other shapes than the anchor's
-    raises ``ValueError``.
+    no ``nnz x K`` array.  A candidate of other shapes than the anchor's,
+    or with a negative or non-finite entry, raises ``ValueError``.
     """
     W, H = (np.asarray(m, dtype=float) for m in candidate)
     Wa, Ha = (np.asarray(m, dtype=float) for m in anchor)
     if (W.shape, H.shape) != (Wa.shape, Ha.shape):
         raise ValueError(f"candidate factors of shapes {W.shape} and {H.shape} do not match "
                          f"the anchor's {Wa.shape} and {Ha.shape}")
+    if not all(np.all(np.isfinite(M) & (M >= 0)) for M in (W, H)):
+        raise ValueError("candidate factors must be finite and non-negative")
     recon = _checked_reconstruction(X, Wa, Ha)
     total = plsa_log_likelihood(X, Wa, Ha, recon)
     with np.errstate(divide="ignore"):

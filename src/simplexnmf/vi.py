@@ -126,8 +126,13 @@ def initialize_variational(
     if METHOD_SPECS[config.method].uses_rates:
         if priors.rate_a is None:
             raise ValueError(f"the {config.method} method requires priors with rate_a")
-        b_rate = np.broadcast_to((1.0 + priors.rate_a)[:, None], beta.shape).copy()
+        b_rate = _pinned_rates(priors.rate_a, beta.shape)
     return W, VariationalState(beta, b_rate)
+
+
+def _pinned_rates(rate_a: np.ndarray, shape) -> np.ndarray:
+    """The Gamma method's rates ``b = 1 + rate_a``, each topic's across its row of a K x D ``shape``."""
+    return np.broadcast_to((1.0 + rate_a)[:, None], shape).copy()
 
 
 class _Variational:

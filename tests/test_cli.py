@@ -449,6 +449,10 @@ def test_eval_output_of_committed_models(capsys, name):
     ("lda", "b_rate", [[1.0]]),  # of the wrong shape
     ("lda", "H", [[1.0]]),
     ("mu-joint", "beta", [[-1.0]]),
+    ("lda", "b_rate", "x"),  # of the wrong type
+    ("lda", "H", [[float("nan")]]),  # written as the bare token NaN
+    ("lda", "rate_a", "x"),
+    ("mu-joint", "alpha", {"a": 1}),
 ])
 def test_eval_ignores_fields_the_method_does_not_use(tmp_path, capsys, method, field, value):
     doc = json.loads((DATA / "v1" / f"{method}.json").read_text())

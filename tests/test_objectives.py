@@ -147,6 +147,17 @@ def test_joint_aux_refuses_a_candidate_unlike_its_anchor(candidate):
         snf.joint_aux(X, candidate, (_half(2, 2), _half(2, 2)))
 
 
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+@pytest.mark.parametrize("factor", [0, 1])
+def test_joint_aux_refuses_a_negative_or_non_finite_candidate(factor, bad):
+    # a negative entry would reach the log of the candidate over the anchor as nan
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    candidate = [_half(2, 2), _half(2, 2)]
+    candidate[factor][0, 0] = bad
+    with pytest.raises(ValueError, match="^candidate factors must be finite and non-negative$"):
+        snf.joint_aux(X, tuple(candidate), (_half(2, 2), _half(2, 2)))
+
+
 def _elbo_explicit(X_dense, W, alpha, beta):
     """Brute-force bound with materialized responsibilities and mpmath specials."""
     elog = psi(beta) - psi(beta.sum(axis=0, keepdims=True))

@@ -14,9 +14,10 @@ The ingestion property compares ``ingest_corpus`` on small random corpora
 the bytes of ``save_model`` and ``save_matrix_market`` with plain
 formulations kept here as oracles: ``json.dumps`` of the whole model with
 each matrix's base64 as a string, and one formatted string per entry line.
-The MatrixMarket loader's scan of the lines up to the size line must
-split a text as ``str.splitlines`` does, every line break it knows
-included.
+The MatrixMarket loader must split a text as ``str.splitlines`` does:
+a file whose lines end in any of its line breaks, with comment and blank
+lines around the size line, loads the matrix of its ``\n``-joined text,
+and a malformed entry planted in it is reported at the same line.
 """
 
 import base64
@@ -330,14 +331,56 @@ def test_save_matrix_market_writes_the_oracle_bytes(X, run):
         assert path.read_bytes() == expected.encode("ascii")
 
 
-LINE_TEXT = st.text(st.sampled_from(["a", " ", "\t", "%", "\xa0", *"\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"]),
-                    max_size=16)
+# the line boundaries of str.splitlines, and lines a MatrixMarket loader skips: blank ones
+# and comments, one of each not ASCII
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SKIPPED_LINES = ["", "  ", "\t", "\xa0", "%", "% note", "  % indented", "% caf\u00e9"]
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """A count matrix, the lines of a MatrixMarket text of it, the breaks
+    between them, the text's end and the index of its size line.
+
+    Skipped lines come before and after the size line, so some texts hold
+    a ``%`` or a non-ASCII character before it and none after it.  The
+    breaks and the end (which may be none) are drawn from those of
+    ``str.splitlines``."""
+    X = draw(count_matrices())
+    skipped = st.lists(st.sampled_from(SKIPPED_LINES), max_size=3)
+    head = ["%%MatrixMarket matrix coordinate real general", *draw(skipped)]
+    lines = [*head, f"{X.n_terms} {X.n_docs} {X.nnz}"]
+    for v, d, x in zip((X.rows + 1).tolist(), (X.cols + 1).tolist(), X.vals.tolist()):
+        lines += [*draw(skipped), f"{v} {d} {x:.17g}"]
+    lines += draw(skipped)
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines) - 1, max_size=len(lines) - 1))
+    return X, lines, breaks, draw(st.sampled_from(["", *LINE_BREAKS])), len(head)
+
+
+def _joined(lines, breaks, end):
+    return "".join(map(str.__add__, lines, [*breaks, end]))
+
+
+def _load_text(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "counts.mtx"
+        path.write_bytes(text.encode("utf-8"))
+        return snf.load_matrix_market(path)
 
 
 @settings(max_examples=300, deadline=None)
-@given(LINE_TEXT)
-def test_the_loaders_line_scan_splits_as_splitlines(text):
-    lines = list(snf_io._lines(text))
-    assert [line for line, _ in lines] == text.splitlines()
-    for i, (_, after) in enumerate(lines):  # the rest of the text starts at the next line
-        assert text[after:].splitlines() == text.splitlines()[i + 1:]
+@given(matrix_market_texts(), st.data())
+def test_the_loader_splits_lines_as_splitlines(drawn, data):
+    X, lines, breaks, end, size_line = drawn
+    text = _joined(lines, breaks, end)
+    for loaded in (_load_text(text), _load_text("\n".join(text.splitlines()))):
+        assert (loaded.n_terms, loaded.n_docs) == (X.n_terms, X.n_docs)
+        for got, want in zip((loaded.rows, loaded.cols, loaded.vals), (X.rows, X.cols, X.vals)):
+            assert np.array_equal(got, want)
+    # a malformed entry line planted after the size line is reported at its line of str.splitlines
+    at, brk = data.draw(st.integers(size_line + 1, len(lines))), data.draw(st.sampled_from(LINE_BREAKS))
+    text = _joined([*lines[:at], "1 1 x", *lines[at:]], [*breaks[:at], brk, *breaks[at:]], end)
+    line = text.splitlines().index("1 1 x") + 1
+    for planted in (text, "\n".join(text.splitlines())):
+        with pytest.raises(DataError, match=f"^malformed entry at line {line}$"):
+            _load_text(planted)
