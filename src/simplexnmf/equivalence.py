@@ -101,7 +101,7 @@ def map_gap_lda_state(state: VariationalState, priors: Priors, direction: str) -
                 UserWarning,
                 stacklevel=2,
             )
-        return VariationalState(state.beta, _pinned_rates(priors.rate_a, state.beta.shape))
+        return VariationalState(state.beta, _pinned_rates(priors.rate_a))
     if direction == "to_lda":
         return VariationalState(state.beta, None)
     raise ValueError(f"direction must be 'to_gap' or 'to_lda', got {direction!r}")
@@ -168,7 +168,7 @@ def fixed_point_residual(
         raise ValueError(f"method {method!r} takes no lambda_sparsity")
     family = spec.family(X, priors, lambda_sparsity or 0.0)  # the variational family requires priors
     before, after = family.arrays(model), family.arrays(family.step(model, None)[0])
-    return float(max(np.abs(after[name] - M).max() for name, M in before.items() if M is not None))
+    return float(max(np.abs(after[name] - M).max() for name, M in before.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,25 @@
 
 Matrices travel as 1-indexed MatrixMarket coordinate files, whose lines
 are split as ``str.splitlines`` splits them, models as JSON with one
-top-level key per line.  A model's matrices (``W``, ``H``, ``beta``,
-``b_rate``) are stored exactly, as the base64 of their
-little-endian float64 bytes (``format_version`` 2); scalars and the
-per-topic vectors stay plain JSON numbers in shortest round-trip form.
-Keys, numbers and matrix headers come from ``json.dumps``; the base64 text,
-which needs no JSON escaping, is written as it is, and the bytes are those
-of earlier version 2 files.  Both writers end lines in ``\\n`` on every
-platform: models are written in binary mode, MatrixMarket text with
-``newline="\\n"``.
+top-level key per line.  A model's matrices (``W``, ``H``, ``beta``) are
+stored exactly, as the base64 of their little-endian float64 bytes
+(``format_version`` 3); scalars and the per-topic vectors stay plain JSON
+numbers in shortest round-trip form.  Keys, numbers and matrix headers come
+from ``json.dumps``; the base64 text, which needs no JSON escaping, is
+written as it is.  A version 3 file is a version 2 file without the
+``gap`` rates ``b_rate``: they are pinned at ``1 + rate_a``, one per topic,
+and a loaded ``gap`` model gets them as that K x 1 column.  Both writers
+end lines in ``\\n`` on every platform: models are written in binary mode,
+MatrixMarket text with ``newline="\\n"``.
 Save/load round trips are value-exact and files byte-deterministic, but the
 matrix entries cannot be read in a text editor: ``topics`` and ``eval`` are
-the readers.  Version 1 files, whose matrices are JSON rows of numbers,
-still load.  Loading reads ``W`` and the fields its method uses, checks their
-types, and ignores every other key, such as the ``trace`` of earlier files
-or a field of another method; a fit's trace is written only as CSV
-(:func:`save_trace_csv`).  The tokenizer is deliberately naive:
-lowercase, split on runs of non-alphanumerics.
+the readers.  Version 2 files and version 1 files, whose matrices are JSON
+rows of numbers, still load; their K x D ``b_rate`` must hold each topic's
+``1 + rate_a`` in every entry.  Loading reads ``W`` and the fields its
+method uses, checks their types, and ignores every other key, such as the
+``trace`` of earlier files or a field of another method; a fit's trace is
+written only as CSV (:func:`save_trace_csv`).  The tokenizer is
+deliberately naive: lowercase, split on runs of non-alphanumerics.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from .errors import DataError, EntryError
 from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
+from .vi import _pinned_rates
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
@@ -280,15 +283,20 @@ def load_vocabulary(path) -> Vocabulary:
 # ---------------------------------------------------------------------------
 # Model files
 
-FORMAT_VERSION = 2  # the version save_model writes
+FORMAT_VERSION = 3  # the version save_model writes
 
 # the ``_KINDS`` entry of the matrix fields under each format_version that loads
-_MATRIX_KIND = {1: "matrix", 2: "array"}
+_MATRIX_KIND = {1: "matrix", 2: "array", 3: "array"}
 
 
 @dataclass
 class ModelFile:
-    """Everything needed to reload a fitted model."""
+    """Everything needed to reload a fitted model.
+
+    ``b_rate`` is not written: a ``gap`` model loads it as the K x 1 column
+    ``1 + rate_a``, and :meth:`validate` holds a ``b_rate`` that is given
+    (K x 1, or K x D as versions 1 and 2 stored it) to that value.
+    """
 
     method: str
     n_terms: int
@@ -308,7 +316,9 @@ class ModelFile:
     def validate(self) -> None:
         """Raise ``DataError`` unless the model matches its method's registry record:
         the method's constraint mode, its fields with their shapes, finite
-        non-negative factors and finite positive variational parameters."""
+        non-negative factors, finite positive variational parameters and,
+        for a method with Gamma rates, a ``b_rate`` (when present) whose
+        every entry is ``1 + rate_a`` of its topic."""
         if self.format_version not in _MATRIX_KIND:
             raise DataError(f"unsupported format_version: {self.format_version}")
         spec = METHOD_SPECS.get(self.method)
@@ -331,6 +341,12 @@ class ModelFile:
             else:
                 _check_matrix(name, value, self.n_topics, self.n_docs)
             _check_values(name, value)
+        if spec.uses_rates and self.b_rate is not None:
+            b = np.asarray(self.b_rate, dtype=float)
+            if b.shape != (self.n_topics, 1):
+                _check_matrix("b_rate", b, self.n_topics, self.n_docs)
+            if not np.all(b == _pinned_rates(self.rate_a)):
+                raise DataError("schema violation at b_rate: each rate must be 1 + rate_a of its topic")
         if not 0 <= self.lambda_sparsity < math.inf:
             raise DataError("schema violation at lambda_sparsity: must be non-negative and finite")
 
@@ -373,7 +389,7 @@ def _json_array(values) -> list:
 
 
 def _array_pieces(M) -> list[bytes]:
-    """A matrix as the ``format_version`` 2 object, in three pieces: the JSON
+    """A matrix as the ``format_version`` 2 and 3 object, in three pieces: the JSON
     of its dtype and shape up to the opening quote of ``"data"``, the base64
     of its little-endian float64 bytes in row-major order, and the closing
     ``"}``.  The base64 alphabet needs no JSON escaping, so the encoded
@@ -384,7 +400,7 @@ def _array_pieces(M) -> list[bytes]:
 
 
 def _decoded(value: dict) -> np.ndarray:
-    """The writable native float64 matrix of a ``format_version`` 2 object
+    """The writable native float64 matrix of a ``format_version`` 2 or 3 object
     (``_KINDS`` checked its dtype and shape).  Bad base64, a byte count that
     is not a multiple of 8 and an entry count other than ``rows * cols``
     each raise ``ValueError`` (from ``b64decode``, ``frombuffer`` and
@@ -394,18 +410,19 @@ def _decoded(value: dict) -> np.ndarray:
 
 
 def save_model(path, model: ModelFile) -> None:
-    """Write the model as ``format_version`` 2 JSON: fixed key order, one
+    """Write the model as ``format_version`` 3 JSON: fixed key order, one
     top-level key per line.
 
     ``W`` and the matrices the method's registry record names (``H``,
-    ``beta``, ``b_rate``) are written as ``{"dtype": "<f8", "shape": [rows,
-    cols], "data": "<base64>"}``, the standard base64 alphabet without line
-    breaks over the little-endian float64 bytes in row-major order, so they
-    load bit for bit.  Scalars, ``alpha`` and ``rate_a`` are JSON numbers:
-    shortest round-trip floats, all-whole lists as integers.  Keys, numbers
-    and matrix headers come from ``json.dumps``; the base64 text is written
-    as it is.  The file is written in binary mode, so lines end in ``\\n``
-    on every platform.
+    ``beta``) are written as ``{"dtype": "<f8", "shape": [rows, cols],
+    "data": "<base64>"}``, the standard base64 alphabet without line breaks
+    over the little-endian float64 bytes in row-major order, so they load
+    bit for bit.  ``b_rate`` is not written: a ``gap`` model's rates are
+    ``1 + rate_a``, which :meth:`ModelFile.validate` checks.  Scalars,
+    ``alpha`` and ``rate_a`` are JSON numbers: shortest round-trip floats,
+    all-whole lists as integers.  Keys, numbers and matrix headers come from
+    ``json.dumps``; the base64 text is written as it is.  The file is
+    written in binary mode, so lines end in ``\\n`` on every platform.
     """
     model.validate()
     scalars = {
@@ -442,14 +459,17 @@ def save_model(path, model: ModelFile) -> None:
 def load_model(path) -> ModelFile:
     """Read and validate a model file; schema errors name the offending field.
 
-    Reads ``format_version`` 2, whose matrices are base64 float64 objects
-    (see ``save_model``), and version 1, whose matrices are JSON lists of
-    equal-length rows of numbers.  The arrays come back as writable native
-    float64 arrays either way.  Only ``W`` and the fields the method's
-    registry record names are read; the other keys are ignored, malformed
-    or not, and a method that is not in the registry reads none of them.
-    Each field's JSON type is checked as it is read, the values of the
-    matrices and per-topic vectors once, by :meth:`ModelFile.validate`.
+    Reads ``format_version`` 3 and 2, whose matrices are base64 float64
+    objects (see ``save_model``), and version 1, whose matrices are JSON
+    lists of equal-length rows of numbers.  The arrays come back as
+    writable native float64 arrays either way.  Only ``W`` and the fields
+    the method's registry record names are read; the other keys are
+    ignored, malformed or not, and a method that is not in the registry
+    reads none of them.  Each field's JSON type is checked as it is read,
+    the values of the matrices and per-topic vectors once, by
+    :meth:`ModelFile.validate`.  A ``gap`` model's ``b_rate`` is the K x 1
+    column ``1 + rate_a``; versions 1 and 2 also store it K x D, and such a
+    file loads only if every entry is its topic's ``1 + rate_a``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -462,7 +482,8 @@ def load_model(path) -> ModelFile:
         raise DataError(f"unsupported format_version: {version}")
     matrix = _MATRIX_KIND[version]
     method = _field(doc, "method", "string")
-    fields = METHOD_SPECS[method].model_fields if method in METHOD_SPECS else ()  # validate refuses the unknown
+    spec = METHOD_SPECS.get(method)
+    fields = spec.model_fields if spec else ()  # validate refuses the unknown
     model = ModelFile(
         method=method,
         n_terms=_field(doc, "n_terms", "integer"),
@@ -478,7 +499,11 @@ def load_model(path) -> ModelFile:
         final_objective=_field(doc, "final_objective", "number", 0.0),
         format_version=version,
     )
+    if spec is not None and spec.uses_rates and version < 3:
+        model.b_rate = _field(doc, "b_rate", matrix)  # K x D, checked against rate_a by validate
     model.validate()
+    if spec.uses_rates:
+        model.b_rate = _pinned_rates(model.rate_a)
     return model
 
 

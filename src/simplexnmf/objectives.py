@@ -157,13 +157,17 @@ def expected_log_h_dirichlet(beta) -> np.ndarray:
 
 
 def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
-    """``exp(E[log h])`` under entrywise Gamma(beta, b): ``exp(psi(beta)) / b``."""
+    """``exp(E[log h])`` under entrywise Gamma(beta, b): ``exp(psi(beta)) / b``.
+
+    ``b_rate`` is a K x 1 column of per-topic rates, as a ``gap`` state
+    holds it, or an array of the shape of ``beta``.
+    """
     beta = np.asarray(beta, dtype=float)
     b = np.asarray(b_rate, dtype=float)
     if beta.ndim != 2 or np.any(beta <= 0):
         raise ValueError("beta must be a strictly positive 2-d array")
-    if b.shape != beta.shape or np.any(b <= 0):
-        raise ValueError("b_rate must be strictly positive with the same shape as beta")
+    if b.shape not in (beta.shape, (beta.shape[0], 1)) or np.any(b <= 0):
+        raise ValueError("b_rate must be strictly positive, a column of one rate per topic or the shape of beta")
     return np.exp(digamma(beta)) / b
 
 
@@ -221,15 +225,17 @@ def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
 
 
 def gap_elbo_terms(X: TermDocMatrix, W, state: VariationalState) -> BoundTerms:
-    """The :class:`BoundTerms` of :func:`gap_elbo` at ``(W, state)``; ``h~ = exp(psi(beta)) / b``."""
+    """The :class:`BoundTerms` of :func:`gap_elbo` at ``(W, state)``; ``h~ = exp(psi(beta)) / b``.
+
+    The state's K x 1 rates are broadcast over the documents; ``log b`` is
+    taken over the K rates alone.
+    """
     if state.b_rate is None:
         raise ValueError("gap_elbo requires a state with b_rate")
     psi = digamma(state.beta)
     h_tilde = np.exp(psi)
     h_tilde /= state.b_rate
-    elog = np.log(state.b_rate)
-    np.subtract(psi, elog, out=elog)
-    del psi
+    elog = np.subtract(psi, np.log(state.b_rate), out=psi)
     return BoundTerms(elog, h_tilde, _checked_reconstruction(X, W, h_tilde, error=UnrepresentableTermError))
 
 
@@ -243,13 +249,15 @@ def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
         + sum_{k,d} [ alpha log a - beta log b ]
         + sum_{k,d} [ logG(beta) - logG(alpha) + (alpha - beta) E[log h] + (b - a) E[h] ].
 
-    ``terms`` are the :class:`BoundTerms` at ``(W, state)``, computed when ``None``.
+    ``terms`` are the :class:`BoundTerms` at ``(W, state)``, computed when
+    ``None``.  The state's rates ``b`` are a K x 1 column: ``log b`` and
+    ``b - a`` are taken over the K topics and broadcast over the documents.
     """
     _require_prior_topics(priors, state.n_topics)
-    if terms is None:
-        terms = gap_elbo_terms(X, W, state)
     if priors.rate_a is None:
         raise ValueError("gap_elbo requires priors with rate_a")
+    if terms is None:
+        terms = gap_elbo_terms(X, W, state)
     beta, b = state.beta, state.b_rate
     alpha, a = priors.alpha, priors.rate_a
     mixture = plsa_log_likelihood(X, W, terms.h_tilde, terms.recon)
@@ -257,17 +265,15 @@ def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
     per_cell = log_gamma(beta)
     per_cell -= log_gamma(alpha)[:, None]
     per_cell += (alpha * np.log(a))[:, None]
-    term = np.log(b)
-    term *= beta
+    term = np.multiply(np.log(b), beta)
     per_cell -= term
     np.subtract(alpha[:, None], beta, out=term)
     term *= terms.elog
     per_cell += term
     eh = np.divide(beta, b, out=term)
     per_cell -= eh
-    rate_gap = b - a[:, None]
-    rate_gap *= eh
-    per_cell += rate_gap
+    eh *= b - a[:, None]  # (b - a) E[h]
+    per_cell += eh
     return mixture + float(per_cell.sum())
 
 

@@ -281,13 +281,15 @@ class VariationalState:
     """Per-document variational parameters.
 
     ``beta`` holds the Dirichlet (or Gamma shape) parameters, topics x
-    documents.  ``b_rate`` holds Gamma rate parameters when present.  The
-    per-word responsibilities are never stored; they are recomputed from
-    ``W`` and the expected-log weights whenever needed.  Both are kept as
-    read-only float64 arrays: an input that already is one and owns its
-    data is shared (so a step's new ``beta`` and the fixed rates of a
-    ``gap`` fit pass from state to state without a copy), anything else is
-    copied.
+    documents.  ``b_rate`` holds the Gamma rate parameters when present,
+    as one K x 1 column: the ``gap`` rates are pinned at ``1 + rate_a``,
+    one value per topic, because the columns of ``W`` are l1-normalized,
+    and the bound broadcasts the column over the documents.  The per-word
+    responsibilities are never stored; they are recomputed from ``W`` and
+    the expected-log weights whenever needed.  Both are kept as read-only
+    float64 arrays: an input that already is one and owns its data is
+    shared (so a step's new ``beta`` and the fixed rates of a ``gap`` fit
+    pass from state to state without a copy), anything else is copied.
     """
 
     beta: np.ndarray
@@ -300,8 +302,8 @@ class VariationalState:
         object.__setattr__(self, "beta", beta)
         if self.b_rate is not None:
             b = _frozen_float(self.b_rate)
-            if b.shape != beta.shape or not np.all((b > 0) & np.isfinite(b)):
-                raise ValueError("b_rate must be strictly positive, finite and the same shape as beta")
+            if b.shape != (beta.shape[0], 1) or not np.all((b > 0) & np.isfinite(b)):
+                raise ValueError("b_rate must be a strictly positive, finite K x 1 column, one rate per topic of beta")
             object.__setattr__(self, "b_rate", b)
 
     @property
@@ -327,10 +329,11 @@ class MethodSpec:
     pairs that ``eval`` prints, in order; each function has an objective's
     signature and is given the carry (``recon=`` or ``terms=``) of one
     evaluation, and the penalty only if it is the method's objective.
-    ``uses_rates`` methods need Gamma rates, and ``model_fields`` are the
-    model-file fields besides ``W``.  :meth:`family` builds the fit
-    driver's record for the method's kind of state, and :meth:`rebuild`
-    that record with the state of a saved model.
+    ``uses_rates`` methods need Gamma rates, pinned at ``1 + rate_a`` and
+    built from the priors (so no model field holds them), and
+    ``model_fields`` are the model-file fields besides ``W``.
+    :meth:`family` builds the fit driver's record for the method's kind of
+    state, and :meth:`rebuild` that record with the state of a saved model.
     """
 
     mode: ConstraintMode
@@ -386,7 +389,7 @@ METHOD_SPECS = {
     ),
     "gap": MethodSpec(
         ConstraintMode.W_SIMPLEX, True, "vi.gap_vi_step", "objectives.gap_elbo",
-        ("beta", "b_rate", "alpha", "rate_a"), (("elbo", "objectives.gap_elbo"),), uses_rates=True,
+        ("beta", "alpha", "rate_a"), (("elbo", "objectives.gap_elbo"),), uses_rates=True,
     ),
 }
 

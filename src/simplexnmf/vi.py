@@ -23,7 +23,10 @@ a fit of ``n`` iterations.  The Gamma variant keeps its rate parameters
 pinned at ``b = 1 + a``, which is the stationary value of the bound in
 ``b``; with a uniform rate vector its iterates coincide with the
 Dirichlet ones because the two ``h~`` differ only by a per-document
-constant that cancels everywhere.
+constant that cancels everywhere.  Since the columns of ``W`` are
+l1-normalized, the pinned rate is one value per topic, and a ``gap`` state
+holds it as one K x 1 column (:func:`_pinned_rates`), which the bound
+broadcasts over the documents.
 """
 
 from __future__ import annotations
@@ -126,13 +129,15 @@ def initialize_variational(
     if METHOD_SPECS[config.method].uses_rates:
         if priors.rate_a is None:
             raise ValueError(f"the {config.method} method requires priors with rate_a")
-        b_rate = _pinned_rates(priors.rate_a, beta.shape)
+        b_rate = _pinned_rates(priors.rate_a)
     return W, VariationalState(beta, b_rate)
 
 
-def _pinned_rates(rate_a: np.ndarray, shape) -> np.ndarray:
-    """The Gamma method's rates ``b = 1 + rate_a``, each topic's across its row of a K x D ``shape``."""
-    return np.broadcast_to((1.0 + rate_a)[:, None], shape).copy()
+def _pinned_rates(rate_a: np.ndarray) -> np.ndarray:
+    """The Gamma method's rates ``b = 1 + rate_a`` as a K x 1 column, the
+    stationary ``b_kd = a_k + sum_v w_vk`` of the bound for l1-normalized
+    topics: one rate per topic, the same for every document."""
+    return np.add(1.0, np.asarray(rate_a, dtype=float)[:, None])
 
 
 class _Variational:
@@ -153,7 +158,8 @@ class _Variational:
     def rebuild(cls, X: TermDocMatrix, spec, fields: dict, lambda_sparsity: float = 0.0):
         """The inverse of :meth:`arrays` and of the priors' fields: ``(record, state)`` of a model's ``fields``."""
         priors = Priors(fields["alpha"], fields.get("rate_a"))
-        return cls(X, spec, priors), (fields["W"], VariationalState(fields["beta"], fields.get("b_rate")))
+        b_rate = _pinned_rates(priors.rate_a) if spec.uses_rates else None
+        return cls(X, spec, priors), (fields["W"], VariationalState(fields["beta"], b_rate))
 
     def start(self, config: FitConfig):
         return initialize_variational(self.X, config, self.priors)
@@ -177,7 +183,7 @@ class _Variational:
 
     @staticmethod
     def arrays(state) -> dict:
-        return {"W": state[0], "beta": state[1].beta, "b_rate": state[1].b_rate}
+        return {"W": state[0], "beta": state[1].beta}
 
 
 def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndarray, VariationalState, FitTrace]:

@@ -159,7 +159,7 @@ def test_06_gamma_matches_dirichlet_for_uniform_rates():
         priors = snf.Priors(np.full(5, 0.8), np.full(5, rate))
         config = snf.FitConfig(n_topics=5, method="gap", max_iters=500, rel_tolerance=1e-10, seed=0)
         _, state, _ = snf.fit_vi(X, config, priors)
-        assert np.array_equal(state.b_rate, np.full((5, 20), 1.0 + rate))
+        assert np.array_equal(state.b_rate, np.full((5, 1), 1.0 + rate))
 
 
 def test_07_joint_majorizer():

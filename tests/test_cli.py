@@ -284,7 +284,7 @@ def test_gap_fit_records_rates(tmp_path, matrix_file):
     ]) == 0
     model = snf.load_model(model_path)
     assert np.array_equal(model.alpha, [0.5, 1.5])
-    assert np.array_equal(np.asarray(model.b_rate), np.full((2, 12), 2.0))
+    assert np.array_equal(np.asarray(model.b_rate), np.full((2, 1), 2.0))
 
 
 def test_non_finite_objective_is_numerical_failure(tmp_path, matrix_file, monkeypatch, capsys):

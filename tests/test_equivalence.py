@@ -93,7 +93,7 @@ class TestGapLdaStateMap:
         priors = snf.Priors(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         state = snf.VariationalState(np.ones((2, 3)))
         mapped = snf.map_gap_lda_state(state, priors, "to_gap")
-        assert np.array_equal(mapped.b_rate, np.full((2, 3), 1.5))
+        assert np.array_equal(mapped.b_rate, np.full((2, 1), 1.5))
 
     def test_round_trip_preserves_beta(self):
         priors = snf.Priors(np.array([1.0, 2.0]), np.array([0.5, 0.5]))

@@ -246,7 +246,8 @@ _MU_W, _MU_H = _mu_model().W, _mu_model().H  # the factors the malformed version
 # timings were set by hand
 V1 = Path(__file__).parent / "data" / "v1"
 
-# the arrays those files hold, as the shortest round-trip text of each float
+# the arrays those files hold, as the shortest round-trip text of each float; the gap
+# rates as they load, the K x 1 column 1 + rate_a (the file holds them K x D)
 V1_ARRAYS = {
     "mu": {
         "W": [[0.22439082048870027, 0.00028694881264273005], [0.09898274178761313, 2.080211750188289],
@@ -290,7 +291,7 @@ V1_ARRAYS = {
               [0.03516898031745097, 0.2966843611914656], [0.006807202813943642, 0.5248626365093342]],
         "beta": [[2.7447810767487995, 3.1304239148853994, 1.170416887373562],
                  [6.2552189232512, 2.869576085114601, 4.8295831126264375]],
-        "b_rate": [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]],
+        "b_rate": [[2.0], [3.0]],
         "alpha": [0.5, 1.5],
         "rate_a": [1.0, 2.0],
         "final_objective": -19.00192025292283,
@@ -324,12 +325,12 @@ class TestVersion1Files:
             assert loaded.dtype == np.float64 and loaded.flags.writeable, name
         assert model.lambda_sparsity == pinned.get("lambda_sparsity", 0.0)
         assert model.final_objective == pinned["final_objective"]
-        # saved again it is a version 2 file with the same values, and saves repeat byte for byte
+        # saved again it is a version 3 file with the same values, and saves repeat byte for byte
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         snf.save_model(first, model)
         snf.save_model(second, snf.load_model(first))
         assert first.read_bytes() == second.read_bytes()
-        assert '"format_version": 2,' in first.read_text()
+        assert '"format_version": 3,' in first.read_text()
         again = snf.load_model(first)
         for name in pinned.keys() & set(_ARRAY_FIELDS):
             assert np.array_equal(getattr(again, name), pinned[name]), name
@@ -343,9 +344,19 @@ class TestVersion1Files:
 
 
 # format_version 2 files that the earlier writer (json.dumps of the whole base64
-# string) made from the version 1 fixtures; the current writer must repeat their bytes
+# string) made from the version 1 fixtures; the current writer must repeat their
+# bytes as version 3 changed them (see _version_3_bytes)
 V2 = Path(__file__).parent / "data" / "v2"
 GOLDEN_METHODS = ("mu", "mu-joint", "plsa", "sparse", "lda", "gap")
+
+
+def _version_3_bytes(method: str) -> bytes:
+    """The committed version 2 file of ``method`` with the version digit 3 and
+    without the ``b_rate`` line: the bytes a version 3 writer must give."""
+    lines = (V2 / f"{method}.json").read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(b'  "b_rate": ')]
+    assert len(lines) - len(kept) == (method == "gap") and kept[1] == b'  "format_version": 2,\n'
+    return b"".join([kept[0], b'  "format_version": 3,\n', *kept[2:]])
 
 
 class TestGoldenBytes:
@@ -353,13 +364,17 @@ class TestGoldenBytes:
     def test_a_version_1_fixture_saves_as_the_golden_file(self, tmp_path, method):
         path = tmp_path / "m.json"
         snf.save_model(path, snf.load_model(V1 / f"{method}.json"))
-        assert path.read_bytes() == (V2 / f"{method}.json").read_bytes()
+        assert path.read_bytes() == _version_3_bytes(method)
 
     @pytest.mark.parametrize("method", GOLDEN_METHODS)
     def test_a_golden_file_saves_as_itself(self, tmp_path, method):
-        path = tmp_path / "m.json"
+        # the version 2 file saves as its version 3 bytes, and those load and save as themselves
+        path, golden = tmp_path / "m.json", tmp_path / "golden.json"
+        golden.write_bytes(_version_3_bytes(method))
         snf.save_model(path, snf.load_model(V2 / f"{method}.json"))
-        assert path.read_bytes() == (V2 / f"{method}.json").read_bytes()
+        assert path.read_bytes() == golden.read_bytes()
+        snf.save_model(path, snf.load_model(golden))
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_the_counts_fixture_saves_as_itself(self, tmp_path):
         path = tmp_path / "counts.mtx"
@@ -430,21 +445,21 @@ class TestModelFiles:
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text((V1 / "mu-joint.json").read_text().replace('"format_version": 1', '"format_version": 3'))
-        with pytest.raises(DataError, match="unsupported format_version: 3"):
+        path.write_text((V1 / "mu-joint.json").read_text().replace('"format_version": 1', '"format_version": 4'))
+        with pytest.raises(DataError, match="unsupported format_version: 4"):
             snf.load_model(path)
 
-    def test_unsupported_version_of_a_version_2_file(self, tmp_path):
+    def test_unsupported_version_of_a_version_3_file(self, tmp_path):
         path = tmp_path / "m.json"
         snf.save_model(path, _mu_model())
         text = path.read_text()
-        assert '"format_version": 2,' in text
-        path.write_text(text.replace('"format_version": 2', '"format_version": 3'))
-        with pytest.raises(DataError, match="unsupported format_version: 3"):
+        assert '"format_version": 3,' in text
+        path.write_text(text.replace('"format_version": 3', '"format_version": 4'))
+        with pytest.raises(DataError, match="unsupported format_version: 4"):
             snf.load_model(path)
         model = _mu_model()
-        model.format_version = 3
-        with pytest.raises(DataError, match="unsupported format_version: 3"):
+        model.format_version = 4
+        with pytest.raises(DataError, match="unsupported format_version: 4"):
             model.validate()
 
     def test_schema_violation_field_path(self, tmp_path):
@@ -490,7 +505,7 @@ class TestModelFiles:
         for name in ("W", "beta", "b_rate", "alpha", "rate_a"):
             assert np.array_equal(getattr(again, name), pinned[name])
 
-    def test_seventeen_digit_text_of_a_version_2_file_loads_to_the_same_arrays(self, tmp_path):
+    def test_seventeen_digit_text_of_a_version_3_file_loads_to_the_same_arrays(self, tmp_path):
         model = _gap_model()
         model.final_objective = 1 / 3
         path = tmp_path / "m.json"
@@ -501,7 +516,7 @@ class TestModelFiles:
             line if '"data": "' in line else re.sub(r"-?\d[\d.e+-]*", lambda m: format(float(m[0]), ".17g"), line)
             for line in lines
         )
-        assert old.count("0.33333333333333331") == 1 and '"format_version": 2,' in old
+        assert old.count("0.33333333333333331") == 1 and '"format_version": 3,' in old
         path.write_text(old)
         again = snf.load_model(path)
         for name in ("W", "beta", "b_rate", "alpha", "rate_a"):
@@ -527,11 +542,10 @@ class TestModelFiles:
         assert np.array_equal(again.beta[1], V1_ARRAYS["gap"]["beta"][1])
         assert np.array_equal(again.b_rate, V1_ARRAYS["gap"]["b_rate"])
 
-    def test_version_2_save_load_save_is_exact_and_byte_identical(self, tmp_path):
+    def test_version_3_save_load_save_is_exact_and_byte_identical(self, tmp_path):
         model = _gap_model()
         extremes = [5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
         model.beta.flat[: len(extremes)] = extremes
-        model.b_rate = np.full((2, 3), 2.0)
         model.final_objective = 1 / 3
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         snf.save_model(first, model)
@@ -547,7 +561,7 @@ class TestModelFiles:
         again.beta[0, 0] = 1.0  # writable arrays, not views of the file's bytes
         # the layout: one top-level key per line, matrices as base64 objects, vectors as numbers
         assert first.read_text() == "{\n" + ",\n".join([
-            '  "format_version": 2',
+            '  "format_version": 3',
             '  "method": "gap"',
             '  "n_terms": 4',
             '  "n_docs": 3',
@@ -557,12 +571,27 @@ class TestModelFiles:
             '  "final_objective": 0.3333333333333333',
             '  "W": ' + json.dumps(_matrix_object(model.W)),
             '  "beta": ' + json.dumps(_matrix_object(model.beta)),
-            # six little-endian 2.0s: bytes 00 00 00 00 00 00 00 40
-            '  "b_rate": {"dtype": "<f8", "shape": [2, 3], "data": '
-            '"AAAAAAAAAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAABA"}',
             '  "alpha": [0.5, 0.5]',
             '  "rate_a": [0.5, 0.5]',
         ]) + "\n}\n"
+
+    def test_a_gap_fit_is_saved_without_its_rates_and_loads_them_as_a_column(self, tmp_path):
+        X = random_count_matrix(14, n_terms=6, n_docs=5)
+        priors = snf.Priors(np.array([0.5, 1.5]), np.array([1.0, 2.5]))
+        W, state, trace = snf.fit_vi(X, snf.FitConfig(n_topics=2, method="gap", max_iters=5, seed=3), priors)
+        spec = snf.types.METHOD_SPECS["gap"]
+        model = ModelFile(
+            method="gap", n_terms=X.n_terms, n_docs=X.n_docs, n_topics=2, constraint_mode=spec.mode.tag,
+            final_objective=trace.objectives[-1], **spec.family(X, priors).arrays((W, state)), **vars(priors),
+        )
+        path = tmp_path / "gap.json"
+        snf.save_model(path, model)
+        text = path.read_text()
+        assert '\n  "format_version": 3,\n' in text and '"b_rate"' not in text
+        again = snf.load_model(path)
+        assert again.b_rate.shape == (2, 1) and np.array_equal(again.b_rate, state.b_rate)
+        assert np.array_equal(again.b_rate, [[2.0], [3.5]])
+        assert np.array_equal(again.W, W) and np.array_equal(again.beta, state.beta)
 
     def test_trace_csv_columns(self, tmp_path):
         trace = snf.FitTrace([2.0, 1.0], [2, 2], [0.01, 0.02])
@@ -619,6 +648,29 @@ class TestNonFiniteAndInconsistentInput:
         value.flat[0] = np.inf
         with pytest.raises(DataError, match=f"schema violation at {field}"):
             model.validate()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("change", ["an entry one ulp off", "the topics' rates swapped", "missing"])
+    def test_stored_rates_other_than_one_plus_rate_a_are_refused(self, tmp_path, capsys, version, change):
+        # versions 1 and 2 store the gap rates K x D; each entry must be its topic's 1 + rate_a
+        doc = json.loads(((V1 if version == 1 else V2) / "gap.json").read_text())
+        b = np.asarray(doc["b_rate"], dtype=float) if version == 1 else snf_io._decoded(doc["b_rate"])
+        assert np.array_equal(b, np.tile([[2.0], [3.0]], (1, 3)))
+        if change == "missing":
+            del doc["b_rate"]
+        else:
+            if change == "an entry one ulp off":
+                b[1, 2] = np.nextafter(3.0, np.inf)
+            else:
+                b = b[::-1]
+            doc["b_rate"] = b.tolist() if version == 1 else _matrix_object(b)
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="^schema violation at b_rate: "):
+            snf.load_model(path)
+        assert main(["eval", "--model", str(path), "--input", str(V1 / "counts.mtx")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("data error: schema violation at b_rate: ")
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -713,7 +765,7 @@ def _with_first_entry(text, field, value):
 
 
 def _with_first_value(text, field, value):
-    """A version 2 model's text with the first entry of matrix ``field`` set to ``value``."""
+    """A version 2 or 3 model's text with the first entry of matrix ``field`` set to ``value``."""
     doc = json.loads(text)
     M = np.frombuffer(base64.b64decode(doc[field]["data"]), "<f8").reshape(doc[field]["shape"]).copy()
     M.flat[0] = value
@@ -731,7 +783,7 @@ def _gap_model():
         constraint_mode="w-simplex",
         W=rng.dirichlet(np.ones(4), size=2).T,
         beta=rng.uniform(1.0, 3.0, size=(2, 3)),
-        b_rate=np.full((2, 3), 1.5),
+        b_rate=np.full((2, 1), 1.5),
         alpha=np.array([0.5, 0.5]),
         rate_a=np.array([0.5, 0.5]),
     )

@@ -119,7 +119,7 @@ def _half(*shape):
 # X = [[1, 2], [0, 3]] with a factor a row, a column or a topic off, which an evaluator
 # would otherwise read past (an extra row counted in the totals, a topic dropped)
 _TWO_TOPIC_PRIORS = snf.Priors(np.ones(2), np.ones(2))
-_TWO_TOPIC_STATE = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0))
+_TWO_TOPIC_STATE = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0))
 MISSHAPEN = {
     "kl_divergence, a row too many in W": lambda X: snf.kl_divergence(X, _half(3, 2), _half(2, 2)),
     "kl_divergence, a column too many in H": lambda X: snf.kl_divergence(X, _half(2, 2), _half(2, 3)),
@@ -238,21 +238,21 @@ class TestGapElbo:
         W = np.array([[0.3], [0.7]])
         alpha, a = np.array([1.5]), np.array([0.8])
         beta = np.array([[5.0, 7.0]])
-        b = np.full((1, 2), 1.8)
+        b = np.full((1, 1), 1.8)
         # independent scalar evaluation of every term
         expected = 0.0
         for d, lam in enumerate([4.0, 6.0]):
-            elog = psi(beta[0, d]) - math.log(b[0, d])
-            eh = beta[0, d] / b[0, d]
+            elog = psi(beta[0, d]) - math.log(b[0, 0])
+            eh = beta[0, d] / b[0, 0]
             mixture = sum(
                 X.to_dense()[v, d] * math.log(W[v, 0] * math.exp(elog)) for v in range(2)
             )
-            expected += mixture - eh + alpha[0] * math.log(a[0]) - beta[0, d] * math.log(b[0, d])
+            expected += mixture - eh + alpha[0] * math.log(a[0]) - beta[0, d] * math.log(b[0, 0])
             expected += (
                 gammaln(beta[0, d])
                 - gammaln(alpha[0])
                 + (alpha[0] - beta[0, d]) * elog
-                + (b[0, d] - a[0]) * eh
+                + (b[0, 0] - a[0]) * eh
             )
         value = snf.gap_elbo(
             X, W, snf.Priors(alpha, a), snf.VariationalState(beta, b)
@@ -268,7 +268,7 @@ class TestGapElbo:
         alpha = np.array([0.7, 1.3, 2.1])
         a = np.array([0.9, 1.1, 1.4])
         beta = np.tile(alpha[:, None], (1, 5))
-        b = np.tile(a[:, None], (1, 5))
+        b = a[:, None]
         h_tilde = snf.expected_log_h_gamma(beta, b)
         mixture = float(np.sum(X.vals * np.log(snf.reconstruct_nonzeros(X, W, h_tilde))))
         expected = mixture - float((beta / b).sum())
@@ -302,6 +302,19 @@ class TestGapElbo:
         assert value == snf.gap_elbo(X, W, priors, state)
         assert peak < 5.5 * state.beta.nbytes, f"peaked at {peak / state.beta.nbytes:.2f} x K x D x 8 bytes"
 
+    def test_priors_without_rates_are_refused_before_any_term_is_computed(self, monkeypatch):
+        from simplexnmf import objectives
+
+        calls = []
+        monkeypatch.setattr(objectives, "digamma", lambda x: calls.append("digamma"))
+        monkeypatch.setattr(objectives, "reconstruct_nonzeros", lambda *args: calls.append("reconstruction"))
+        X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        W = np.array([[0.25, 0.5], [0.75, 0.5]])
+        state = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0))
+        with pytest.raises(ValueError, match="^gap_elbo requires priors with rate_a$"):
+            snf.gap_elbo(X, W, snf.Priors(np.ones(2)), state)
+        assert calls == []
+
     def test_no_nan_on_valid_inputs(self):
         rng = np.random.default_rng(12)
         for seed in range(10):
@@ -310,7 +323,7 @@ class TestGapElbo:
             alpha = rng.uniform(0.2, 3.0, size=2)
             a = rng.uniform(0.2, 3.0, size=2)
             beta = rng.uniform(0.1, 20.0, size=(2, 6))
-            b = rng.uniform(0.1, 5.0, size=(2, 6))
+            b = rng.uniform(0.1, 5.0, size=(2, 1))
             lda = snf.lda_elbo(X, W, snf.Priors(alpha), snf.VariationalState(beta))
             gap = snf.gap_elbo(X, W, snf.Priors(alpha, a), snf.VariationalState(beta, b))
             assert math.isfinite(lda) and math.isfinite(gap)

@@ -14,7 +14,9 @@ The ingestion property compares ``ingest_corpus`` on small random corpora
 the bytes of ``save_model`` and ``save_matrix_market`` with plain
 formulations kept here as oracles: ``json.dumps`` of the whole model with
 each matrix's base64 as a string, and one formatted string per entry line.
-The MatrixMarket loader must split a text as ``str.splitlines`` does:
+The Gamma bound of a state's per-topic rates must equal, bit for bit, an
+oracle kept here that takes the rates broadcast to K x D.  The
+MatrixMarket loader must split a text as ``str.splitlines`` does:
 a file whose lines end in any of its line breaks, with comment and blank
 lines around the size line, loads the matrix of its ``\n``-joined text,
 and a malformed entry planted in it is reported at the same line.
@@ -168,6 +170,59 @@ def test_gamma_step_matches_dirichlet_step_for_uniform_rates(problem, alpha, rat
         assert np.abs(state_lda.beta - state_gap.beta).max() <= MATCH_TOL
 
 
+def _gap_terms_oracle(X, W, beta, b):
+    """``E[log h]``, ``h~`` and ``(W h~)`` of the Gamma bound with the rates a K x D
+    array ``b``, each operation as the bound took them when it stored every rate."""
+    psi = snf.digamma(beta)
+    h_tilde = np.exp(psi)
+    h_tilde /= b
+    elog = np.log(b)
+    np.subtract(psi, elog, out=elog)
+    return elog, h_tilde, snf.reconstruct_nonzeros(X, W, h_tilde)
+
+
+def _gap_elbo_oracle(X, alpha, a, beta, b, terms):
+    """The Gamma bound from the oracle's terms, with the rates a K x D array ``b``."""
+    elog, _, recon = terms
+    mixture = float(np.sum(X.vals * np.log(recon)))
+    per_cell = snf.log_gamma(beta)
+    per_cell -= snf.log_gamma(alpha)[:, None]
+    per_cell += (alpha * np.log(a))[:, None]
+    term = np.log(b)
+    term *= beta
+    per_cell -= term
+    np.subtract(alpha[:, None], beta, out=term)
+    term *= elog
+    per_cell += term
+    eh = np.divide(beta, b, out=term)
+    per_cell -= eh
+    rate_gap = b - a[:, None]
+    rate_gap *= eh
+    per_cell += rate_gap
+    return mixture + float(per_cell.sum())
+
+
+@SETTINGS
+@given(problems())
+def test_the_gamma_bound_of_per_topic_rates_is_the_bound_of_their_broadcast(problem):
+    # a state holds one rate per topic; the terms and the bound are those of the K x D broadcast, bit for bit
+    X, n_topics, seed = problem
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.ones(X.n_terms), size=n_topics).T
+    beta = np.exp(rng.uniform(-3.0, 5.0, size=(n_topics, X.n_docs)))
+    alpha, a = np.exp(rng.uniform(-3.0, 3.0, size=(2, n_topics)))
+    state = snf.VariationalState(beta, np.exp(rng.uniform(-3.0, 3.0, size=(n_topics, 1))))
+    b = np.broadcast_to(state.b_rate, beta.shape).copy()
+    terms = snf.objectives.gap_elbo_terms(X, W, state)
+    expected = _gap_terms_oracle(X, W, beta, b)
+    for got, want in zip(terms, expected):
+        assert np.array_equal(got, want)
+    bound = _gap_elbo_oracle(X, alpha, a, beta, b, expected)
+    priors = snf.Priors(alpha, a)
+    assert snf.gap_elbo(X, W, priors, state, terms=terms) == bound
+    assert snf.gap_elbo(X, W, priors, state) == bound
+
+
 @SETTINGS
 @given(special_arguments())
 def test_special_functions_array_calls_match_scalar_calls(xs):
@@ -276,7 +331,7 @@ def _model_oracle(model) -> bytes:
         return {"dtype": "<f8", "shape": list(M.shape), "data": base64.b64encode(M.tobytes()).decode("ascii")}
 
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "method": model.method,
         "n_terms": model.n_terms,
         "n_docs": model.n_docs,

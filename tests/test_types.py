@@ -157,7 +157,11 @@ class TestConfigAndState:
         with pytest.raises(ValueError):
             snf.VariationalState(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
-            snf.VariationalState(np.ones((2, 2)), np.zeros((2, 2)))
+            snf.VariationalState(np.ones((2, 2)), np.zeros((2, 1)))
+        # the rates are one per topic: a K x D array, a row or a flat vector is refused
+        for shape in [(2, 3), (1, 3), (2,), (3, 1)]:
+            with pytest.raises(ValueError, match="b_rate"):
+                snf.VariationalState(np.ones((2, 3)), np.full(shape, 2.0))
         s = snf.VariationalState(np.ones((2, 3)))
         assert s.n_topics == 2 and s.n_docs == 3
 
@@ -238,7 +242,7 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="beta"):
             snf.VariationalState(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="b_rate"):
-            snf.VariationalState(np.ones((1, 2)), np.array([[1.0, np.inf]]))
+            snf.VariationalState(np.ones((1, 2)), np.array([[np.inf]]))
         with pytest.raises(ValueError, match="alpha"):
             snf.Priors(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="rate_a"):

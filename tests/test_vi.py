@@ -62,6 +62,17 @@ class TestExpectedLogH:
         with pytest.raises(ValueError):
             snf.expected_log_h_gamma(np.ones((1, 1)), np.zeros((1, 1)))
 
+    def test_gamma_takes_a_column_of_per_topic_rates(self):
+        # the K x 1 column a gap state holds gives the h~ of its broadcast over the documents
+        rng = np.random.default_rng(2)
+        beta = rng.uniform(0.3, 8.0, size=(3, 4))
+        b = rng.uniform(0.3, 4.0, size=(3, 1))
+        h = snf.expected_log_h_gamma(beta, b)
+        assert np.array_equal(h, snf.expected_log_h_gamma(beta, np.tile(b, (1, 4))))
+        for shape in [(3, 2), (1, 4), (4, 1), (3,)]:
+            with pytest.raises(ValueError, match="b_rate"):
+                snf.expected_log_h_gamma(beta, np.ones(shape))
+
 
 class TestDpStep:
     def test_single_topic_shape_update(self):
@@ -125,13 +136,13 @@ class TestGapStep:
         priors = snf.Priors(np.array([0.5, 1.5]), np.array([0.4, 2.0]))
         config = snf.FitConfig(n_topics=2, method="gap", seed=0)
         _, state = snf.initialize_variational(X, config, priors)
-        assert np.array_equal(state.b_rate, np.tile(1.0 + priors.rate_a[:, None], (1, 4)))
+        assert np.array_equal(state.b_rate, 1.0 + priors.rate_a[:, None])
 
     def test_single_topic_shape_update(self):
         X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
         W = np.array([[0.3], [0.7]])
         priors = snf.Priors(np.array([0.5]), np.array([1.0]))
-        state = snf.VariationalState(np.array([[2.0, 9.0]]), np.full((1, 2), 2.0))
+        state = snf.VariationalState(np.array([[2.0, 9.0]]), np.full((1, 1), 2.0))
         _, new_state, _ = snf.gap_vi_step(X, W, priors, state)
         assert np.allclose(new_state.beta, [[4.5, 6.5]], rtol=1e-13)
         assert np.array_equal(new_state.b_rate, state.b_rate)
@@ -160,7 +171,7 @@ class TestGapStep:
         priors_lda = snf.Priors(np.array([0.6, 1.1, 0.9]))
         priors_gap = snf.Priors(np.array([0.6, 1.1, 0.9]), np.full(3, 1.4))
         state_lda = snf.VariationalState(beta0)
-        state_gap = snf.VariationalState(beta0, np.full((3, 8), 2.4))
+        state_gap = snf.VariationalState(beta0, np.full((3, 1), 2.4))
         for _ in range(30):
             W_lda, state_lda, _ = snf.dp_vi_step(X, W_lda, priors_lda, state_lda, epsilon_floor=0.0)
             W_gap, state_gap, _ = snf.gap_vi_step(X, W_gap, priors_gap, state_gap, epsilon_floor=0.0)
@@ -198,7 +209,7 @@ class TestFitVi:
         assert np.abs(W_lda - W_gap).max() <= 1e-11
         scale = np.maximum(1.0, np.abs(state_lda.beta))
         assert (np.abs(state_lda.beta - state_gap.beta) / scale).max() <= 1e-11
-        assert np.array_equal(state_gap.b_rate, np.full((3, 8), 2.0))
+        assert np.array_equal(state_gap.b_rate, np.full((3, 1), 2.0))
 
     def test_mu_methods_rejected(self):
         X = random_count_matrix(10, n_terms=8, n_docs=5)
@@ -251,7 +262,7 @@ def test_unrepresentable_term_fails_as_in_the_bound(method):
     X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
     W = np.array([[0.0, 0.0], [0.5, 0.25], [0.5, 0.75]])  # term 0 carried by no topic
     priors = snf.Priors(np.ones(2), np.ones(2))
-    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0) if method == "gap" else None)
+    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0) if method == "gap" else None)
     bound, step = {"lda": (snf.lda_elbo, snf.dp_vi_step), "gap": (snf.gap_elbo, snf.gap_vi_step)}[method]
     with pytest.raises(UnrepresentableTermError, match="term 0"):
         bound(X, W, priors, state)
@@ -277,7 +288,7 @@ OTHER_TOPIC_COUNT = {
 def test_priors_of_another_topic_count_are_refused(call):
     X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
     W = np.array([[0.25, 0.5], [0.75, 0.5]])
-    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0))
+    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0))
     with pytest.raises(ValueError, match=r"^priors have 1 topics, the state has 2$"):
         call(X, W, state)
 
@@ -286,6 +297,6 @@ def test_priors_of_another_topic_count_are_refused(call):
 def test_a_misshapen_w_is_refused_by_the_step(step):
     X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
     W = np.full((3, 2), 1.0 / 3.0)  # a term too many
-    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 2), 2.0))
+    state = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0))
     with pytest.raises(ValueError, match=r"^factors of shapes \(3, 2\) and \(2, 2\) do not reconstruct a 2 x 2 matrix$"):
         step(X, W, snf.Priors(np.ones(2), np.ones(2)), state)
