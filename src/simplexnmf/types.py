@@ -11,12 +11,14 @@ solvers meaningful on sparse data.
 The three kernels on the stored entries never form an ``nnz x K`` array.
 The reconstruction, a dense product evaluated only at the stored entries,
 adds one gathered product per topic into an ``nnz``-vector.  It splits the
-entries into contiguous ranges, one per CPU of the process's affinity mask
-when the work is large enough; the caller runs the first range and a
-``concurrent.futures`` thread pool opened for the call the others (numpy
-releases the GIL in the gathers and the arithmetic); every entry
-still adds its topics in the same order, so the result is bit-identical
-to one serial pass, and there is no option for it.  The two
+entries into contiguous ranges with ``_in_ranges``, one per CPU of the
+process's affinity mask when the work is large enough; the caller runs the
+first range and a ``concurrent.futures`` thread pool opened for the call
+the others (numpy releases the GIL in the gathers and the arithmetic);
+every entry still adds its topics in the same order, so the result is
+bit-identical to one serial pass, and there is no option for it.  The
+same splitter runs ``specfun``'s digamma and log-gamma passes over a
+large ``beta`` in ranges of its cells.  The two
 accumulations are sparse-times-dense products of SciPy: the entry weights
 are viewed as a CSC matrix over ``X.rows`` and ``X.doc_ptr`` (no copy),
 the term x topic sums are ``R @ H.T`` and the topic x document sums
@@ -78,6 +80,17 @@ def _frozen_float(x) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable:
         return x
     return _readonly(np.array(x, dtype=float))
+
+
+def _finite_positive(a: np.ndarray, zero_ok: bool = False) -> bool:
+    """Whether every entry of ``a`` is finite and positive (or zero, when
+    ``zero_ok``); true of an empty array.  One ``min()`` and one ``max()``
+    reduction, with no boolean temporary of the shape of ``a``: ``min()``
+    propagates a NaN, which fails the comparison."""
+    if a.size == 0:
+        return True
+    least = a.min()
+    return bool((least >= 0.0 if zero_ok else least > 0.0) and a.max() < np.inf)
 
 
 def _whole(a: np.ndarray) -> np.ndarray:
@@ -221,7 +234,7 @@ class Factorization:
         H = _frozen_float(self.H)
         if W.ndim != 2 or H.ndim != 2 or W.shape[1] != H.shape[0]:
             raise ValueError(f"inconsistent factor shapes {W.shape} x {H.shape}")
-        if not (np.all(np.isfinite(W) & (W >= 0)) and np.all(np.isfinite(H) & (H >= 0))):
+        if not (_finite_positive(W, zero_ok=True) and _finite_positive(H, zero_ok=True)):
             raise ValueError("factor matrices must be finite and non-negative")
         mode = ConstraintMode(self.constraint_mode)
         if mode >= ConstraintMode.W_SIMPLEX:
@@ -297,12 +310,12 @@ class VariationalState:
 
     def __post_init__(self):
         beta = _frozen_float(self.beta)
-        if beta.ndim != 2 or not np.all((beta > 0) & np.isfinite(beta)):
+        if beta.ndim != 2 or not _finite_positive(beta):
             raise ValueError("beta must be a strictly positive, finite 2-d array")
         object.__setattr__(self, "beta", beta)
         if self.b_rate is not None:
             b = _frozen_float(self.b_rate)
-            if b.shape != (beta.shape[0], 1) or not np.all((b > 0) & np.isfinite(b)):
+            if b.shape != (beta.shape[0], 1) or not _finite_positive(b):
                 raise ValueError("b_rate must be a strictly positive, finite K x 1 column, one rate per topic of beta")
             object.__setattr__(self, "b_rate", b)
 
@@ -486,6 +499,36 @@ def _reconstruct_range(rows: np.ndarray, cols: np.ndarray, WT: np.ndarray, H: np
         out += products
 
 
+def _in_ranges(n: int, work: int, run_range) -> None:
+    """Call ``run_range(start, stop)`` over ``range(n)`` split into contiguous ranges.
+
+    There is at most one range per CPU of the process's affinity mask
+    (``taskset`` limits them), per ``_RANGE_WORK`` of ``work`` (in entries
+    x topics of the reconstruction) and per unit, so small work is one
+    range run in the caller with no thread started.  Otherwise the caller
+    runs the first range and a ``ThreadPoolExecutor`` opened for this call
+    the others, one thread per submitted range; leaving its ``with`` block
+    joins every worker, even when the caller's range raises, and then the
+    exception of the first failed range is raised here.  No pool outlives
+    the call.  Each submitted range runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` (a context variable since numpy 2)
+    holds in the workers too.  ``run_range`` must release the GIL in its
+    work to gain from this (numpy's gathers, arithmetic and ufunc loops
+    do), and must not call a public (traced) function.
+    """
+    n_ranges = max(1, min(_usable_cpus(), n, work // _RANGE_WORK))
+    if n_ranges == 1:
+        run_range(0, n)
+        return
+    bounds = [n * i // n_ranges for i in range(n_ranges + 1)]
+    with ThreadPoolExecutor(n_ranges - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run_range, a, b)
+                   for a, b in zip(bounds[1:], bounds[2:])]
+        run_range(0, bounds[1])
+    for future in futures:
+        future.result()
+
+
 def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     """``(WH)_vd`` evaluated at the stored nonzero entries of ``X``, in storage order.
 
@@ -494,21 +537,12 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     so no ``nnz x K`` array is formed and the working memory is three
     ``nnz``-vectors besides a contiguous copy of ``W.T``.
 
-    The entries are split into contiguous ranges, at most one per CPU of
-    the process's affinity mask (``taskset`` limits them) and at most one
-    per ``_RANGE_WORK`` entries x topics, so a small input is one range
-    run in the caller.  The caller runs the first range and a
-    ``ThreadPoolExecutor`` opened for this call the others, one thread per
-    submitted range (none for a single range); leaving its ``with`` block
-    joins every worker, even when the caller's range raises, and then the
-    exception of the first failed range is raised here.  No pool outlives
-    the call.  Each submitted range runs in a copy of the caller's context,
-    so the caller's ``np.errstate`` (a context variable since numpy 2)
-    holds in the workers too.  Each entry adds its topics in the same order
-    whatever the ranges, so the result is bit-identical to a serial pass.
-    The threads call only :func:`_reconstruct_range`, never a public
-    (traced) function.
-    Gathering into buffers handed to ``np.take(..., out=)`` was slower.
+    The entries are split by :func:`_in_ranges`, the work being
+    ``nnz x K``; each range runs :func:`_reconstruct_range` on its slice of
+    the entries and of the result.  Each entry adds its topics in the same
+    order whatever the ranges, so the result is bit-identical to a serial
+    pass.  Gathering into buffers handed to ``np.take(..., out=)`` was
+    slower.
 
     Factors whose shapes do not multiply to the shape of ``X`` raise
     ``ValueError``: every objective, bound and step reconstructs through
@@ -522,14 +556,11 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
         )
     WT = np.ascontiguousarray(W.T)
     out = np.zeros(X.nnz)
-    n_ranges = max(1, min(_usable_cpus(), X.nnz * H.shape[0] // _RANGE_WORK))
-    bounds = [X.nnz * i // n_ranges for i in range(n_ranges + 1)]
-    ranges = [(X.rows[a:b], X.cols[a:b], WT, H, out[a:b]) for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max(1, n_ranges - 1)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _reconstruct_range, *args) for args in ranges[1:]]
-        _reconstruct_range(*ranges[0])
-    for future in futures:
-        future.result()
+
+    def run_range(a: int, b: int) -> None:
+        _reconstruct_range(X.rows[a:b], X.cols[a:b], WT, H, out[a:b])
+
+    _in_ranges(X.nnz, X.nnz * H.shape[0], run_range)
     return out
 
 

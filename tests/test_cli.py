@@ -2,12 +2,16 @@
 
 import argparse
 import json
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 
 import simplexnmf as snf
+from simplexnmf import specfun, types
 from simplexnmf.cli import _build_parser, _fmt, main
 from simplexnmf.equivalence import PAIRS
 
@@ -196,6 +200,37 @@ def test_fit_outputs_are_byte_deterministic(tmp_path, matrix_file):
         ]) == 0
         models.append(path.read_bytes())
     assert models[0] == models[1]
+
+
+def _in_workers(fn, name, ran):
+    """``fn`` that also records ``name`` in ``ran`` when a worker thread calls it."""
+    def record(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            ran.add(name)
+        return fn(*args, **kwargs)
+    return record
+
+
+@pytest.mark.parametrize("method", ["lda", "gap"])
+def test_variational_fits_write_the_same_bytes_on_any_cpu_count(tmp_path, matrix_file, monkeypatch, method):
+    # the work per range is lowered so that every split runs: the reconstruction, digamma and log-gamma
+    ran = set()
+    monkeypatch.setattr(types, "_RANGE_WORK", 1)
+    monkeypatch.setattr(types, "_reconstruct_range", _in_workers(types._reconstruct_range, "reconstruction", ran))
+    monkeypatch.setattr(specfun, "special", SimpleNamespace(
+        digamma=_in_workers(special.digamma, "digamma", ran), gammaln=_in_workers(special.gammaln, "gammaln", ran)))
+    models = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(types, "_usable_cpus", lambda cpus=cpus: cpus)
+        ran.clear()
+        path = tmp_path / f"{method}-{cpus}.json"
+        assert main([
+            "fit", "--input", str(matrix_file), "--method", method, "--topics", "3",
+            "--alpha", "0.5", "--max-iter", "3", "--seed", "5", "--output", str(path),
+        ]) == 0
+        assert ran == (set() if cpus == 1 else {"reconstruction", "digamma", "gammaln"})
+        models[cpus] = path.read_bytes()
+    assert models[1] == models[3]
 
 
 @pytest.mark.parametrize("pair", ["alg4-alg5", "sparse-plain", "gap-lda", "plsa-ref"])

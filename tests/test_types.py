@@ -248,6 +248,37 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="rate_a"):
             snf.Priors(np.array([1.0, 1.0]), np.array([np.inf, 1.0]))
 
+    # each bad value after a smaller and before a larger good one, in a K x D array
+    FACTOR_REFUSED = [np.nan, np.inf, -np.inf, -1e-300, -2.0]
+    STATE_REFUSED = [*FACTOR_REFUSED, 0.0, -0.0]
+
+    @staticmethod
+    def _with(value, shape=(3, 4)):
+        arr = np.linspace(0.5, 6.0, num=12).reshape(shape)
+        arr[1, 2] = value
+        return arr
+
+    @pytest.mark.parametrize("value", FACTOR_REFUSED)
+    def test_factorization_refuses_each_bad_entry(self, value):
+        for W, H in ((self._with(value), np.ones((4, 2))), (np.ones((5, 3)), self._with(value))):
+            with pytest.raises(ValueError, match="^factor matrices must be finite and non-negative$"):
+                snf.Factorization(W, H)
+
+    @pytest.mark.parametrize("value", STATE_REFUSED)
+    def test_variational_state_refuses_each_bad_entry(self, value):
+        with pytest.raises(ValueError, match="^beta must be a strictly positive, finite 2-d array$"):
+            snf.VariationalState(self._with(value))
+        rates = np.array([[1.0], [value], [2.0]])
+        with pytest.raises(ValueError, match="^b_rate must be a strictly positive, finite K x 1 column"):
+            snf.VariationalState(np.ones((3, 4)), rates)
+
+    def test_zeros_in_factors_and_empty_arrays_pass(self):
+        assert snf.Factorization(self._with(0.0), np.zeros((4, 2))).W[1, 2] == 0.0
+        assert snf.Factorization(np.ones((5, 0)), np.ones((0, 2))).n_topics == 0
+        assert snf.Factorization(np.ones((5, 2)), np.ones((2, 0))).n_docs == 0
+        assert snf.VariationalState(np.ones((3, 0)), np.ones((3, 1))).n_docs == 0
+        assert snf.VariationalState(np.ones((0, 4)), np.ones((0, 1))).n_topics == 0
+
 
 @st.composite
 def shuffled_cells(draw):
