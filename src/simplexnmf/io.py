@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EntryError
-from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix
+from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix, _finite_positive, _lambda_ok
 from .vi import _pinned_rates
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
@@ -347,7 +347,7 @@ class ModelFile:
                 _check_matrix("b_rate", b, self.n_topics, self.n_docs)
             if not np.all(b == _pinned_rates(self.rate_a)):
                 raise DataError("schema violation at b_rate: each rate must be 1 + rate_a of its topic")
-        if not 0 <= self.lambda_sparsity < math.inf:
+        if not _lambda_ok(self.lambda_sparsity):
             raise DataError("schema violation at lambda_sparsity: must be non-negative and finite")
 
 
@@ -356,9 +356,8 @@ _PER_TOPIC_FIELDS = ("alpha", "rate_a")
 
 
 def _check_values(name: str, value) -> None:
-    M = np.asarray(value, dtype=float)
     positive = name not in ("W", "H")  # the variational parameters
-    if not np.all(np.isfinite(M) & ((M > 0) if positive else (M >= 0))):
+    if not _finite_positive(np.asarray(value, dtype=float), zero_ok=not positive):
         sign = "strictly positive" if positive else "non-negative"
         raise DataError(f"schema violation at {name}: values must be finite and {sign}")
 

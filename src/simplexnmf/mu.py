@@ -58,9 +58,10 @@ from .types import (
     METHOD_SPECS,
     MU_METHODS,
     TermDocMatrix,
-    normalize_columns,
     term_topic_sums,
     topic_doc_sums,
+    _check_lambda,
+    _finite_positive,
     _readonly,
 )
 
@@ -90,10 +91,11 @@ def _floor_columns(M: np.ndarray, epsilon_floor: float) -> np.ndarray:
 
 def _normalized(raw: np.ndarray, epsilon_floor: float, dead) -> np.ndarray:
     """Floor, then normalize the columns of ``raw``; ``dead(j)`` is raised for a zero column ``j``."""
-    sums = raw.sum(axis=0)
+    floored = _floor_columns(raw, epsilon_floor)
+    sums = floored.sum(axis=0)
     if np.any(sums == 0):
         raise dead(int(np.argmax(sums == 0)))
-    return normalize_columns(_floor_columns(raw, epsilon_floor))[0]
+    return floored / sums
 
 
 def _finite_update(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +105,7 @@ def _finite_update(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray
     into (``Factorization``, ``VariationalState``) take them without a copy.
     """
     for name, M in (("W", W), ("the topic weights", H)):
-        if not np.isfinite(M).all():
+        if not _finite_positive(M, zero_ok=True):  # an update of non-negative factors leaves no negative entry
             raise NumericalError(f"non-finite iterate: the update left an infinite or NaN entry in {name}")
     return _readonly(W), _readonly(H)
 
@@ -239,9 +241,7 @@ def mu_step_sparse(
     the penalty ``lambda * ||H||_1`` (:func:`~simplexnmf.objectives.sparse_objective`).
     """
     _require_mode(f, ConstraintMode.W_SIMPLEX, "mu_step_sparse")
-    if not 0 <= lambda_sparsity < np.inf:
-        raise ValueError("lambda_sparsity must be non-negative and finite")
-
+    _check_lambda(lambda_sparsity)
     W, H = joint_step(
         X, f.W, f.H, lambda raw: _floor_columns(raw / (1.0 + lambda_sparsity), epsilon_floor), epsilon_floor, recon
     )

@@ -17,6 +17,13 @@ reconstruction ``recon``, ``lda_elbo`` and ``gap_elbo`` the :class:`BoundTerms`
 ``gap_elbo_terms`` as ``terms``.  The variational steppers form ``h~``
 through the same ``*_elbo_terms``, so it is computed in one place.
 
+An evaluator, or a variational step, that computes its own carry first
+checks the factors its caller passed in (``W`` and ``H``, or ``W`` beside
+a checked state) with ``types._finite_positive``: a negative or non-finite
+entry raises ``ValueError``.  Given a carry it scans nothing again, since
+whoever built the carry (the fit driver, ``eval``) checked its state.  The
+marginal likelihoods, which take no carry, always check ``W`` and ``h``.
+
 Every sum over the stored entries goes through the kernels of
 :mod:`simplexnmf.types`.  The data term ``sum x log (WH)`` is written
 once, in :func:`plsa_log_likelihood`: the bounds' data term is that
@@ -42,7 +49,16 @@ from .types import (
     reconstruction_total,
     term_topic_sums,
     topic_doc_sums,
+    _check_lambda,
+    _finite_positive,
 )
+
+
+def _require_factors(*factors) -> None:
+    """``ValueError`` unless every factor is finite and non-negative: the check of
+    the factors an evaluator takes from its caller without a carry."""
+    if not all(_finite_positive(np.asarray(M, dtype=float), zero_ok=True) for M in factors):
+        raise ValueError("factor matrices must be finite and non-negative")
 
 
 def _checked_reconstruction(X: TermDocMatrix, W, H, error=InfiniteDivergenceError) -> np.ndarray:
@@ -63,6 +79,7 @@ def kl_divergence(X: TermDocMatrix, W, H, recon: np.ndarray | None = None) -> fl
     full matrix.
     """
     if recon is None:
+        _require_factors(W, H)
         recon = _checked_reconstruction(X, W, H)
     x = X.vals
     return float(np.sum(x * np.log(x / recon) - x) + reconstruction_total(W, H))
@@ -76,12 +93,14 @@ def plsa_log_likelihood(X: TermDocMatrix, W, H, recon: np.ndarray | None = None)
     non-negative pair.
     """
     if recon is None:
+        _require_factors(W, H)
         recon = _checked_reconstruction(X, W, H)
     return float(np.sum(X.vals * np.log(recon)))
 
 
 def sparse_objective(X: TermDocMatrix, W, H, lambda_sparsity: float, recon: np.ndarray | None = None) -> float:
     """KL divergence plus the l1 penalty ``lambda * sum |h|``; ``recon`` as for :func:`kl_divergence`."""
+    _check_lambda(lambda_sparsity)
     return kl_divergence(X, W, H, recon) + float(lambda_sparsity) * float(np.sum(np.abs(H)))
 
 
@@ -122,15 +141,17 @@ def joint_aux(X: TermDocMatrix, candidate, anchor) -> float:
 
     so it needs one reconstruction and two accumulations at the anchor and
     no ``nnz x K`` array.  A candidate of other shapes than the anchor's,
-    or with a negative or non-finite entry, raises ``ValueError``.
+    or a candidate or an anchor with a negative or non-finite entry, raises
+    ``ValueError``.
     """
     W, H = (np.asarray(m, dtype=float) for m in candidate)
     Wa, Ha = (np.asarray(m, dtype=float) for m in anchor)
     if (W.shape, H.shape) != (Wa.shape, Ha.shape):
         raise ValueError(f"candidate factors of shapes {W.shape} and {H.shape} do not match "
                          f"the anchor's {Wa.shape} and {Ha.shape}")
-    if not all(np.all(np.isfinite(M) & (M >= 0)) for M in (W, H)):
-        raise ValueError("candidate factors must be finite and non-negative")
+    for which, pair in (("candidate", (W, H)), ("anchor", (Wa, Ha))):
+        if not all(_finite_positive(M, zero_ok=True) for M in pair):
+            raise ValueError(f"{which} factors must be finite and non-negative")
     recon = _checked_reconstruction(X, Wa, Ha)
     total = plsa_log_likelihood(X, Wa, Ha, recon)
     with np.errstate(divide="ignore"):
@@ -150,10 +171,7 @@ def _dirichlet_elog(beta: np.ndarray) -> np.ndarray:
 
 def expected_log_h_dirichlet(beta) -> np.ndarray:
     """``exp(E[log h])`` under columnwise Dirichlet(beta_d): ``exp(psi(beta) - psi(sum_k beta))``."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2 or np.any(beta <= 0):
-        raise ValueError("beta must be a strictly positive 2-d array")
-    return np.exp(_dirichlet_elog(beta))
+    return np.exp(_dirichlet_elog(VariationalState(beta).beta))
 
 
 def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
@@ -162,11 +180,9 @@ def expected_log_h_gamma(beta, b_rate) -> np.ndarray:
     ``b_rate`` is a K x 1 column of per-topic rates, as a ``gap`` state
     holds it, or an array of the shape of ``beta``.
     """
-    beta = np.asarray(beta, dtype=float)
+    beta = VariationalState(beta).beta
     b = np.asarray(b_rate, dtype=float)
-    if beta.ndim != 2 or np.any(beta <= 0):
-        raise ValueError("beta must be a strictly positive 2-d array")
-    if b.shape not in (beta.shape, (beta.shape[0], 1)) or np.any(b <= 0):
+    if b.shape not in (beta.shape, (beta.shape[0], 1)) or not _finite_positive(b):
         raise ValueError("b_rate must be strictly positive, a column of one rate per topic or the shape of beta")
     return np.exp(digamma(beta)) / b
 
@@ -215,6 +231,7 @@ def lda_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
     """
     _require_prior_topics(priors, state.n_topics)
     if terms is None:
+        _require_factors(W)
         terms = lda_elbo_terms(X, W, state)
     beta = state.beta
     alpha = priors.alpha
@@ -257,6 +274,7 @@ def gap_elbo(X: TermDocMatrix, W, priors: Priors, state: VariationalState, terms
     if priors.rate_a is None:
         raise ValueError("gap_elbo requires priors with rate_a")
     if terms is None:
+        _require_factors(W)
         terms = gap_elbo_terms(X, W, state)
     beta, b = state.beta, state.b_rate
     alpha, a = priors.alpha, priors.rate_a
@@ -288,7 +306,7 @@ def _counts(x) -> np.ndarray:
     if not finite.all():
         v = int(np.argmin(finite))
         raise ValueError(f"counts must be finite: count {v} is {x[v]!r}")
-    if np.any(x < 0):
+    if not _finite_positive(x, zero_ok=True):
         raise ValueError("counts must be non-negative")
     return x
 
@@ -297,9 +315,10 @@ def poisson_marginal_loglik(x, W, h) -> float:
     """Log marginal of independent Poisson counts with mean ``(Wh)_v``.
 
     Includes the ``exp(-sum (Wh))`` and ``1/x!`` factors.  The counts must
-    be finite and non-negative (``ValueError`` otherwise).
+    be finite and non-negative, and so must ``W`` and ``h`` (``ValueError`` otherwise).
     """
     x = _counts(x)
+    _require_factors(W, h)
     y = np.asarray(W, dtype=float) @ np.asarray(h, dtype=float).reshape(-1)
     pos = x > 0
     if np.any(pos & (y <= 0)):
@@ -312,10 +331,11 @@ def poisson_marginal_loglik(x, W, h) -> float:
 def multinomial_marginal_loglik(x, W, h, n_total) -> float:
     """Log marginal of multinomial counts with cell probabilities ``(Wh) / sum(Wh)``.
 
-    The counts must be finite and non-negative and sum to ``n_total``
-    (``ValueError`` otherwise).
+    The counts must be finite and non-negative and sum to ``n_total``, and
+    ``W`` and ``h`` must be finite and non-negative (``ValueError`` otherwise).
     """
     x = _counts(x)
+    _require_factors(W, h)
     if abs(float(x.sum()) - float(n_total)) > 1e-9 * max(1.0, float(n_total)):
         raise ValueError(f"count mismatch: entries sum to {x.sum()}, expected {n_total}")
     y = np.asarray(W, dtype=float) @ np.asarray(h, dtype=float).reshape(-1)

@@ -86,11 +86,29 @@ def _finite_positive(a: np.ndarray, zero_ok: bool = False) -> bool:
     """Whether every entry of ``a`` is finite and positive (or zero, when
     ``zero_ok``); true of an empty array.  One ``min()`` and one ``max()``
     reduction, with no boolean temporary of the shape of ``a``: ``min()``
-    propagates a NaN, which fails the comparison."""
+    propagates a NaN, which fails the comparison.
+
+    This is the package's one test of a whole array's values: the
+    containers (``Factorization``, ``VariationalState``, ``Priors``), the
+    model-file fields, a step's output, and the factors an evaluator takes
+    from a caller without a carry all go through it.  Each caller picks
+    the error family: ``ValueError`` for an argument, ``DataError`` for a
+    file, ``NumericalError`` for an update."""
     if a.size == 0:
         return True
     least = a.min()
     return bool((least >= 0.0 if zero_ok else least > 0.0) and a.max() < np.inf)
+
+
+def _lambda_ok(lambda_sparsity) -> bool:
+    """The one rule for the l1 weight ``lambda_sparsity``: non-negative and finite (a NaN is neither)."""
+    return bool(0 <= lambda_sparsity < np.inf)
+
+
+def _check_lambda(lambda_sparsity) -> None:
+    """``ValueError`` unless ``lambda_sparsity`` keeps :func:`_lambda_ok`'s rule."""
+    if not _lambda_ok(lambda_sparsity):
+        raise ValueError("lambda_sparsity must be non-negative and finite")
 
 
 def _whole(a: np.ndarray) -> np.ndarray:
@@ -275,12 +293,12 @@ class Priors:
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float).reshape(-1)
-        if alpha.size == 0 or not np.all((alpha > 0) & np.isfinite(alpha)):
+        if alpha.size == 0 or not _finite_positive(alpha):
             raise ValueError("alpha must be strictly positive and finite")
         object.__setattr__(self, "alpha", _readonly(alpha))
         if self.rate_a is not None:
             rate = np.array(self.rate_a, dtype=float).reshape(-1)
-            if rate.shape != alpha.shape or not np.all((rate > 0) & np.isfinite(rate)):
+            if rate.shape != alpha.shape or not _finite_positive(rate):
                 raise ValueError("rate_a must be strictly positive, finite and match alpha in length")
             object.__setattr__(self, "rate_a", _readonly(rate))
 
@@ -439,8 +457,7 @@ class FitConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not self.rel_tolerance > 0:
             raise ValueError("rel_tolerance must be positive")
-        if not 0 <= self.lambda_sparsity < np.inf:
-            raise ValueError("lambda_sparsity must be non-negative and finite")
+        _check_lambda(self.lambda_sparsity)
 
 
 @dataclass

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .mu import EPSILON_FLOOR, _fit, _seeded_start, joint_step
-from .objectives import BoundTerms, _require_prior_topics, gap_elbo_terms, lda_elbo_terms
+from .objectives import BoundTerms, _require_factors, _require_prior_topics, gap_elbo_terms, lda_elbo_terms
 from .types import (
     FitConfig,
     FitTrace,
@@ -75,6 +75,7 @@ def dp_vi_step(
     :func:`~simplexnmf.objectives.lda_elbo_terms` when ``None``.
     """
     if terms is None:
+        _require_factors(W)
         terms = lda_elbo_terms(X, W, state)
     W, beta = _vi_update(X, W, priors, terms, epsilon_floor)
     return W, VariationalState(beta), 1
@@ -98,6 +99,7 @@ def gap_vi_step(
     if state.b_rate is None:
         raise ValueError("gap_vi_step requires a state with b_rate (fixed at 1 + rate_a)")
     if terms is None:
+        _require_factors(W)
         terms = gap_elbo_terms(X, W, state)
     W, beta = _vi_update(X, W, priors, terms, epsilon_floor)
     return W, VariationalState(beta, state.b_rate), 1

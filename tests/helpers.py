@@ -28,6 +28,15 @@ def planted_matrix(seed, n_terms=30, n_docs=20, n_topics=3):
     return snf.TermDocMatrix.from_dense(W @ H)
 
 
+def zero_block_matrix():
+    """12 terms x 10 documents: terms 0-5 occur only in documents 0-4, terms 6-11 only in 5-9."""
+    rng = np.random.default_rng(0)
+    dense = np.zeros((12, 10))
+    dense[:6, :5] = rng.poisson(3.0, size=(6, 5)) + 1
+    dense[6:, 5:] = rng.poisson(3.0, size=(6, 5)) + 1
+    return snf.TermDocMatrix.from_dense(dense)
+
+
 def random_simplex_pair(seed, n_terms, n_topics, n_docs):
     """Strictly positive (W, H) with both column constraints satisfied."""
     rng = np.random.default_rng(seed)

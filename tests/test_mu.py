@@ -10,11 +10,12 @@ import pytest
 import simplexnmf as snf
 from simplexnmf import mu
 from simplexnmf import objectives
+from simplexnmf import vi
 from simplexnmf.errors import DeadTopicError, DegenerateColumnError, MonotonicityError
 from simplexnmf.errors import NumericalError
 from simplexnmf.types import METHOD_SPECS
 
-from helpers import after_the_start, planted_matrix, random_count_matrix, shared_inits
+from helpers import after_the_start, planted_matrix, random_count_matrix, shared_inits, zero_block_matrix
 
 # document 1 has no entries and term 2 none either
 EMPTY_DOC_1 = [[2.0, 0.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
@@ -381,6 +382,47 @@ class TestDescend:
         monkeypatch.setattr(objectives, "kl_divergence", _in_turn(0.0, 1.0))
         with pytest.raises(MonotonicityError, match="objective rose from 0.0 to 1.0"):
             snf.fit(X, snf.FitConfig(n_topics=2, method="mu-joint", max_iters=3, rel_tolerance=1e-12, seed=4))
+
+    @pytest.mark.parametrize("rise, refused", [(2.0, True), (0.5, False)])
+    def test_the_descent_gate_is_one_part_in_a_billion(self, monkeypatch, rise, refused):
+        # the documented slack is written out, so that a changed DESCENT_SLACK fails here
+        X = random_count_matrix(19, n_terms=10, n_docs=6)
+        config = snf.FitConfig(n_topics=2, method="mu-joint", max_iters=5, rel_tolerance=1e-12, seed=4)
+        start = snf.initialize_factorization(X, config)
+        initial = objectives.kl_divergence(X, start.W, start.H)
+        risen = initial + rise * 1e-9 * max(1.0, abs(initial))
+        monkeypatch.setattr(objectives, "kl_divergence", after_the_start(objectives.kl_divergence, risen))
+        if refused:
+            with pytest.raises(MonotonicityError, match="no progress: objective rose"):
+                mu.fit(X, config)
+        else:
+            _, trace = mu.fit(X, config)
+            assert trace.objectives == [risen, risen]  # no change at the second step: converged
+
+    def test_the_floor_leaves_a_vanishing_entry_at_one_trillionth_of_its_column_maximum(self):
+        # each document of a block-diagonal matrix drops its other block's topic, down to the
+        # documented floor, 1e-12 of the column maximum; the floor is the last operation on H
+        f, _ = snf.fit(zero_block_matrix(), snf.FitConfig(n_topics=2, method="mu-joint"))
+        floor = 1e-12 * f.H.max(axis=0)
+        assert np.all(f.H >= floor)
+        at_floor = f.H <= floor
+        assert at_floor.any()
+        assert np.array_equal(f.H[at_floor], np.broadcast_to(floor, f.H.shape)[at_floor])
+
+    @pytest.mark.parametrize("method", snf.METHODS)
+    def test_a_fit_hands_every_evaluator_its_carry(self, monkeypatch, method):
+        # the factor scan of an evaluator that computes its own carry never runs inside a fit
+        def refuse(*factors):
+            raise AssertionError("a fit scanned its factors again")
+
+        monkeypatch.setattr(objectives, "_require_factors", refuse)
+        monkeypatch.setattr(vi, "_require_factors", refuse)
+        X = random_count_matrix(20, n_terms=10, n_docs=6)
+        config = snf.FitConfig(n_topics=2, method=method, max_iters=3, lambda_sparsity=0.5)
+        if METHOD_SPECS[method].variational:
+            snf.fit_vi(X, config, snf.Priors(np.ones(2), np.ones(2)))
+        else:
+            snf.fit(X, config)
 
 
 def _in_turn(*values):

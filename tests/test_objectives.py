@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import simplexnmf as snf
-from simplexnmf.errors import InfiniteDivergenceError, UnrepresentableTermError
+from simplexnmf.errors import DataError, InfiniteDivergenceError, UnrepresentableTermError
 
 from helpers import random_count_matrix, random_simplex_pair
 
@@ -156,6 +156,65 @@ def test_joint_aux_refuses_a_negative_or_non_finite_candidate(factor, bad):
     candidate[factor][0, 0] = bad
     with pytest.raises(ValueError, match="^candidate factors must be finite and non-negative$"):
         snf.joint_aux(X, tuple(candidate), (_half(2, 2), _half(2, 2)))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+@pytest.mark.parametrize("factor", [0, 1])
+def test_joint_aux_refuses_a_negative_or_non_finite_anchor(factor, bad):
+    # a NaN anchor would reach the responsibilities and return nan
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    anchor = [_half(2, 2), _half(2, 2)]
+    anchor[factor][0, 0] = bad
+    with pytest.raises(ValueError, match="^anchor factors must be finite and non-negative$"):
+        snf.joint_aux(X, (_half(2, 2), _half(2, 2)), tuple(anchor))
+
+
+# every evaluator and variational step that computes its own carry from the factors it is given,
+# and both marginals, with the factors (W, H) that each one reads; H is a column for the marginals
+_LDA_STATE = snf.VariationalState(np.ones((2, 2)))
+FACTOR_READERS = {
+    "kl_divergence": (lambda X, W, H: snf.kl_divergence(X, W, H), "WH"),
+    "plsa_log_likelihood": (lambda X, W, H: snf.plsa_log_likelihood(X, W, H), "WH"),
+    "sparse_objective": (lambda X, W, H: snf.sparse_objective(X, W, H, 0.5), "WH"),
+    "lda_elbo": (lambda X, W, H: snf.lda_elbo(X, W, _TWO_TOPIC_PRIORS, _LDA_STATE), "W"),
+    "gap_elbo": (lambda X, W, H: snf.gap_elbo(X, W, _TWO_TOPIC_PRIORS, _TWO_TOPIC_STATE), "W"),
+    "dp_vi_step": (lambda X, W, H: snf.dp_vi_step(X, W, _TWO_TOPIC_PRIORS, _LDA_STATE), "W"),
+    "gap_vi_step": (lambda X, W, H: snf.gap_vi_step(X, W, _TWO_TOPIC_PRIORS, _TWO_TOPIC_STATE), "W"),
+    "poisson_marginal_loglik": (lambda X, W, H: snf.poisson_marginal_loglik([1.0, 2.0], W, H[:, 0]), "WH"),
+    "multinomial_marginal_loglik": (
+        lambda X, W, H: snf.multinomial_marginal_loglik([1.0, 2.0], W, H[:, 0], 3.0), "WH"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize("reader", FACTOR_READERS.values(), ids=FACTOR_READERS.keys())
+def test_an_evaluator_refuses_a_non_finite_or_negative_factor_from_its_caller(reader, bad):
+    # on the good factors each one returns; with one entry off, ValueError, not a value or a numerical failure
+    evaluate, reads = reader
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    W, H = np.array([[0.6, 0.5], [0.4, 0.5]]), np.array([[2.0, 1.0], [1.0, 1.0]])
+    evaluate(X, W, H)
+    for name in reads:
+        W_bad, H_bad = W.copy(), H.copy()
+        (W_bad if name == "W" else H_bad)[1, 0] = bad
+        with pytest.raises(ValueError, match="^factor matrices must be finite and non-negative$"):
+            evaluate(X, W_bad, H_bad)
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_every_entry_point_refuses_a_negative_or_non_finite_lambda(lam):
+    X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    message = "^lambda_sparsity must be non-negative and finite$"
+    with pytest.raises(ValueError, match=message):
+        snf.FitConfig(n_topics=2, method="sparse", lambda_sparsity=lam)
+    with pytest.raises(ValueError, match=message):
+        snf.mu_step_sparse(X, snf.Factorization(_half(2, 2), np.ones((2, 2)), snf.ConstraintMode.W_SIMPLEX), lam)
+    with pytest.raises(ValueError, match=message):
+        snf.sparse_objective(X, _half(2, 2), np.ones((2, 2)), lam)
+    model = snf.ModelFile(method="sparse", n_terms=2, n_docs=2, n_topics=2, constraint_mode="w-simplex",
+                          W=_half(2, 2), H=np.ones((2, 2)), lambda_sparsity=lam)
+    with pytest.raises(DataError, match="^schema violation at lambda_sparsity: must be non-negative and finite$"):
+        model.validate()
 
 
 def _elbo_explicit(X_dense, W, alpha, beta):

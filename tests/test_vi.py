@@ -62,6 +62,20 @@ class TestExpectedLogH:
         with pytest.raises(ValueError):
             snf.expected_log_h_gamma(np.ones((1, 1)), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_a_non_finite_or_non_positive_entry_is_refused(self, bad):
+        # beta as a VariationalState checks it; the rates, a column or a K x D array, finite and positive
+        beta = np.ones((2, 3))
+        off = beta.copy()
+        off[1, 2] = bad
+        with pytest.raises(ValueError, match="^beta must be a strictly positive, finite 2-d array$"):
+            snf.expected_log_h_dirichlet(off)
+        with pytest.raises(ValueError, match="^beta must be a strictly positive, finite 2-d array$"):
+            snf.expected_log_h_gamma(off, np.ones((2, 1)))
+        for rates in (np.array([[1.0], [bad]]), off):
+            with pytest.raises(ValueError, match="^b_rate must be strictly positive"):
+                snf.expected_log_h_gamma(beta, rates)
+
     def test_gamma_takes_a_column_of_per_topic_rates(self):
         # the K x 1 column a gap state holds gives the h~ of its broadcast over the documents
         rng = np.random.default_rng(2)
