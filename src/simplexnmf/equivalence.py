@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateColumnError, NumericalError
 from .mu import initialize_factorization, mu_step_joint_bothnorm, mu_step_joint_wnorm, mu_step_sparse
-from .objectives import kl_divergence, sparse_objective
+from .objectives import _require_factors, kl_divergence, sparse_objective
 from .reference import plsa_step_reference
 from .types import (
     METHOD_SPECS,
@@ -115,13 +115,15 @@ def absorb_penalty_general(W, H, p: float, penalty, X: TermDocMatrix | None = No
     pair and as ``penalty(H~)`` on the mapped pair.  When ``X`` is given,
     the full objectives (KL term included) are compared instead.  The two
     values must agree to 1e-10 relative; disagreement raises
-    ``NumericalError``.
+    ``NumericalError``.  Factors that are not finite and non-negative raise
+    ``ValueError``, with ``X`` or without.
 
     Returns ``(W~, H~, s, (value_general, value_constrained))``, ``s`` the
     column norms, the diagonal of the normalization matrix ``D_p(W)``.
     """
     W = np.asarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
+    _require_factors(W, H)
     if not p > 0:
         raise ValueError("the norm exponent must be positive")
     scales = np.sum(np.abs(W) ** p, axis=0) ** (1.0 / p)

@@ -14,9 +14,12 @@ adds one gathered product per topic into an ``nnz``-vector.  It splits the
 entries into contiguous ranges with ``_in_ranges``, one per CPU of the
 process's affinity mask when the work is large enough; the caller runs the
 first range and a ``concurrent.futures`` thread pool opened for the call
-the others (numpy releases the GIL in the gathers and the arithmetic);
-every entry still adds its topics in the same order, so the result is
-bit-identical to one serial pass, and there is no option for it.  The
+the others (numpy releases the GIL in the gathers and the arithmetic).
+Each range is worked through in blocks of ``_BLOCK`` entries, every topic
+added into a block before the next, so that a block's vectors stay in the
+L2 cache across the topics.  Every entry still adds its topics in the same
+order, so the result is bit-identical to one serial pass whatever the
+ranges and the block size, and there is no option for either.  The
 same splitter runs ``specfun``'s digamma and log-gamma passes over a
 large ``beta`` in ranges of its cells.  The two
 accumulations are sparse-times-dense products of SciPy: the entry weights
@@ -286,20 +289,26 @@ def _check_simplex(M: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Priors:
-    """Dirichlet concentrations ``alpha`` and, for the Gamma model, rates ``rate_a``."""
+    """Dirichlet concentrations ``alpha`` and, for the Gamma model, rates ``rate_a``.
+
+    Each is a 1-d array of one value per topic; any other shape, a scalar
+    included, raises ``ValueError``.
+    """
 
     alpha: np.ndarray
     rate_a: np.ndarray | None = None
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float).reshape(-1)
+        alpha = np.array(self.alpha, dtype=float)
+        if alpha.ndim != 1:
+            raise ValueError(f"alpha must be a 1-d array, one value per topic, got shape {alpha.shape}")
         if alpha.size == 0 or not _finite_positive(alpha):
             raise ValueError("alpha must be strictly positive and finite")
         object.__setattr__(self, "alpha", _readonly(alpha))
         if self.rate_a is not None:
-            rate = np.array(self.rate_a, dtype=float).reshape(-1)
+            rate = np.array(self.rate_a, dtype=float)
             if rate.shape != alpha.shape or not _finite_positive(rate):
-                raise ValueError("rate_a must be strictly positive, finite and match alpha in length")
+                raise ValueError("rate_a must be a strictly positive, finite 1-d array that matches alpha in length")
             object.__setattr__(self, "rate_a", _readonly(rate))
 
     @property
@@ -508,12 +517,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# entries per block of the reconstruction: a block's five vectors (its rows
+# and cols, two gathered temporaries and its slice of the result) take
+# 5 x 256 KB, which stays in a 2 MB L2 cache across the topics
+_BLOCK = 1 << 15
+
+
 def _reconstruct_range(rows: np.ndarray, cols: np.ndarray, WT: np.ndarray, H: np.ndarray, out: np.ndarray) -> None:
-    """Add ``w_vk h_kd`` into ``out`` at the entries ``(rows, cols)``, one topic at a time in order."""
-    for w, h in zip(WT, H):
-        products = w[rows]
-        products *= h[cols]
-        out += products
+    """Add ``w_vk h_kd`` into ``out`` at the entries ``(rows, cols)``, one topic at a time in order.
+
+    The entries are taken ``_BLOCK`` at a time and every topic is added
+    into a block before the next block starts, so the block's vectors stay
+    in cache across the topics.  Each entry still adds its topics in order,
+    so the result does not depend on the block size.  The gathers make
+    fresh arrays: ``np.take(..., out=)`` buffers its output in its default
+    ``mode="raise"`` and was over twice as slow per gather.
+    """
+    for a in range(0, rows.size, _BLOCK):
+        r, c, o = rows[a:a + _BLOCK], cols[a:a + _BLOCK], out[a:a + _BLOCK]
+        for w, h in zip(WT, H):
+            products = w[r]
+            products *= h[c]
+            o += products
 
 
 def _in_ranges(n: int, work: int, run_range) -> None:
@@ -549,17 +574,18 @@ def _in_ranges(n: int, work: int, run_range) -> None:
 def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     """``(WH)_vd`` evaluated at the stored nonzero entries of ``X``, in storage order.
 
-    Topic-major: the products ``w_vk h_kd`` of one topic at a time are
-    gathered and added into one array of ``nnz`` entries, topics in order,
-    so no ``nnz x K`` array is formed and the working memory is three
-    ``nnz``-vectors besides a contiguous copy of ``W.T``.
+    Topic-major within blocks: the products ``w_vk h_kd`` of one topic at
+    a time are gathered and added into the result, topics in order, one
+    block of ``_BLOCK`` entries after another, so no ``nnz x K`` array is
+    formed.  Besides the ``nnz`` result and a contiguous copy of ``W.T``,
+    the working memory is two ``_BLOCK``-vectors per range, whatever
+    ``nnz``.
 
     The entries are split by :func:`_in_ranges`, the work being
     ``nnz x K``; each range runs :func:`_reconstruct_range` on its slice of
     the entries and of the result.  Each entry adds its topics in the same
-    order whatever the ranges, so the result is bit-identical to a serial
-    pass.  Gathering into buffers handed to ``np.take(..., out=)`` was
-    slower.
+    order whatever the ranges and the block size, so the result is
+    bit-identical to a serial pass.
 
     Factors whose shapes do not multiply to the shape of ``X`` raise
     ``ValueError``: every objective, bound and step reconstructs through

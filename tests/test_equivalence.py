@@ -170,6 +170,17 @@ class TestPenaltyAbsorption:
                 np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((2, 2)), 2.0, np.sum
             )
 
+    @pytest.mark.parametrize("with_data", [False, True], ids=["penalty-only", "with-X"])
+    @pytest.mark.parametrize("bad", ["negative-W", "negative-H", "nan-W", "inf-H"])
+    def test_bad_factors_refused_with_or_without_data(self, with_data, bad):
+        W, H = np.array([[1.0, 0.5], [0.5, 0.5]]), np.ones((2, 2))
+        factor, value = {"negative-W": (W, -0.5), "negative-H": (H, -0.5),
+                         "nan-W": (W, np.nan), "inf-H": (H, np.inf)}[bad]
+        factor[0, 1] = value
+        X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]]) if with_data else None
+        with pytest.raises(ValueError, match="factor matrices must be finite and non-negative"):
+            snf.absorb_penalty_general(W, H, 1.0, lambda M: float(np.abs(M).sum()), X=X)
+
 
 class TestFixedPointResidual:
     def test_exact_fixed_point(self):

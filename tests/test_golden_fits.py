@@ -9,9 +9,11 @@ on ``tests/data/v2/smoke.mtx`` and on ``zero-block.mtx``, a seeded matrix
 whose off-diagonal blocks are structural zeros.  A change that moves an
 iterate by one ulp changes these bytes.  Each fit runs twice: as the
 process's affinity mask splits the kernels (for these small inputs, one
-range in the calling thread), and with every kernel and ``digamma`` /
-``log-gamma`` pass split over three ranges run by worker threads.  Both
-must write the same bytes.
+range in the calling thread), with every kernel and ``digamma`` /
+``log-gamma`` pass split over three ranges run by worker threads, and so
+split with the reconstruction in blocks of 5 entries (the ranges of
+``smoke`` end mid-block, those of ``zero-block`` on a block's end).  All
+three must write the same bytes.
 
 After a change that is meant to move the iterates, write the files again
 with ``PYTHONPATH=src python tests/test_golden_fits.py``.
@@ -49,13 +51,15 @@ def golden_fit(source: str, method: str, out: Path) -> tuple[bytes, bytes]:
     return model.read_bytes(), "".join(row.rsplit(",", 1)[0] + "\n" for row in rows).encode("ascii")
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["as-masked", "split"])
+@pytest.mark.parametrize("kernels", ["as-masked", "split", "small-blocks"])
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("source", list(INPUTS))
-def test_a_fit_writes_the_golden_bytes(tmp_path, monkeypatch, capsys, source, method, split):
-    if split:
+def test_a_fit_writes_the_golden_bytes(tmp_path, monkeypatch, capsys, source, method, kernels):
+    if kernels != "as-masked":
         monkeypatch.setattr(types, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(types, "_RANGE_WORK", 1)
+    if kernels == "small-blocks":
+        monkeypatch.setattr(types, "_BLOCK", 5)
     model, trace = golden_fit(source, method, tmp_path)
     assert model == (FITS / f"{source}-{method}.json").read_bytes()
     assert trace == (FITS / f"{source}-{method}.csv").read_bytes()

@@ -11,9 +11,12 @@ entry.  ``objectives.joint_aux``, a sum over the anchor's expected counts
 (those of the joint update), is checked against the entry-by-topic form of
 its sum, which shares no code with it.  Each of them must work in memory
 linear in the entries, with no ``nnz x K`` temporary.  The reconstruction
-split into ranges of entries, one per CPU, must equal one plain loop over
-the topics bit for bit, whatever the CPU count; the CPU count and the work
-per range are lowered here so that tiny inputs split too.
+split into ranges of entries, one per CPU, and within each range into
+blocks of ``_BLOCK`` entries, must equal one plain loop over the topics
+bit for bit, whatever the CPU count and the block size; the CPU count,
+the work per range and the block size are lowered here so that tiny
+inputs split too.  Its temporaries beyond the result must be a few blocks
+per range, whatever the number of entries.
 """
 
 import multiprocessing
@@ -154,6 +157,42 @@ def test_split_reconstruction_equals_the_serial_loop(cpus, dense, n_topics, seed
         _split(monkeypatch, cpus)
         got = types.reconstruct_nonzeros(X, W, H)
     assert np.array_equal(got, _per_topic_loop(X, W, H))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_small_blocks_equal_the_serial_loop(monkeypatch, cpus):
+    # 7 x 7 stored entries in blocks of 5: 49 entries are 9 blocks and 4 over, and three
+    # ranges of 16, 16 and 17 entries each end 1 or 2 entries into a block
+    rng = np.random.default_rng(cpus)
+    X = snf.TermDocMatrix.from_dense(rng.integers(1, 4, size=(7, 7)))
+    W, H = rng.normal(size=(7, 3)), rng.normal(size=(3, 7))  # signs mixed: every sum's order shows
+    W[0], H[:, 0] = -0.0, 0.0
+    _split(monkeypatch, cpus)
+    monkeypatch.setattr(types, "_BLOCK", 5)
+    bounds = [X.nnz * i // cpus for i in range(cpus + 1)]
+    assert all((b - a) % types._BLOCK for a, b in zip(bounds, bounds[1:]))
+    assert types.reconstruct_nonzeros(X, W, H).tobytes() == _per_topic_loop(X, W, H).tobytes()
+
+
+@pytest.mark.parametrize("density", [0.04, 0.16])
+def test_reconstruction_temporaries_are_a_few_blocks_per_range(monkeypatch, density):
+    # about 80k and 320k entries in three ranges: temporaries the size of a range would
+    # take 2 x 8 x nnz / 3 bytes at least, far above four blocks per range and 64 KB
+    # for the worker threads' own bookkeeping
+    rng = np.random.default_rng(0)
+    rows, cols = np.nonzero(rng.random((1000, 2000)) < density)
+    X = snf.TermDocMatrix.from_arrays(1000, 2000, rows, cols, rng.integers(1, 5, size=rows.size))
+    W, H = rng.random((X.n_terms, 20)), rng.random((20, X.n_docs))
+    _split(monkeypatch, 3)
+    monkeypatch.setattr(types, "_BLOCK", 1024)
+    tracemalloc.start()
+    try:
+        types.reconstruct_nonzeros(X, W, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beyond = peak - X.nnz * 8 - W.nbytes  # the result and the contiguous copy of W.T
+    assert beyond < 3 * 4 * types._BLOCK * 8 + (64 << 10), f"{beyond / (types._BLOCK * 8):.1f} blocks beyond the result"
 
 
 def _recording(ranges):

@@ -153,6 +153,16 @@ class TestConfigAndState:
         p = snf.Priors(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
         assert p.n_topics == 2
 
+    def test_priors_refuse_anything_but_one_value_per_topic(self):
+        with pytest.raises(ValueError, match=r"alpha must be a 1-d array.*\(2, 2\)"):
+            snf.Priors(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"alpha must be a 1-d array.*\(\)"):
+            snf.Priors(1.0)
+        with pytest.raises(ValueError, match=r"alpha must be a 1-d array.*\(1, 2\)"):
+            snf.Priors([[1.0, 2.0]], [[3.0], [4.0]])
+        with pytest.raises(ValueError, match="rate_a must be .* 1-d array"):
+            snf.Priors([1.0, 2.0], [[3.0], [4.0]])
+
     def test_variational_state_validation(self):
         with pytest.raises(ValueError):
             snf.VariationalState(np.array([[1.0, 0.0]]))
