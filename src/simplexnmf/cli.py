@@ -29,7 +29,7 @@ from .io import (
     save_trace_csv,
     save_vocabulary,
 )
-from .mu import _fit
+from .mu import fit
 from .types import FitConfig, METHOD_SPECS, METHODS, Priors
 
 
@@ -139,7 +139,7 @@ def _cmd_fit(args) -> int:
         alpha = _parse_vector(args.alpha, config.n_topics, "alpha", 1.0)
         rate_a = _parse_vector(args.rate_a, config.n_topics, "rate-a", 1.0) if spec.uses_rates else None
         priors = Priors(alpha, rate_a)
-    state, trace = _fit(X, config, priors)
+    state, trace = fit(X, config, priors)
     model = ModelFile(
         method=args.method, n_terms=X.n_terms, n_docs=X.n_docs, n_topics=config.n_topics,
         constraint_mode=spec.mode.tag, lambda_sparsity=config.lambda_sparsity,

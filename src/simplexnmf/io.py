@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EntryError
-from .types import ConstraintMode, FitTrace, METHOD_SPECS, TermDocMatrix, _finite_positive, _lambda_ok
+from .types import FitTrace, METHOD_SPECS, TermDocMatrix, _finite_positive, _lambda_ok
 from .vi import _pinned_rates
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
@@ -324,7 +324,7 @@ class ModelFile:
         spec = METHOD_SPECS.get(self.method)
         if spec is None:
             raise DataError(f"unknown method {self.method!r}")
-        if ConstraintMode.from_tag(self.constraint_mode) != spec.mode:
+        if self.constraint_mode != spec.mode.tag:
             raise DataError(
                 f"schema violation at constraint_mode: method {self.method!r} uses "
                 f"{spec.mode.tag!r}, got {self.constraint_mode!r}"

@@ -33,8 +33,9 @@ without disturbing healthy entries; because it is relative to the column
 maximum it also commutes with the columnwise rescalings that relate the
 constrained solvers to each other.
 
-:func:`_fit` runs every fit, :func:`fit` and :func:`simplexnmf.vi.fit_vi`
-alike; what differs between their states is in two family records,
+:func:`fit` runs every fit, of all six methods (:func:`simplexnmf.vi.fit_vi`
+returns its fit of ``lda`` or ``gap`` as ``(W, state, trace)``); what
+differs between the two kinds of state is in two family records,
 :class:`_Factorizations` and ``vi._Variational``.  Which family, stepper,
 constraint mode and objective a method uses is read from ``types.METHOD_SPECS``.
 """
@@ -325,10 +326,16 @@ class _Factorizations:
 
 
 @np.errstate(all="ignore")
-def _fit(X: TermDocMatrix, config: FitConfig, priors=None):
-    """The one fit loop of every method: ``(final state, trace)``.
+def fit(X: TermDocMatrix, config: FitConfig, priors=None):
+    """Fit ``config.method`` to ``X`` from its family's seeded start, evaluating every
+    state once (see the module notes); returns ``(final state, trace)``.
 
-    It works on ``f = sign * value`` of the method's family record: +1 minimizes
+    The state is a :class:`Factorization` for the multiplicative methods and
+    ``(W, VariationalState)`` for ``lda`` and ``gap``, which need ``priors``
+    (``ValueError`` without them).  The run is fully determined by ``config``
+    and ``priors``.
+
+    The loop works on ``f = sign * value`` of the method's family record: +1 minimizes
     an objective, -1 maximizes a bound (negation is exact, so both take the same
     decisions).  It stops when ``|f_n - f_{n-1}| / max(1, |f_{n-1}|) < config.rel_tolerance``
     or after ``config.max_iters`` steps.  A rise of ``f`` by more than ``DESCENT_SLACK``
@@ -364,11 +371,3 @@ def _fit(X: TermDocMatrix, config: FitConfig, priors=None):
         previous = current
     return state, trace
 
-
-def fit(X: TermDocMatrix, config: FitConfig) -> tuple[Factorization, FitTrace]:
-    """Minimize the method's objective from :func:`initialize_factorization`, evaluating
-    every state once (see the module notes); returns the final factorization and the
-    per-iteration trace.  The run is fully determined by ``config``."""
-    if METHOD_SPECS[config.method].variational:
-        raise ValueError(f"fit handles methods {MU_METHODS}; use fit_vi for {config.method!r}")
-    return _fit(X, config)

@@ -56,13 +56,6 @@ class ConstraintMode(IntEnum):
     def tag(self) -> str:
         return _MODE_TAGS[self]
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "ConstraintMode":
-        for mode, name in _MODE_TAGS.items():
-            if name == tag:
-                return mode
-        raise DataError(f"unknown constraint_mode: {tag!r}")
-
 
 _MODE_TAGS = {
     ConstraintMode.UNCONSTRAINED: "unconstrained",
@@ -369,21 +362,28 @@ class MethodSpec:
     pairs that ``eval`` prints, in order; each function has an objective's
     signature and is given the carry (``recon=`` or ``terms=``) of one
     evaluation, and the penalty only if it is the method's objective.
-    ``uses_rates`` methods need Gamma rates, pinned at ``1 + rate_a`` and
-    built from the priors (so no model field holds them), and
-    ``model_fields`` are the model-file fields besides ``W``.
-    :meth:`family` builds the fit driver's record for the method's kind of
-    state, and :meth:`rebuild` that record with the state of a saved model.
+    ``model_fields`` are the model-file fields besides ``W``.  A method
+    with ``beta`` among them is :attr:`variational`, and one with
+    ``rate_a`` :attr:`uses_rates`: Gamma rates pinned at ``1 + rate_a``,
+    built from the priors (so no model field holds them).  :meth:`family`
+    builds the fit driver's record for the method's kind of state, and
+    :meth:`rebuild` that record with the state of a saved model.
     """
 
     mode: ConstraintMode
-    variational: bool
     stepper: str
     objective: str
     model_fields: tuple[str, ...]
     eval_lines: tuple[tuple[str, str], ...]
     uses_lambda: bool = False
-    uses_rates: bool = False
+
+    @property
+    def variational(self) -> bool:
+        return "beta" in self.model_fields
+
+    @property
+    def uses_rates(self) -> bool:
+        return "rate_a" in self.model_fields
 
     @staticmethod
     def function(name: str):
@@ -413,23 +413,23 @@ _KL = "objectives.kl_divergence"
 _KL_LINE = ("kl_divergence", _KL)
 
 METHOD_SPECS = {
-    "mu": MethodSpec(ConstraintMode.UNCONSTRAINED, False, "mu.mu_step_alternating", _KL, ("H",), (_KL_LINE,)),
-    "mu-joint": MethodSpec(ConstraintMode.W_SIMPLEX, False, "mu.mu_step_joint_wnorm", _KL, ("H",), (_KL_LINE,)),
+    "mu": MethodSpec(ConstraintMode.UNCONSTRAINED, "mu.mu_step_alternating", _KL, ("H",), (_KL_LINE,)),
+    "mu-joint": MethodSpec(ConstraintMode.W_SIMPLEX, "mu.mu_step_joint_wnorm", _KL, ("H",), (_KL_LINE,)),
     "plsa": MethodSpec(
-        ConstraintMode.BOTH_SIMPLEX, False, "mu.mu_step_joint_bothnorm", _KL, ("H",),
+        ConstraintMode.BOTH_SIMPLEX, "mu.mu_step_joint_bothnorm", _KL, ("H",),
         (_KL_LINE, ("plsa_log_likelihood", "objectives.plsa_log_likelihood")),
     ),
     "sparse": MethodSpec(
-        ConstraintMode.W_SIMPLEX, False, "mu.mu_step_sparse", "objectives.sparse_objective", ("H",),
+        ConstraintMode.W_SIMPLEX, "mu.mu_step_sparse", "objectives.sparse_objective", ("H",),
         (_KL_LINE, ("penalized_objective", "objectives.sparse_objective")), uses_lambda=True,
     ),
     "lda": MethodSpec(
-        ConstraintMode.W_SIMPLEX, True, "vi.dp_vi_step", "objectives.lda_elbo", ("beta", "alpha"),
+        ConstraintMode.W_SIMPLEX, "vi.dp_vi_step", "objectives.lda_elbo", ("beta", "alpha"),
         (("elbo", "objectives.lda_elbo"),),
     ),
     "gap": MethodSpec(
-        ConstraintMode.W_SIMPLEX, True, "vi.gap_vi_step", "objectives.gap_elbo",
-        ("beta", "alpha", "rate_a"), (("elbo", "objectives.gap_elbo"),), uses_rates=True,
+        ConstraintMode.W_SIMPLEX, "vi.gap_vi_step", "objectives.gap_elbo", ("beta", "alpha", "rate_a"),
+        (("elbo", "objectives.gap_elbo"),),
     ),
 }
 

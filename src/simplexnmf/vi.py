@@ -14,13 +14,14 @@ reconstruction count is 1.  A step only maps: it takes the
 :class:`~simplexnmf.objectives.BoundTerms` of its bound at its input state
 as ``terms`` (computed by ``lda_elbo_terms`` or ``gap_elbo_terms`` when
 ``None``, so ``h~`` is formed in one place) and returns the new state
-without evaluating it.  The fit driver's :class:`_Variational` computes the
-terms at every state (one ``digamma`` pass over ``beta``, ``h~`` and the
-checked ``(W h~)``), evaluates the registry bound with ``terms=`` and hands
-the terms to the next step, so each state's one reconstruction and one
-``digamma`` pass serve both the bound and the update: ``n + 1`` of each in
-a fit of ``n`` iterations.  The Gamma variant keeps its rate parameters
-pinned at ``b = 1 + a``, which is the stationary value of the bound in
+without evaluating it.  The fit driver, :func:`simplexnmf.mu.fit`, runs
+these methods as it runs the other four.  Its :class:`_Variational`
+computes the terms at every state (one ``digamma`` pass over ``beta``,
+``h~`` and the checked ``(W h~)``), evaluates the registry bound with
+``terms=`` and hands the terms to the next step, so each state's one
+reconstruction and one ``digamma`` pass serve both the bound and the
+update: ``n + 1`` of each in a fit of ``n`` iterations.  The Gamma
+variant keeps its rate parameters pinned at ``b = 1 + a``, which is the stationary value of the bound in
 ``b``; with a uniform rate vector its iterates coincide with the
 Dirichlet ones because the two ``h~`` differ only by a per-document
 constant that cancels everywhere.  Since the columns of ``W`` are
@@ -35,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .mu import EPSILON_FLOOR, _fit, _seeded_start, joint_step
+from .mu import EPSILON_FLOOR, _seeded_start, fit, joint_step
 from .objectives import BoundTerms, _require_factors, _require_prior_topics, gap_elbo_terms, lda_elbo_terms
 from .types import (
     FitConfig,
@@ -189,10 +190,9 @@ class _Variational:
 
 
 def fit_vi(X: TermDocMatrix, config: FitConfig, priors: Priors) -> tuple[np.ndarray, VariationalState, FitTrace]:
-    """Maximize the method's bound from :func:`initialize_variational`, evaluating every
-    state once (see the module notes), by the rules of :func:`simplexnmf.mu.fit`;
-    returns ``(W, state, trace)``."""
+    """:func:`simplexnmf.mu.fit` of ``lda`` or ``gap``, the same fit, returned as
+    ``(W, state, trace)``; another method raises ``ValueError``."""
     if not METHOD_SPECS[config.method].variational:
         raise ValueError(f"fit_vi handles methods {VI_METHODS}; use fit for {config.method!r}")
-    (W, state), trace = _fit(X, config, priors)
+    (W, state), trace = fit(X, config, priors)
     return W, state, trace

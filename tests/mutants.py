@@ -72,6 +72,12 @@ MUTANTS = [
            "for a in range(0, rows.size - _BLOCK + 1, _BLOCK):",
            "tests/test_kernels.py::test_small_blocks_equal_the_serial_loop[3]",
            "the reconstruction leaving a range's last partial block out"),
+    Mutant("src/simplexnmf/mu.py", '@np.errstate(all="ignore")\ndef fit(', "def fit(",
+           "tests/test_mu.py::test_an_overflowing_fit_is_a_numerical_failure_not_a_warning[gap]",
+           "the fit driver running with numpy's floating-point warnings on"),
+    Mutant("src/simplexnmf/types.py", 'return "rate_a" in self.model_fields', 'return "alpha" in self.model_fields',
+           "tests/test_cli.py::test_flag_the_method_ignores_is_usage_error[lda---rate-a]",
+           "every method with Dirichlet priors taken to use Gamma rates"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Rescaling maps, penalty absorption, fixed-point residuals, and the matched-iterate pairs."""
 
+import re
 from itertools import islice
 
 import numpy as np
@@ -263,3 +264,26 @@ def test_pair_deviations_within_tolerance(name):
         assert len(current) == len(lines)
         for (line, tol), value in zip(lines, current):
             assert value <= (1e-12 if tol is None else tol), line
+
+
+_W2, _H2 = np.array([[0.25, 0.5], [0.75, 0.5]]), np.ones((2, 2))
+_SIDEWAYS = "direction must be '{}' or '{}', got 'sideways'"
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    pytest.param(lambda: snf.map_c2_to_c1(snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1.0)]), _W2, _H2),
+                 DegenerateColumnError, "degenerate document column 1", id="c2 to c1 with an empty document"),
+    pytest.param(lambda: snf.map_sparse_solution(_W2, _H2, 0.0, "forward"),
+                 ValueError, "lambda_sparsity must be positive for the solution map", id="sparse map with lambda 0"),
+    pytest.param(lambda: snf.map_sparse_solution(_W2, _H2, 0.5, "sideways"),
+                 ValueError, _SIDEWAYS.format("forward", "inverse"), id="sparse map in an unknown direction"),
+    pytest.param(lambda: snf.map_gap_lda_state(snf.VariationalState(_H2), snf.Priors(np.ones(2)), "to_gap"),
+                 ValueError, "to_gap requires priors with rate_a", id="to gap without rate_a"),
+    pytest.param(lambda: snf.map_gap_lda_state(snf.VariationalState(_H2), snf.Priors(np.ones(2)), "sideways"),
+                 ValueError, _SIDEWAYS.format("to_gap", "to_lda"), id="gap-lda map in an unknown direction"),
+    pytest.param(lambda: snf.absorb_penalty_general(_W2, _H2, 0.0, np.sum),
+                 ValueError, "the norm exponent must be positive", id="penalty absorption with p 0"),
+])
+def test_each_refusal_names_its_fault(refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused()

@@ -4,6 +4,7 @@ import base64
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -787,3 +788,51 @@ def _gap_model():
         alpha=np.array([0.5, 0.5]),
         rate_a=np.array([0.5, 0.5]),
     )
+
+
+def _load_saved(tmp_path, model, **changes):
+    """``model`` saved, with the top-level ``changes`` made to its JSON (``None`` deletes a key), and loaded."""
+    path = tmp_path / "m.json"
+    snf.save_model(path, model)
+    doc = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    path.write_text(json.dumps(doc))
+    return snf.load_model(path)
+
+
+def _load_vocabulary_text(tmp_path, text):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    return snf.load_vocabulary(path)
+
+
+@pytest.mark.parametrize("refused, message", [
+    pytest.param(lambda tmp: _load_vocabulary_text(tmp, "cat\ndog\ncat\n"), "duplicate term 'cat'",
+                 id="a vocabulary with a repeated term"),
+    pytest.param(lambda tmp: _load_saved(tmp, _mu_model(), method="nmf"), "unknown method 'nmf'",
+                 id="a model of an unknown method"),
+    pytest.param(lambda tmp: _load_saved(tmp, _mu_model(), constraint_mode="simplex"),
+                 "schema violation at constraint_mode: method 'mu-joint' uses 'w-simplex', got 'simplex'",
+                 id="an unknown constraint mode"),
+    pytest.param(lambda tmp: _load_saved(tmp, _gap_model(), alpha=[0.5, 0.5, 0.5]),
+                 "schema violation at alpha: expected one value per topic", id="a per-topic field of the wrong length"),
+    pytest.param(lambda tmp: replace(_mu_model(), H=np.ones(6)).validate(), "schema violation at H: expected a matrix",
+                 id="an H that is not a matrix"),
+    pytest.param(lambda tmp: _load_saved(tmp, _mu_model(), n_terms=5), "dimension mismatch: W has 4 rows, expected 5",
+                 id="a W with the wrong row count"),
+    pytest.param(lambda tmp: save_trace_csv(tmp / "t.csv", snf.FitTrace([float("nan")], [1], [0.0])),
+                 "non-finite value cannot be serialized: nan", id="a trace with a non-finite objective"),
+])
+def test_each_refusal_is_a_data_error_naming_its_fault(tmp_path, refused, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        refused(tmp_path)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_a_model_file_without_its_scalars_loads_them_as_zero(tmp_path):
+    model = _load_saved(tmp_path, _mu_model(), lambda_sparsity=None, final_objective=None)
+    assert (model.lambda_sparsity, model.final_objective) == (0.0, 0.0)

@@ -1,6 +1,7 @@
 """Multiplicative-update steppers and the fit driver."""
 
 import inspect
+import re
 import weakref
 from functools import partial
 
@@ -32,6 +33,14 @@ def _exact_product_factorization(seed, mode):
             W = W * rng.uniform(0.5, 2.0, size=(1, 2))
     X = snf.TermDocMatrix.from_dense(W @ H)
     return X, snf.Factorization(W, H, mode)
+
+
+def _priors(method, n_topics, alpha=1.0, rate_a=1.0):
+    """The priors ``fit`` takes for ``method``, uniform: ``None`` for a multiplicative method."""
+    spec = METHOD_SPECS[method]
+    if not spec.variational:
+        return None
+    return snf.Priors(np.full(n_topics, alpha), np.full(n_topics, rate_a) if spec.uses_rates else None)
 
 
 class TestAlternating:
@@ -176,13 +185,11 @@ def test_every_fit_keeps_its_iterates_in_c_order(method):
     # topic x document sums arrive transposed
     X = random_count_matrix(4, n_terms=12, n_docs=9)
     config = snf.FitConfig(n_topics=3, method=method, max_iters=2, lambda_sparsity=0.5 * (method == "sparse"))
-    if method in snf.VI_METHODS:
-        W, state, trace = snf.fit_vi(X, config, snf.Priors(np.ones(3), np.ones(3) if method == "gap" else None))
-        H = state.beta
-    else:
-        f, trace = snf.fit(X, config)
-        W, H = f.W, f.H
-    assert W.flags.c_contiguous and H.flags.c_contiguous
+    priors = _priors(method, 3)
+    state, _ = snf.fit(X, config, priors)
+    arrays = METHOD_SPECS[method].family(X, priors).arrays(state)
+    assert arrays.keys() == {"W", "beta" if METHOD_SPECS[method].variational else "H"}
+    assert all(M.flags.c_contiguous for M in arrays.values())
 
 
 def test_overflowing_update_is_a_numerical_failure():
@@ -202,10 +209,7 @@ def test_an_overflowing_fit_is_a_numerical_failure_not_a_warning(method):
     X = snf.TermDocMatrix.from_entries(2, 2, [(0, 0, 1e308), (1, 1, 1e308)])
     config = snf.FitConfig(n_topics=2, method=method, lambda_sparsity=0.5 * (method == "sparse"))
     with pytest.raises(NumericalError, match="^non-finite initial objective"):
-        if method in snf.VI_METHODS:
-            snf.fit_vi(X, config, snf.Priors(np.ones(2), np.ones(2) if method == "gap" else None))
-        else:
-            snf.fit(X, config)
+        snf.fit(X, config, _priors(method, 2))
 
 
 def _simplex_columns(M):
@@ -327,10 +331,17 @@ class TestFit:
         with pytest.raises(ValueError, match="constraint mode"):
             snf.mu_step_joint_bothnorm(X, start)
 
-    def test_vi_methods_rejected(self):
+    @pytest.mark.parametrize("method", snf.VI_METHODS)
+    def test_a_variational_fit_is_the_fit_vi_fit(self, method):
         X = random_count_matrix(15, n_terms=10, n_docs=6)
-        with pytest.raises(ValueError, match="fit_vi"):
-            snf.fit(X, snf.FitConfig(n_topics=3, method="lda"))
+        config = snf.FitConfig(n_topics=3, method=method, max_iters=4, seed=6)
+        priors = _priors(method, 3, alpha=0.7, rate_a=1.4)
+        (W, state), trace = snf.fit(X, config, priors)
+        W_vi, state_vi, trace_vi = snf.fit_vi(X, config, priors)
+        assert W.tobytes() == W_vi.tobytes() and state.beta.tobytes() == state_vi.beta.tobytes()
+        assert (trace.objectives, trace.recon_evals) == (trace_vi.objectives, trace_vi.recon_evals)
+        with pytest.raises(ValueError, match="^variational fits and residuals require priors$"):
+            snf.fit(X, config)
 
     def test_no_progress_is_an_error(self, monkeypatch):
         X = random_count_matrix(16, n_terms=10, n_docs=6)
@@ -419,10 +430,7 @@ class TestDescend:
         monkeypatch.setattr(vi, "_require_factors", refuse)
         X = random_count_matrix(20, n_terms=10, n_docs=6)
         config = snf.FitConfig(n_topics=2, method=method, max_iters=3, lambda_sparsity=0.5)
-        if METHOD_SPECS[method].variational:
-            snf.fit_vi(X, config, snf.Priors(np.ones(2), np.ones(2)))
-        else:
-            snf.fit(X, config)
+        snf.fit(X, config, _priors(method, 2))
 
 
 def _in_turn(*values):
@@ -449,8 +457,23 @@ def test_every_fit_lets_go_of_earlier_states(monkeypatch, method):
         n_topics=3, method=method, max_iters=n, rel_tolerance=1e-300, seed=2,
         lambda_sparsity=0.4 if method == "sparse" else 0.0,
     )
-    if method in snf.VI_METHODS:
-        snf.fit_vi(X, config, snf.Priors(np.full(3, 0.8), np.full(3, 1.3) if method == "gap" else None))
-    else:
-        snf.fit(X, config)
+    snf.fit(X, config, _priors(method, 3, alpha=0.8, rate_a=1.3))
     assert alive == [0] * (n + 1)
+
+
+def _alternating_step_with_a_zero_w_column():
+    X = random_count_matrix(21, n_terms=6, n_docs=4)
+    W = np.column_stack([np.full(6, 0.5), np.zeros(6)])
+    return snf.mu_step_alternating(X, snf.Factorization(W, np.ones((2, 4))))
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    pytest.param(_alternating_step_with_a_zero_w_column, DeadTopicError, "dead topic 1: zero column sum in W",
+                 id="an alternating step on a zero column of W"),
+    pytest.param(lambda: snf.initialize_factorization(random_count_matrix(22), snf.FitConfig(n_topics=2, method="lda")),
+                 ValueError, "initialize_factorization handles methods ('mu', 'mu-joint', 'plsa', 'sparse')",
+                 id="a multiplicative start of lda"),
+])
+def test_each_refusal_names_its_fault(refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused()

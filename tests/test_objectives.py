@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -452,3 +453,26 @@ class TestMarginals:
                     x = np.array(x, float)
                     diff = snf.poisson_marginal_loglik(x, W, h) - snf.multinomial_marginal_loglik(x, W, h, N)
                     assert diff == pytest.approx(-1.0 - math.log(math.factorial(N)), abs=1e-12)
+
+
+# (1, 0) reconstructs the two counts (1, 1): a positive count on a zero of the reconstruction
+_ZERO_UNDER_A_COUNT = ([1.0, 1.0], [[1.0], [0.0]], [1.0])
+_INFINITE_AT_1 = "infinite divergence: zero reconstruction under a positive count at (v=1)"
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    pytest.param(
+        lambda: snf.objectives.gap_elbo_terms(
+            snf.TermDocMatrix.from_dense([[1.0, 2.0], [3.0, 0.0]]), np.full((2, 2), 0.5),
+            snf.VariationalState(np.ones((2, 2)))),
+        ValueError, "gap_elbo requires a state with b_rate", id="gap bound terms of a state without rates"),
+    pytest.param(lambda: snf.poisson_marginal_loglik([-1.0, 1.0], [[0.5], [0.5]], [1.0]),
+                 ValueError, "counts must be non-negative", id="a negative count in a marginal"),
+    pytest.param(lambda: snf.poisson_marginal_loglik(*_ZERO_UNDER_A_COUNT),
+                 InfiniteDivergenceError, _INFINITE_AT_1, id="poisson marginal of a zero under a count"),
+    pytest.param(lambda: snf.multinomial_marginal_loglik(*_ZERO_UNDER_A_COUNT, 2),
+                 InfiniteDivergenceError, _INFINITE_AT_1, id="multinomial marginal of a zero under a count"),
+])
+def test_each_refusal_names_its_fault(refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused()

@@ -70,6 +70,10 @@ class TestTermDocMatrix:
         with pytest.raises(DataError, match="out of range"):
             snf.TermDocMatrix.from_entries(2, 2, [(2, 0, 1.0)])
 
+    def test_dense_input_of_one_dimension_is_refused(self):
+        with pytest.raises(DataError, match="^dense input must be a 2-d array$"):
+            snf.TermDocMatrix.from_dense([1.0, 2.0, 3.0])
+
     def test_columns_may_be_empty(self):
         # all-zero documents are legal in the container; only ingestion rejects them
         X = snf.TermDocMatrix.from_entries(2, 3, [(0, 0, 1.0)])

@@ -1,6 +1,7 @@
 """Variational steppers: expectations, updates, and the fit driver."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -314,3 +315,15 @@ def test_a_misshapen_w_is_refused_by_the_step(step):
     state = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0))
     with pytest.raises(ValueError, match=r"^factors of shapes \(3, 2\) and \(2, 2\) do not reconstruct a 2 x 2 matrix$"):
         step(X, W, snf.Priors(np.ones(2), np.ones(2)), state)
+
+
+@pytest.mark.parametrize("method, n_topics, message", [
+    ("mu", 2, "initialize_variational handles methods ('lda', 'gap')"),
+    ("lda", 3, "priors have 2 topics, config expects 3"),
+    ("gap", 2, "the gap method requires priors with rate_a"),
+])
+def test_the_variational_start_refuses_what_it_cannot_start(method, n_topics, message):
+    # the priors have two topics and no rate_a
+    X = random_count_matrix(23, n_terms=6, n_docs=4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        snf.initialize_variational(X, snf.FitConfig(n_topics=n_topics, method=method), snf.Priors(np.ones(2)))
