@@ -332,7 +332,8 @@ def fit(X: TermDocMatrix, config: FitConfig, priors=None):
 
     The state is a :class:`Factorization` for the multiplicative methods and
     ``(W, VariationalState)`` for ``lda`` and ``gap``, which need ``priors``
-    (``ValueError`` without them).  The run is fully determined by ``config``
+    (``ValueError`` without them, and for priors the method would ignore: see
+    ``MethodSpec.family``).  The run is fully determined by ``config``
     and ``priors``.
 
     The loop works on ``f = sign * value`` of the method's family record: +1 minimizes

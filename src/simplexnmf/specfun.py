@@ -30,11 +30,12 @@ from scipy import special
 from . import types
 
 # one evaluation in entries x topics of the reconstruction, the unit of
-# types._RANGE_WORK: on a 2-vCPU VM digamma took about 11 ns and gammaln about
-# 19 ns per evaluation, against about 5 ns per product; at 2, a 50 x 10000
-# beta (1e6 units, over 2 x 2**18) splits in two and 10000 per-document sums
-# (2e4 units) stay in one range
-_EVAL_WORK = 2
+# types._RANGE_WORK.  On a 2-vCPU VM digamma and gammaln took 13 to 24 ns per
+# evaluation (a product 1.2 to 2 ns), and two ranges against one took 0.63 to
+# 0.80 of the time from 100000 cells up, 0.75 to 1.17 at 50000; at 5 a pass
+# splits from 2 x 2**18 / 5 = 104858 cells, so a 50 x 10000 beta splits in two
+# and 10000 per-document sums stay in one range
+_EVAL_WORK = 5
 
 
 def _validated(x, name: str) -> np.ndarray:

@@ -9,19 +9,22 @@ what makes the one-reconstruction-per-iteration accounting of the joint
 solvers meaningful on sparse data.
 
 The three kernels on the stored entries never form an ``nnz x K`` array.
-The reconstruction, a dense product evaluated only at the stored entries,
-adds one gathered product per topic into an ``nnz``-vector.  It splits the
-entries into contiguous ranges with ``_in_ranges``, one per CPU of the
-process's affinity mask when the work is large enough; the caller runs the
-first range and a ``concurrent.futures`` thread pool opened for the call
-the others (numpy releases the GIL in the gathers and the arithmetic).
-Each range is worked through in blocks of ``_BLOCK`` entries, every topic
-added into a block before the next, so that a block's vectors stay in the
-L2 cache across the topics.  Every entry still adds its topics in the same
-order, so the result is bit-identical to one serial pass whatever the
-ranges and the block size, and there is no option for either.  The
-same splitter runs ``specfun``'s digamma and log-gamma passes over a
-large ``beta`` in ranges of its cells.  The two
+The reconstruction, a dense product evaluated only at the stored entries
+(a sampled dense-dense product), is SciPy's compiled block-sparse mat-vec
+``bsr_matvec``: every entry ``(v, d)`` is a 1 x K block row holding
+``H[:, d]`` in block column ``v``, times ``W`` read as one vector, so each
+entry's value is one K-term dot product.  It splits the entries into
+contiguous ranges with ``_in_ranges``, one per CPU of the process's
+affinity mask when the work is large enough; the caller runs the first
+range and a ``concurrent.futures`` thread pool opened for the call the
+others (``bsr_matvec`` and numpy's gathers release the GIL).  Each range
+is worked through in blocks of ``_BLOCK`` entries x topics, whose gathered
+topic weights stay in the L2 cache while the mat-vec reads them.  Every
+entry adds its topics in order from the first, so the result is
+bit-identical to one serial loop over the topics whatever the ranges and
+the block size, and there is no option for either.  The same splitter runs
+``specfun``'s digamma and log-gamma passes over a large ``beta`` in ranges
+of its cells.  The two
 accumulations are sparse-times-dense products of SciPy: the entry weights
 are viewed as a CSC matrix over ``X.rows`` and ``X.doc_ptr`` (no copy),
 the term x topic sums are ``R @ H.T`` and the topic x document sums
@@ -41,6 +44,7 @@ from enum import IntEnum
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import bsr_matvec  # the routine of bsr_array @ vector
 
 from .errors import DataError, DegenerateColumnError, EntryError
 
@@ -395,7 +399,16 @@ class MethodSpec:
         return self.function("vi._Variational" if self.variational else "mu._Factorizations")
 
     def family(self, X, priors=None, lambda_sparsity: float = 0.0):
-        """The fit driver's record over ``X``: ``vi._Variational`` or ``mu._Factorizations``."""
+        """The fit driver's record over ``X``: ``vi._Variational`` or ``mu._Factorizations``.
+
+        Priors that the method would ignore raise ``ValueError``, as the CLI
+        refuses their flags: any ``priors`` for a multiplicative method, and
+        priors with ``rate_a`` for a method without :attr:`uses_rates`.
+        """
+        if priors is not None and not self.variational:
+            raise ValueError("priors do not apply to a multiplicative method")
+        if getattr(priors, "rate_a", None) is not None and not self.uses_rates:
+            raise ValueError("rate_a does not apply to a method without Gamma rates")
         return self._family_type()(X, self, priors, lambda_sparsity)
 
     def rebuild(self, X, model):
@@ -504,9 +517,11 @@ def normalize_columns(M) -> tuple[np.ndarray, np.ndarray]:
     return M / scales, scales
 
 
-# entries x topics of work per range of the reconstruction: about 1.2 ms in
-# one thread, against about 50 us to start and join a thread; on a 2-vCPU VM
-# splitting less than twice this much measured no faster than one range
+# entries x topics of work per range of the reconstruction.  On a 2-vCPU VM a
+# product took 1.2 to 2 ns in one thread (this much work 0.3 to 0.5 ms), and
+# starting and joining a worker thread 80 to 150 us; two ranges against one
+# broke even at 2 to 3 times this much work while the second vCPU was idle,
+# and gained nothing at any size while it was busy
 _RANGE_WORK = 1 << 18
 
 
@@ -517,28 +532,39 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# entries per block of the reconstruction: a block's five vectors (its rows
-# and cols, two gathered temporaries and its slice of the result) take
-# 5 x 256 KB, which stays in a 2 MB L2 cache across the topics
-_BLOCK = 1 << 15
+# entries x topics per block of the reconstruction: a block's topic weights,
+# one K-row per entry, take 2**16 x 8 bytes = 512 KB, which stays in a 2 MB
+# L2 cache while SciPy's mat-vec reads them; on both benchmark shapes 2**15
+# and 2**17 took within 10% of its time per call, 2**13 1.4 to 3.6 times it
+_BLOCK = 1 << 16
 
 
-def _reconstruct_range(rows: np.ndarray, cols: np.ndarray, WT: np.ndarray, H: np.ndarray, out: np.ndarray) -> None:
-    """Add ``w_vk h_kd`` into ``out`` at the entries ``(rows, cols)``, one topic at a time in order.
+def _reconstruct_range(rows: np.ndarray, cols: np.ndarray, W: np.ndarray, H: np.ndarray, out: np.ndarray) -> None:
+    """Add ``sum_k h_kd w_vk`` into ``out`` at the entries ``(rows, cols)``, topics in order.
 
-    The entries are taken ``_BLOCK`` at a time and every topic is added
-    into a block before the next block starts, so the block's vectors stay
-    in cache across the topics.  Each entry still adds its topics in order,
-    so the result does not depend on the block size.  The gathers make
-    fresh arrays: ``np.take(..., out=)`` buffers its output in its default
-    ``mode="raise"`` and was over twice as slow per gather.
+    Each entry ``(v, d)`` is a 1 x K block row of a block-sparse matrix:
+    its data are document ``d``'s topic weights ``H[:, d]`` and its block
+    column is term ``v``, so the entries' reconstruction is that matrix
+    times ``W.ravel()`` (``W`` C-contiguous, terms x topics), which is
+    SciPy's ``bsr_matvec``.  It releases the GIL and adds each entry's
+    products ``h_kd w_vk`` into ``out`` from topic 0 on, so the result is
+    the serial loop's over the topics, bit for bit.  The entries are taken
+    ``_BLOCK // K`` at a time (``cols`` is sorted, the storage being
+    document-major): the block's own document columns of ``H`` are copied
+    into one contiguous documents x topics array, whose rows are gathered,
+    one per entry, into the block buffer.
     """
-    for a in range(0, rows.size, _BLOCK):
-        r, c, o = rows[a:a + _BLOCK], cols[a:a + _BLOCK], out[a:a + _BLOCK]
-        for w, h in zip(WT, H):
-            products = w[r]
-            products *= h[c]
-            o += products
+    n_topics = H.shape[0]
+    step = max(1, min(_BLOCK // n_topics, rows.size))
+    block_ptr = np.arange(step + 1, dtype=rows.dtype)  # one block per block row
+    buf = np.empty((step, n_topics))
+    w = W.reshape(-1)
+    for a in range(0, rows.size, step):
+        r, c = rows[a:a + step], cols[a:a + step]
+        n = r.size
+        docs = np.ascontiguousarray(H[:, c[0]:c[-1] + 1].T)
+        np.take(docs, c - c[0], axis=0, mode="clip", out=buf[:n])  # "clip" writes to buf unbuffered
+        bsr_matvec(n, W.shape[0], 1, n_topics, block_ptr[:n + 1], r, buf[:n], w, out[a:a + n])
 
 
 def _in_ranges(n: int, work: int, run_range) -> None:
@@ -574,12 +600,14 @@ def _in_ranges(n: int, work: int, run_range) -> None:
 def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     """``(WH)_vd`` evaluated at the stored nonzero entries of ``X``, in storage order.
 
-    Topic-major within blocks: the products ``w_vk h_kd`` of one topic at
-    a time are gathered and added into the result, topics in order, one
-    block of ``_BLOCK`` entries after another, so no ``nnz x K`` array is
-    formed.  Besides the ``nnz`` result and a contiguous copy of ``W.T``,
-    the working memory is two ``_BLOCK``-vectors per range, whatever
-    ``nnz``.
+    One K-term dot product per entry, ``sum_k h_kd w_vk`` added in topic
+    order, by SciPy's ``bsr_matvec`` over blocks of ``_BLOCK`` entries x
+    topics (see :func:`_reconstruct_range`), so no ``nnz x K`` array is
+    formed.  ``W`` is read in place when it is C-contiguous.  Besides the
+    ``nnz`` result, the working memory per range is one block of topic
+    weights, its ``_BLOCK / K`` block pointers and the copy of the block's
+    document columns of ``H`` (the documents from its first entry's to its
+    last's, empty ones included), whatever ``nnz``.
 
     The entries are split by :func:`_in_ranges`, the work being
     ``nnz x K``; each range runs :func:`_reconstruct_range` on its slice of
@@ -591,17 +619,18 @@ def reconstruct_nonzeros(X: TermDocMatrix, W, H) -> np.ndarray:
     ``ValueError``: every objective, bound and step reconstructs through
     here, so none of them reads a misshapen factor.
     """
-    W = np.asarray(W, dtype=float)
+    W = np.ascontiguousarray(W, dtype=float)
     H = np.asarray(H, dtype=float)
     if W.ndim != 2 or H.ndim != 2 or W.shape != (X.n_terms, H.shape[0]) or H.shape[1] != X.n_docs:
         raise ValueError(
             f"factors of shapes {W.shape} and {H.shape} do not reconstruct a {X.n_terms} x {X.n_docs} matrix"
         )
-    WT = np.ascontiguousarray(W.T)
     out = np.zeros(X.nnz)
+    if H.shape[0] == 0:  # no topic: every sum is empty (and bsr_matvec divides by the block width)
+        return out
 
     def run_range(a: int, b: int) -> None:
-        _reconstruct_range(X.rows[a:b], X.cols[a:b], WT, H, out[a:b])
+        _reconstruct_range(X.rows[a:b], X.cols[a:b], W, H, out[a:b])
 
     _in_ranges(X.nnz, X.nnz * H.shape[0], run_range)
     return out

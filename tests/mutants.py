@@ -68,8 +68,8 @@ MUTANTS = [
            '(("candidate", (W, H)),)',
            "tests/test_objectives.py::test_joint_aux_refuses_a_negative_or_non_finite_anchor",
            "joint_aux reading an unchecked anchor"),
-    Mutant("src/simplexnmf/types.py", "for a in range(0, rows.size, _BLOCK):",
-           "for a in range(0, rows.size - _BLOCK + 1, _BLOCK):",
+    Mutant("src/simplexnmf/types.py", "for a in range(0, rows.size, step):",
+           "for a in range(0, rows.size - step + 1, step):",
            "tests/test_kernels.py::test_small_blocks_equal_the_serial_loop[3]",
            "the reconstruction leaving a range's last partial block out"),
     Mutant("src/simplexnmf/mu.py", '@np.errstate(all="ignore")\ndef fit(', "def fit(",

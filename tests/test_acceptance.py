@@ -200,11 +200,10 @@ def test_09_reconstruction_accounting():
                                    max_iters=10, rel_tolerance=1e-15, seed=1)
             _, trace = snf.fit(X, config)
             assert trace.recon_evals == [expected] * trace.n_iterations
-        priors = snf.Priors(np.full(5, 0.9), np.full(5, 1.0))
-        for method in ("lda", "gap"):
+        for method, rate_a in (("lda", None), ("gap", np.full(5, 1.0))):
             config = snf.FitConfig(n_topics=5, method=method, max_iters=10,
                                    rel_tolerance=1e-15, seed=1)
-            _, _, trace = snf.fit_vi(X, config, priors)
+            _, _, trace = snf.fit_vi(X, config, snf.Priors(np.full(5, 0.9), rate_a))
             assert trace.recon_evals == [1] * trace.n_iterations
 
 
@@ -269,10 +268,11 @@ def test_12_fixed_point_transfer():
 
         Xr = random_count_matrix(43)
         priors = snf.Priors(np.full(3, 0.8), np.full(3, 1.0))
+        lda_priors = snf.Priors(priors.alpha)  # lda has no rates
         config = snf.FitConfig(n_topics=3, method="lda", max_iters=20000,
                                rel_tolerance=1e-12, seed=2)
-        W, state, _ = snf.fit_vi(Xr, config, priors)
-        W, state, _ = refine_vi(Xr, lambda X_, W_, s: snf.dp_vi_step(X_, W_, priors, s),
+        W, state, _ = snf.fit_vi(Xr, config, lda_priors)
+        W, state, _ = refine_vi(Xr, lambda X_, W_, s: snf.dp_vi_step(X_, W_, lda_priors, s),
                                 W, state, own_target)
         mapped_state = snf.map_gap_lda_state(state, priors, "to_gap")
         assert snf.fixed_point_residual(Xr, "gap", (W, mapped_state), priors=priors) < residual_bound
@@ -283,4 +283,4 @@ def test_12_fixed_point_transfer():
         W, state, _ = refine_vi(Xr, lambda X_, W_, s: snf.gap_vi_step(X_, W_, priors, s),
                                 W, state, own_target)
         mapped_state = snf.map_gap_lda_state(state, priors, "to_lda")
-        assert snf.fixed_point_residual(Xr, "lda", (W, mapped_state), priors=priors) < residual_bound
+        assert snf.fixed_point_residual(Xr, "lda", (W, mapped_state), priors=lda_priors) < residual_bound

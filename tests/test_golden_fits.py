@@ -59,7 +59,7 @@ def test_a_fit_writes_the_golden_bytes(tmp_path, monkeypatch, capsys, source, me
         monkeypatch.setattr(types, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(types, "_RANGE_WORK", 1)
     if kernels == "small-blocks":
-        monkeypatch.setattr(types, "_BLOCK", 5)
+        monkeypatch.setattr(types, "_BLOCK", 5 * 2)  # entries x topics: 5 entries of the 2 topics
     model, trace = golden_fit(source, method, tmp_path)
     assert model == (FITS / f"{source}-{method}.json").read_bytes()
     assert trace == (FITS / f"{source}-{method}.csv").read_bytes()

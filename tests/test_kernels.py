@@ -1,6 +1,7 @@
 """The three kernels on the stored entries against dense references, and their memory.
 
-``reconstruct_nonzeros`` adds one topic at a time; ``term_topic_sums`` and
+``reconstruct_nonzeros`` is SciPy's block-sparse mat-vec ``bsr_matvec``
+over one 1 x K block row per entry; ``term_topic_sums`` and
 ``topic_doc_sums`` are SciPy sparse-times-dense products over a CSC view of
 the entry weights.  Each adds in its own order, so they are checked against
 ``(W @ H)[rows, cols]``, ``R @ H.T`` and ``(R.T @ W).T`` (``R`` the dense
@@ -12,11 +13,13 @@ entry.  ``objectives.joint_aux``, a sum over the anchor's expected counts
 its sum, which shares no code with it.  Each of them must work in memory
 linear in the entries, with no ``nnz x K`` temporary.  The reconstruction
 split into ranges of entries, one per CPU, and within each range into
-blocks of ``_BLOCK`` entries, must equal one plain loop over the topics
-bit for bit, whatever the CPU count and the block size; the CPU count,
-the work per range and the block size are lowered here so that tiny
-inputs split too.  Its temporaries beyond the result must be a few blocks
-per range, whatever the number of entries.
+blocks of ``_BLOCK`` entries x topics, must equal one plain loop over the
+topics bit for bit, whatever the CPU count and the block size; the CPU
+count, the work per range and the block size are lowered here so that
+tiny inputs split too.  That rests on ``bsr_matvec`` adding each block
+row's products in order from the first, which is pinned here under its
+own name, as the kernel calls it.  The reconstruction's temporaries beyond
+the result must be a few blocks per range, whatever the number of entries.
 """
 
 import multiprocessing
@@ -29,6 +32,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 import simplexnmf as snf
 from simplexnmf import objectives, types
@@ -148,6 +152,9 @@ def _split(monkeypatch, cpus):
 @example(np.zeros((3, 2)), 2, 0)  # no entry
 @example(np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0]]), 1, 1)  # two empty documents, K = 1
 @example(np.arange(1.0, 50.0).reshape(7, 7), 1, 2)  # 49 entries: ranges of 24 and 25, of 16 and 17, of 7
+# 6 entries: on 2 and 3 CPUs the last range starts inside document 0 and spans the empty documents 1 and 2
+@example(np.array([[1.0, 0.0, 0.0, 6.0], [2.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0],
+                   [5.0, 0.0, 0.0, 0.0]]), 2, 4)
 def test_split_reconstruction_equals_the_serial_loop(cpus, dense, n_topics, seed):
     X = snf.TermDocMatrix.from_dense(dense)
     rng = np.random.default_rng(seed)
@@ -168,10 +175,47 @@ def test_small_blocks_equal_the_serial_loop(monkeypatch, cpus):
     W, H = rng.normal(size=(7, 3)), rng.normal(size=(3, 7))  # signs mixed: every sum's order shows
     W[0], H[:, 0] = -0.0, 0.0
     _split(monkeypatch, cpus)
-    monkeypatch.setattr(types, "_BLOCK", 5)
+    monkeypatch.setattr(types, "_BLOCK", 5 * 3)  # entries x topics: 5 entries of the 3 topics
     bounds = [X.nnz * i // cpus for i in range(cpus + 1)]
-    assert all((b - a) % types._BLOCK for a, b in zip(bounds, bounds[1:]))
+    assert all((b - a) % 5 for a, b in zip(bounds, bounds[1:]))
     assert types.reconstruct_nonzeros(X, W, H).tobytes() == _per_topic_loop(X, W, H).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blocks_across_empty_documents_equal_the_serial_loop(monkeypatch, cpus):
+    # blocks of 3 entries over documents of 5, 0, 0, 4, 0 and 3 entries: blocks start inside a
+    # document and span the empty ones, and on 2 CPUs the second range starts inside document 3
+    rng = np.random.default_rng(cpus)
+    dense = rng.integers(1, 4, size=(5, 6)).astype(float)
+    dense[:, [1, 2, 4]] = 0.0
+    dense[4, 3] = dense[3:, 5] = 0.0
+    X = snf.TermDocMatrix.from_dense(dense)
+    W, H = rng.normal(size=(5, 2)), rng.normal(size=(2, 6))
+    W[1], H[:, 3] = -0.0, 0.0
+    _split(monkeypatch, cpus)
+    monkeypatch.setattr(types, "_BLOCK", 3 * 2)
+    assert X.nnz == 12 and np.array_equal(np.diff(X.doc_ptr), [5, 0, 0, 4, 0, 3])
+    assert types.reconstruct_nonzeros(X, W, H).tobytes() == _per_topic_loop(X, W, H).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(0, 3, 2, 0)  # no block row
+def test_bsr_matvec_as_the_kernel_calls_it(n_rows, n_terms, n_topics, seed):
+    # one 1 x K block per block row, the kernel's call of SciPy's private routine: the same bytes as
+    # the public bsr_array @ vector, and as the products added in order from the first onto 0
+    rng = np.random.default_rng(seed)
+    signed = lambda size: rng.choice([-0.0, 0.0, 1.0], size=size) * rng.normal(size=size)  # noqa: E731
+    data, x = signed((n_rows, n_topics)), signed(n_terms * n_topics)
+    indices, indptr = rng.integers(0, n_terms, size=n_rows), np.arange(n_rows + 1)
+    got = np.zeros(n_rows)
+    types.bsr_matvec(n_rows, n_terms, 1, n_topics, indptr, indices, data, x, got)
+    public = sparse.bsr_array((data.reshape(n_rows, 1, n_topics), indices, indptr),
+                              blocksize=(1, n_topics), shape=(n_rows, n_terms * n_topics)) @ x
+    ordered = np.zeros(n_rows)
+    for k in range(n_topics):
+        ordered += data[:, k] * x.reshape(n_terms, n_topics)[indices, k]
+    assert got.tobytes() == public.tobytes() == ordered.tobytes()
 
 
 @pytest.mark.parametrize("density", [0.04, 0.16])
@@ -191,7 +235,7 @@ def test_reconstruction_temporaries_are_a_few_blocks_per_range(monkeypatch, dens
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    beyond = peak - X.nnz * 8 - W.nbytes  # the result and the contiguous copy of W.T
+    beyond = peak - X.nnz * 8  # the result
     assert beyond < 3 * 4 * types._BLOCK * 8 + (64 << 10), f"{beyond / (types._BLOCK * 8):.1f} blocks beyond the result"
 
 
@@ -275,13 +319,13 @@ def test_a_caller_exception_joins_every_worker_first(monkeypatch):
 
 
 def test_the_callers_errstate_holds_in_the_workers(monkeypatch):
-    # every product overflows, in the caller's range and in the worker's
-    X = snf.TermDocMatrix.from_dense(np.ones((4, 4)))
-    W, H = np.full((4, 2), 1e200), np.full((2, 4), 1e200)
+    # every product overflows, in the caller's range and in the worker's (numpy arithmetic in
+    # a range, as specfun's passes do: the reconstruction's compiled mat-vec raises no warning)
+    big, out = np.full(4, 1e200), np.zeros(4)
     _split(monkeypatch, 2)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = types.reconstruct_nonzeros(X, W, H)
+        types._in_ranges(4, 4, lambda a, b: np.multiply(big[a:b], big[a:b], out=out[a:b]))
     assert np.all(out == np.inf)
 
 

@@ -473,6 +473,13 @@ def _alternating_step_with_a_zero_w_column():
     pytest.param(lambda: snf.initialize_factorization(random_count_matrix(22), snf.FitConfig(n_topics=2, method="lda")),
                  ValueError, "initialize_factorization handles methods ('mu', 'mu-joint', 'plsa', 'sparse')",
                  id="a multiplicative start of lda"),
+    # the fit refuses, as the CLI refuses its flags, priors that the method would ignore
+    pytest.param(lambda: snf.fit(random_count_matrix(22), snf.FitConfig(n_topics=2, method="mu-joint"),
+                                 snf.Priors(np.ones(2))),
+                 ValueError, "priors do not apply to a multiplicative method", id="priors for mu-joint"),
+    pytest.param(lambda: snf.fit(random_count_matrix(22), snf.FitConfig(n_topics=2, method="lda"),
+                                 snf.Priors(np.ones(2), np.ones(2))),
+                 ValueError, "rate_a does not apply to a method without Gamma rates", id="rate_a for lda"),
 ])
 def test_each_refusal_names_its_fault(refused, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -207,10 +207,9 @@ class TestFitVi:
     def test_bound_monotone_over_full_runs(self):
         for seed in range(8):
             X = random_count_matrix(60 + seed, n_terms=12, n_docs=8)
-            priors = snf.Priors(np.full(3, 0.7), np.full(3, 1.1))
-            for method in ("lda", "gap"):
+            for method, rate_a in (("lda", None), ("gap", np.full(3, 1.1))):
                 config = snf.FitConfig(n_topics=3, method=method, max_iters=40, seed=seed)
-                _, _, trace = snf.fit_vi(X, config, priors)
+                _, _, trace = snf.fit_vi(X, config, snf.Priors(np.full(3, 0.7), rate_a))
                 for before, after in zip(trace.objectives, trace.objectives[1:]):
                     assert after >= before - 1e-9 * max(1.0, abs(before))
 
@@ -219,7 +218,7 @@ class TestFitVi:
         priors = snf.Priors(np.array([0.5, 0.9, 1.3]), np.full(3, 1.0))
         config_lda = snf.FitConfig(n_topics=3, method="lda", max_iters=60, seed=11)
         config_gap = snf.FitConfig(n_topics=3, method="gap", max_iters=60, seed=11)
-        W_lda, state_lda, _ = snf.fit_vi(X, config_lda, priors)
+        W_lda, state_lda, _ = snf.fit_vi(X, config_lda, snf.Priors(priors.alpha))
         W_gap, state_gap, _ = snf.fit_vi(X, config_gap, priors)
         assert np.abs(W_lda - W_gap).max() <= 1e-11
         scale = np.maximum(1.0, np.abs(state_lda.beta))
@@ -252,7 +251,7 @@ class TestFitVi:
         config = snf.FitConfig(n_topics=20, method=method, max_iters=3, rel_tolerance=1e-300)
         tracemalloc.start()
         try:
-            _, _, trace = snf.fit_vi(X, config, snf.Priors(np.ones(20), np.ones(20)))
+            _, _, trace = snf.fit_vi(X, config, snf.Priors(np.ones(20), np.ones(20) if method == "gap" else None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -276,7 +275,7 @@ def test_unrepresentable_term_fails_as_in_the_bound(method):
     # a step that computes its own (W h~) raises what the bound raises on the same state
     X = snf.TermDocMatrix.from_dense([[1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
     W = np.array([[0.0, 0.0], [0.5, 0.25], [0.5, 0.75]])  # term 0 carried by no topic
-    priors = snf.Priors(np.ones(2), np.ones(2))
+    priors = snf.Priors(np.ones(2), np.ones(2) if method == "gap" else None)
     state = snf.VariationalState(np.ones((2, 2)), np.full((2, 1), 2.0) if method == "gap" else None)
     bound, step = {"lda": (snf.lda_elbo, snf.dp_vi_step), "gap": (snf.gap_elbo, snf.gap_vi_step)}[method]
     with pytest.raises(UnrepresentableTermError, match="term 0"):
@@ -294,7 +293,7 @@ OTHER_TOPIC_COUNT = {
     "gap_elbo": lambda X, W, state: snf.gap_elbo(X, W, ONE_TOPIC_PRIORS, state),
     "dp_vi_step": lambda X, W, state: snf.dp_vi_step(X, W, ONE_TOPIC_PRIORS, state),
     "gap_vi_step": lambda X, W, state: snf.gap_vi_step(X, W, ONE_TOPIC_PRIORS, state),
-    "fixed_point_residual lda": lambda X, W, state: snf.fixed_point_residual(X, "lda", (W, state), ONE_TOPIC_PRIORS),
+    "fixed_point_residual lda": lambda X, W, state: snf.fixed_point_residual(X, "lda", (W, state), snf.Priors(np.ones(1))),
     "fixed_point_residual gap": lambda X, W, state: snf.fixed_point_residual(X, "gap", (W, state), ONE_TOPIC_PRIORS),
 }
 
