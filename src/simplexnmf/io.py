@@ -20,7 +20,12 @@ rows of numbers, still load; their K x D ``b_rate`` must hold each topic's
 method uses, checks their types, and ignores every other key, such as the
 ``trace`` of earlier files or a field of another method; a fit's trace is
 written only as CSV (:func:`save_trace_csv`).  The tokenizer is
-deliberately naive: lowercase, split on runs of non-alphanumerics.
+deliberately naive: a token is a maximal run of characters with
+``str.isalnum`` in the lowercased text, so the underscore, control
+characters and NUL separate tokens like spaces and punctuation.  An ASCII
+document is tokenized by one translation through a 256-byte table and one
+``split``, any other by the regular expression ``[^\\W_]+``; both give the
+same tokens.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EntryError
-from .types import FitTrace, METHOD_SPECS, TermDocMatrix, _finite_positive, _lambda_ok
+from .types import FitTrace, METHOD_SPECS, TermDocMatrix, _finite_positive, _lambda_ok, _whole_number
 from .vi import _pinned_rates
 
 _MM_HEADER = "%%matrixmarket matrix coordinate real general"
 _MM_ENTRY = [("row", np.int64), ("col", np.int64), ("val", float)]  # one entry line
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+# each byte to itself if it is an ASCII letter or digit (chr(c).isalnum(), as [^\W_] matches), else to a space
+_ASCII_BREAKS = bytes(c if c < 128 and chr(c).isalnum() else 32 for c in range(256))
 _MM_RUN = 65536  # entry lines per write of save_matrix_market
 _READ_SIZE = 65536  # bytes per os.read of a corpus file
 
@@ -206,6 +213,15 @@ class Vocabulary:
 
 
 def tokenize(text: str) -> list[str]:
+    """The tokens of ``text``: the maximal runs of characters ``c`` with
+    ``c.isalnum()`` in ``text.lower()``, in order, which are the matches of
+    ``[^\\W_]+``.  Every other character separates tokens: spaces and line
+    breaks, punctuation, the underscore, control characters and NUL.  ASCII
+    text gives the same tokens through one byte-table translation, which
+    turns every byte that is not a letter or digit into a space, and one
+    ``split``; other text goes through the regular expression."""
+    if text.isascii():
+        return text.encode("ascii").lower().translate(_ASCII_BREAKS).decode("ascii").split()
     return _TOKEN.findall(text.lower())
 
 
@@ -238,11 +254,15 @@ def ingest_corpus(directory, min_count: int = 1) -> tuple[TermDocMatrix, Vocabul
     the file names (``"10.txt"`` before ``"2.txt"`` before ``"B.txt"``
     before ``"a.txt"``), not natural order.  Each file is decoded as strict
     UTF-8; a file that cannot be read or decoded is a ``DataError``
-    naming it.  Line endings (LF, CRLF, CR) separate tokens alike.  Terms
-    occurring fewer than ``min_count`` times corpus-wide are dropped.
+    naming it.  Files are split into tokens by :func:`tokenize`; line
+    endings (LF, CRLF, CR) separate tokens alike.  Terms occurring fewer
+    than ``min_count`` times corpus-wide are dropped; ``min_count`` must be
+    a whole number of at least 1 (a ``ValueError`` before the directory is
+    read).
     Documents left without any countable term are rejected with a listing,
     so every document column of the result has a positive total.
     """
+    min_count = _whole_number("min_count", min_count, 1)
     root = Path(directory)
     if not root.is_dir():
         raise DataError(f"not a directory: {directory}")
@@ -251,9 +271,10 @@ def ingest_corpus(directory, min_count: int = 1) -> tuple[TermDocMatrix, Vocabul
     if not files:
         raise DataError(f"empty corpus: no files in {directory}")
     docs = []
+    top = os.fspath(root)  # a str, joined to each name without a Path.__fspath__ call per file
     for name in files:
         try:
-            docs.append(tokenize(_read_document(os.path.join(root, name))))
+            docs.append(tokenize(_read_document(os.path.join(top, name))))
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"unreadable file {root / name}: {exc}") from exc
     tokens = list(chain.from_iterable(docs))

@@ -121,6 +121,18 @@ def _whole(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a) & (a == np.floor(a))
 
 
+def _whole_number(name: str, value, least: int, bound=np.inf) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is a
+    whole number in ``[least, bound)``.  A whole number is a Python ``int``
+    (of any size) or a numpy integer or whole finite float scalar; a bool, a
+    string, a NaN and a fraction are not.  The one rule for an integer
+    argument: ``FitConfig``'s fields and ``ingest_corpus``'s ``min_count``."""
+    whole = type(value) is int or np.ndim(value) == 0 and _whole(np.asarray(value))
+    if not (whole and least <= int(value) < bound):
+        raise ValueError(f"{name} must be a whole number in [{least}, {bound}), got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class TermDocMatrix:
     """Sparse non-negative term-document count matrix.
@@ -470,11 +482,7 @@ class FitConfig:
     def __post_init__(self):
         # the seed must fit in an unsigned 64-bit integer; a Python int is whole past 64 bits too
         for name, least, bound in (("n_topics", 1, np.inf), ("max_iters", 1, np.inf), ("seed", 0, 2 ** 64)):
-            value = getattr(self, name)
-            whole = type(value) is int or np.ndim(value) == 0 and _whole(np.asarray(value))
-            if not (whole and least <= int(value) < bound):
-                raise ValueError(f"{name} must be a whole number in [{least}, {bound}), got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name), least, bound))
         if self.method not in METHOD_SPECS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not self.rel_tolerance > 0:

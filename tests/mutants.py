@@ -78,6 +78,13 @@ MUTANTS = [
     Mutant("src/simplexnmf/types.py", 'return "rate_a" in self.model_fields', 'return "alpha" in self.model_fields',
            "tests/test_cli.py::test_flag_the_method_ignores_is_usage_error[lda---rate-a]",
            "every method with Dirichlet priors taken to use Gamma rates"),
+    Mutant("src/simplexnmf/io.py", "c if c < 128 and chr(c).isalnum() else 32",
+           "c if c < 128 and (chr(c).isalnum() or c == 95) else 32",
+           "tests/test_properties.py::test_tokenize_is_the_alphanumeric_runs_of_the_lowercased_text",
+           "the ASCII byte table keeping the underscore (byte 95) inside tokens"),
+    Mutant("src/simplexnmf/io.py", 're.compile(r"[^\\W_]+", re.UNICODE)', 're.compile(r"\\w+", re.UNICODE)',
+           "tests/test_properties.py::test_tokenize_is_the_alphanumeric_runs_of_the_lowercased_text",
+           "the tokenizer's regular expression keeping the underscore inside tokens"),
 ]
 
 

@@ -145,11 +145,33 @@ class TestIngest:
         _, vocab = snf.ingest_corpus(tmp_path, min_count=2)
         assert vocab.terms == ("a", "b")
 
+    @pytest.mark.parametrize("min_count", [2.0, np.int64(2)], ids=repr)
+    def test_min_count_may_be_a_whole_float_or_a_numpy_integer(self, tmp_path, min_count):
+        self._write(tmp_path, {"d0.txt": "a b a", "d1.txt": "b c"})
+        _, vocab = snf.ingest_corpus(tmp_path, min_count=min_count)
+        assert vocab.terms == ("a", "b")
+
     def test_lowercases_and_splits_punctuation(self, tmp_path):
         self._write(tmp_path, {"d0.txt": "The CAT, the cat!", "d1.txt": "dog-house dog"})
         X, vocab = snf.ingest_corpus(tmp_path, min_count=1)
         assert vocab.terms == ("cat", "dog", "house", "the")
         assert X.to_dense()[vocab.index["the"], 0] == 2.0
+
+    @pytest.mark.parametrize("min_count", [0, -3, True, 1.5, float("nan"), float("inf"), "2", None],
+                             ids=repr)
+    def test_min_count_that_is_not_a_whole_number_of_at_least_one_is_refused(self, tmp_path, min_count):
+        # the corpus does not exist: the argument is refused before the directory is read
+        with pytest.raises(ValueError, match=r"min_count must be a whole number in \[1, inf\), got "):
+            snf.ingest_corpus(tmp_path / "absent", min_count=min_count)
+
+    def test_underscore_controls_and_nul_separate_tokens(self, tmp_path):
+        text = "snake_case a\tb\x0bc\x00d\x1ce"
+        assert snf_io.tokenize(text) == ["snake", "case", "a", "b", "c", "d", "e"]
+        # the same text with a non-ASCII letter goes through the regular expression, with the same separators
+        assert snf_io.tokenize(text + " café") == ["snake", "case", "a", "b", "c", "d", "e", "café"]
+        self._write(tmp_path, {"d0.txt": text})
+        _, vocab = snf.ingest_corpus(tmp_path)
+        assert vocab.terms == ("a", "b", "c", "case", "d", "e", "snake")
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(DataError, match="empty corpus"):

@@ -10,7 +10,10 @@ single topic all occur.  The last properties check ``digamma`` and
 values log-uniform in [1e-8, 1e6], at the tolerances of ``test_specfun``.
 The ingestion property compares ``ingest_corpus`` on small random corpora
 (CR and LF characters included) with a plain-Python count of
-``tokenize`` over the files in name order.  The writer properties compare
+``tokenize`` over the files in name order, and ``tokenize`` itself must
+give the matches of ``[^\\W_]+`` in the lowercased text, over every ASCII
+code point, the underscore and a few letters, digits and separators beyond
+ASCII.  The writer properties compare
 the bytes of ``save_model`` and ``save_matrix_market`` with plain
 formulations kept here as oracles: ``json.dumps`` of the whole model with
 each matrix's base64 as a string, and one formatted string per entry line.
@@ -24,6 +27,7 @@ and a malformed entry planted in it is reported at the same line.
 
 import base64
 import json
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -31,7 +35,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import simplexnmf as snf
 from simplexnmf import io as snf_io
@@ -278,6 +282,23 @@ def test_ingest_matches_a_counter_over_files_in_name_order(corpus):
         X, vocab = snf.ingest_corpus(directory, min_count)
     assert vocab.terms == terms
     assert np.array_equal(X.to_dense(), expected)
+
+
+# every ASCII code point, letters and digits beyond ASCII (a title-case letter, one that lowercases to two
+# characters, a superscript and an Arabic-Indic digit), the underscore, NBSP, a zero-width space and U+2028
+TOKEN_TEXT = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=40),
+    st.text(st.sampled_from([chr(c) for c in range(128)] + list("éßΣİǅ²٣_\xa0\u200b\u2028")), max_size=40),
+)
+
+
+@SETTINGS
+@given(TOKEN_TEXT)
+@example("snake_case a\tb\x0bc\x00d\x1ce")
+@example("snake_case é")
+def test_tokenize_is_the_alphanumeric_runs_of_the_lowercased_text(text):
+    # the reference: runs of word characters other than the underscore
+    assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
 
 
 # values the writers must carry bit for bit: the smallest subnormal, the
